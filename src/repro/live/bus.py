@@ -7,14 +7,15 @@ bus drops that subscriber's *oldest* events instead and counts the
 drops.
 
 Thread-safe: the sim loop publishes from a worker thread/process driver
-while asyncio handlers drain via :meth:`LiveSubscription.drain_nowait`.
+while asyncio handlers drain via :meth:`LiveSubscription.drain_nowait`,
+woken by the subscription's ``wake`` callback instead of polling.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 #: Marks the end of the stream inside a subscriber's deque.
 _CLOSE = object()
@@ -23,12 +24,16 @@ _CLOSE = object()
 class LiveSubscription:
     """One consumer's bounded view of the bus."""
 
-    def __init__(self, bus: "IngestionBus", maxlen: int) -> None:
+    def __init__(self, bus: "IngestionBus", maxlen: int,
+                 wake: Optional[Callable[[], None]] = None) -> None:
         self._bus = bus
         self._events: deque = deque()
         self._maxlen = maxlen
         self._cond = threading.Condition()
         self._closed = False
+        #: Called after every push (close marker included), outside the
+        #: subscription lock, from the publishing thread.
+        self._wake = wake
         #: Events this subscriber lost to backpressure.
         self.dropped = 0
 
@@ -43,6 +48,8 @@ class LiveSubscription:
                 self.dropped += 1
             self._events.append(event)
             self._cond.notify_all()
+        if self._wake is not None:
+            self._wake()
 
     def get(self, timeout: Optional[float] = None) -> Optional[Dict]:
         """Next event, blocking up to ``timeout``; ``None`` on close or
@@ -56,7 +63,7 @@ class LiveSubscription:
             return None if event is _CLOSE else event
 
     def drain_nowait(self) -> List[Dict]:
-        """All queued events without blocking (asyncio poll pattern)."""
+        """All queued events without blocking (for asyncio consumers)."""
         with self._cond:
             out = []
             while self._events:
@@ -91,10 +98,14 @@ class IngestionBus:
         self._closed = False
         self.published = 0
 
-    def subscribe(self, maxlen: int = 1024) -> LiveSubscription:
+    def subscribe(self, maxlen: int = 1024, *,
+                  wake: Optional[Callable[[], None]] = None
+                  ) -> LiveSubscription:
+        """A new bounded subscription; ``wake`` is called after each
+        event it receives (see :class:`LiveSubscription`)."""
         if maxlen < 1:
             raise ValueError("maxlen must be >= 1")
-        sub = LiveSubscription(self, maxlen)
+        sub = LiveSubscription(self, maxlen, wake)
         with self._lock:
             if self._closed:
                 sub._push(_CLOSE)

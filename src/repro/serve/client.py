@@ -4,7 +4,7 @@ Stdlib-only (``http.client``); covers the whole API surface::
 
     client = ServeClient(port=8023)
     job = client.submit_run(spec)                    # 202/200 -> job dict
-    job = client.wait(job["job_id"], timeout=120)    # poll to terminal
+    job = client.wait(job["job_id"], timeout=120)    # block to terminal
     for event in client.events(job["job_id"]):       # or stream NDJSON
         print(event["event"])
 
@@ -20,7 +20,6 @@ import dataclasses
 import http.client
 import json
 import math
-import random
 import time
 from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
@@ -227,30 +226,34 @@ class ServeClient:
     def jobs(self) -> List[Dict[str, Any]]:
         return self._call("GET", "/v1/jobs")["jobs"]
 
-    def wait(self, job_id: str, *, timeout: float = 600.0,
-             poll: float = 0.2, poll_max: float = 3.0,
-             jitter: float = 0.25) -> Dict[str, Any]:
-        """Poll until the job is terminal; returns its final status.
+    def wait(self, job_id: str, *,
+             timeout: float = 600.0) -> Dict[str, Any]:
+        """Block until the job is terminal; returns its final status.
 
-        Polling starts at ``poll`` seconds and backs off exponentially
-        to ``poll_max``, with +/- ``jitter`` (fractional) randomisation
-        on every sleep so a fleet of waiting clients does not hammer
-        the daemon in lockstep.
+        Follows the job's event stream, so the answer comes as soon as
+        the daemon publishes ``done`` or ``failed``.  A stream that ends
+        without a terminal event (a drain, a dropped connection) is
+        followed again after a fresh status check, until ``timeout``
+        seconds have passed (then :class:`TimeoutError`).
         """
         deadline = time.monotonic() + timeout
-        delay = max(0.01, poll)
         while True:
             status = self.job(job_id)
             if status["state"] in ("done", "failed"):
                 return status
-            if time.monotonic() >= deadline:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 raise TimeoutError(
                     f"job {job_id} still {status['state']} "
                     f"after {timeout:.0f}s"
                 )
-            spread = delay * (1.0 + random.uniform(-jitter, jitter))
-            time.sleep(min(spread, max(0.0, deadline - time.monotonic())))
-            delay = min(poll_max, delay * 2.0)
+            try:
+                for event in self.events(job_id, timeout=remaining):
+                    if event.get("event") in ("done", "failed") \
+                            or time.monotonic() >= deadline:
+                        break
+            except (OSError, http.client.HTTPException):
+                pass  # the next status check decides what it meant
 
     def events(self, job_id: str, *,
                timeout: float = 600.0) -> Iterator[Dict[str, Any]]:

@@ -15,7 +15,8 @@ Endpoints::
     POST /v1/campaign        submit a batch        -> 202 {jobs: [...]}
     GET  /v1/jobs            list jobs             -> 200 {jobs: [...]}
     GET  /v1/jobs/<id>       job status            -> 200 {job}
-    GET  /v1/jobs/<id>/events  NDJSON event stream (chunked; ends when
+    GET  /v1/jobs/<id>/events  NDJSON event stream (chunked; events are
+                               pushed as they are published; ends when
                                the job reaches a terminal state)
     GET  /v1/jobs/<id>/result  full session digest of a done job
                                (the fleet member protocol: coordinators
@@ -46,6 +47,7 @@ Operational behaviour:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import json
 import logging
@@ -55,7 +57,16 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from ..core.persistence import (
     config_from_document,
@@ -79,16 +90,71 @@ from ..live.bus import IngestionBus
 from ..live.spec import LiveSpec
 from ..sim.warp import WarpSpec, coerce_fidelity, fidelity_token
 from .executor import JobExecutor
-from .jobs import DONE, JobStore, ServeJob, counters_from_session
+from .jobs import (
+    DONE,
+    TERMINAL_STATES,
+    JobStore,
+    ServeJob,
+    counters_from_session,
+)
 from .metrics import ServeMetrics
 
 logger = logging.getLogger(__name__)
 
-#: Streamers poll the job event log at this cadence (seconds).
-STREAM_POLL_S = 0.05
+#: Events after which a job's stream carries nothing more: a terminal
+#: state, or a hand-off to the journal at a workerless drain.
+_STREAM_END = TERMINAL_STATES + ("handed_off",)
 #: Reading a request (line, headers, body) must finish within this.
 REQUEST_READ_TIMEOUT_S = 30.0
 _MAX_BODY_BYTES = 64 * (1 << 20)
+
+
+def _start_ndjson(writer: asyncio.StreamWriter) -> None:
+    writer.write(b"HTTP/1.1 200 OK\r\n"
+                 b"Content-Type: application/x-ndjson\r\n"
+                 b"Transfer-Encoding: chunked\r\n"
+                 b"Connection: close\r\n\r\n")
+
+
+def _write_chunk(writer: asyncio.StreamWriter, obj: Dict[str, Any]) -> None:
+    line = (json.dumps(obj) + "\n").encode()
+    writer.write(f"{len(line):x}\r\n".encode() + line + b"\r\n")
+
+
+@contextlib.contextmanager
+def _wakeup(reader: asyncio.StreamReader
+            ) -> Iterator[Tuple[asyncio.Event, Callable[[], None]]]:
+    """The event a stream handler sleeps on, and the callback that sets it.
+
+    Events are published on executor threads, so the callback hops onto
+    the loop with ``call_soon_threadsafe``.  A handler clears the event
+    before it reads what is new, so no wake-up is lost.  The event is
+    also set when the client hangs up (``reader.at_eof()`` then holds),
+    which releases a departed follower at once rather than at its next
+    event.
+    """
+    loop = asyncio.get_running_loop()
+    woken = asyncio.Event()
+
+    def wake() -> None:
+        try:
+            loop.call_soon_threadsafe(woken.set)
+        except RuntimeError:
+            pass  # the loop is closed, and the stream with it
+
+    async def watch_hangup() -> None:
+        try:
+            while await reader.read(1 << 16):
+                pass  # one request per connection: ignore stray bytes
+        except OSError:
+            pass  # a reset or timed-out connection is a hangup too
+        woken.set()
+
+    watcher = loop.create_task(watch_hangup())
+    try:
+        yield woken, wake
+    finally:
+        watcher.cancel()
 
 
 class BadRequest(Exception):
@@ -244,7 +310,8 @@ class ServeDaemon:
                 self.metrics.inc("jobs_handed_off")
         # Close the live bus first: /v1/live streamers see the close
         # marker and finish, so wait_closed() (which waits for in-flight
-        # handlers on 3.12+) cannot deadlock on an open stream.
+        # handlers on 3.12+) cannot deadlock on an open stream.  Job
+        # streams end too: every job is terminal or handed off by now.
         self.live_bus.close()
         self._server.close()
         await self._server.wait_closed()
@@ -496,7 +563,7 @@ class ServeDaemon:
                 )
                 return
             endpoint, handled = await self._route(
-                writer, method, path, headers, body
+                reader, writer, method, path, headers, body
             )
             if not handled:
                 await self._respond_json(
@@ -518,7 +585,10 @@ class ServeDaemon:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except Exception:  # noqa: BLE001
+            except (Exception, asyncio.CancelledError):  # noqa: BLE001
+                # A shutdown cancel landing here ends a handler that is
+                # done anyway; letting it escape makes Python 3.11's
+                # stream protocol log a traceback for the connection.
                 pass
 
     async def _read_request(
@@ -585,6 +655,7 @@ class ServeDaemon:
 
     async def _route(
         self,
+        reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         method: str,
         path: str,
@@ -630,7 +701,8 @@ class ServeDaemon:
         if path.startswith("/v1/jobs/"):
             rest = path[len("/v1/jobs/"):]
             if method == "GET" and rest.endswith("/events"):
-                await self._handle_events(writer, rest[:-len("/events")])
+                await self._handle_events(reader, writer,
+                                          rest[:-len("/events")])
                 return "GET /v1/jobs/<id>/events", True
             if method == "GET" and rest.endswith("/result"):
                 await self._handle_result(writer, rest[:-len("/result")])
@@ -646,7 +718,7 @@ class ServeDaemon:
                                              {"job": record.as_dict()})
                 return "GET /v1/jobs/<id>", True
         if method == "GET" and path == "/v1/live":
-            await self._handle_live(writer, query)
+            await self._handle_live(reader, writer, query)
             return "GET /v1/live", True
         if method == "POST" and path == "/v1/shutdown":
             self.request_shutdown()
@@ -793,42 +865,52 @@ class ServeDaemon:
         })
 
     async def _handle_events(
-        self, writer: asyncio.StreamWriter, job_id: str
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
+        job_id: str,
     ) -> None:
+        """Stream one job's event log as chunked NDJSON.
+
+        The log is replayed from ``seq`` 0, then each event is pushed as
+        it is published; the stream ends after the job's terminal event
+        (or its hand-off at a workerless drain).
+        """
         record = self.store.get(job_id)
         if record is None:
             await self._respond_json(
                 writer, 404, {"error": f"no such job: {job_id}"}
             )
             return
-        head = ("HTTP/1.1 200 OK\r\n"
-                "Content-Type: application/x-ndjson\r\n"
-                "Transfer-Encoding: chunked\r\n"
-                "Connection: close\r\n\r\n")
-        writer.write(head.encode())
+        _start_ndjson(writer)
         cursor = 0
-        while True:
-            pending = record.events[cursor:]
-            for event in pending:
-                line = (json.dumps(event) + "\n").encode()
-                writer.write(f"{len(line):x}\r\n".encode() + line + b"\r\n")
-            cursor += len(pending)
-            await writer.drain()
-            if record.terminal and cursor >= len(record.events):
-                break
-            await asyncio.sleep(STREAM_POLL_S)
+        with _wakeup(reader) as (woken, wake):
+            record.wakers.append(wake)
+            try:
+                while not reader.at_eof():
+                    woken.clear()
+                    pending = record.events[cursor:]
+                    cursor += len(pending)
+                    for event in pending:
+                        _write_chunk(writer, event)
+                    await writer.drain()
+                    if pending and pending[-1]["event"] in _STREAM_END:
+                        break
+                    await woken.wait()
+            finally:
+                record.wakers.remove(wake)
         writer.write(b"0\r\n\r\n")
         await writer.drain()
 
     async def _handle_live(
-        self, writer: asyncio.StreamWriter, query: str
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
+        query: str,
     ) -> None:
         """Stream the daemon-wide live event fabric as chunked NDJSON.
 
-        Every job event published while the connection is open is
-        forwarded (per-epoch ``epoch`` digests included for live jobs).
-        ``?max_events=N`` closes the stream after N events -- handy for
-        scripted consumers; the stream also ends when the daemon drains.
+        Every job event published while the connection is open is pushed
+        as it happens (per-epoch ``epoch`` digests included for live
+        jobs).  ``?max_events=N`` closes the stream after N events --
+        handy for scripted consumers; the stream also ends when the
+        daemon drains.
         """
         params: Dict[str, str] = {}
         for pair in query.split("&"):
@@ -845,35 +927,27 @@ class ServeDaemon:
                     {"error": f"bad max_events: {params['max_events']!r}"},
                 )
                 return
-        sub = self.live_bus.subscribe()
-        head = ("HTTP/1.1 200 OK\r\n"
-                "Content-Type: application/x-ndjson\r\n"
-                "Transfer-Encoding: chunked\r\n"
-                "Connection: close\r\n\r\n")
-        writer.write(head.encode())
-
-        def _chunk(obj: Dict[str, Any]) -> None:
-            line = (json.dumps(obj) + "\n").encode()
-            writer.write(f"{len(line):x}\r\n".encode() + line + b"\r\n")
-
-        _chunk({"event": "hello", "ts": time.time(),
-                "draining": self._draining})
-        sent = 0
-        try:
-            while True:
-                for event in sub.drain_nowait():
-                    _chunk(event)
-                    sent += 1
-                    if max_events is not None and sent >= max_events:
+        with _wakeup(reader) as (woken, wake):
+            sub = self.live_bus.subscribe(wake=wake)
+            try:
+                _start_ndjson(writer)
+                _write_chunk(writer, {"event": "hello", "ts": time.time(),
+                                      "draining": self._draining})
+                sent = 0
+                while not reader.at_eof():
+                    woken.clear()
+                    for event in sub.drain_nowait():
+                        _write_chunk(writer, event)
+                        sent += 1
+                        if max_events is not None and sent >= max_events:
+                            break
+                    await writer.drain()
+                    if sub.closed or (max_events is not None
+                                      and sent >= max_events):
                         break
-                await writer.drain()
-                if max_events is not None and sent >= max_events:
-                    break
-                if sub.closed:
-                    break
-                await asyncio.sleep(STREAM_POLL_S)
-        finally:
-            self.live_bus.unsubscribe(sub)
+                    await woken.wait()
+            finally:
+                self.live_bus.unsubscribe(sub)
         writer.write(b"0\r\n\r\n")
         await writer.drain()
 

@@ -16,7 +16,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..exec.runner import CampaignJob
 
@@ -81,13 +81,22 @@ class ServeJob:
     #: daemon points this at its live ingestion bus so ``/v1/live``
     #: streams all jobs' events as they happen.
     live_sink: Optional[Any] = field(default=None, repr=False, compare=False)
+    #: Wake callbacks of the streams following :attr:`events`; each is
+    #: called (from the publishing thread) after every append.
+    wakers: List[Callable[[], None]] = field(default_factory=list,
+                                             repr=False, compare=False)
 
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
     def publish(self, event: str, **data: Any) -> None:
-        """Append one event; streamers pick it up by list position."""
+        """Append one event and wake every stream following the log.
+
+        Streamers read new events by list position; the wake callbacks
+        only tell them to look, so a stream that is already awake loses
+        nothing.
+        """
         record = {
             "seq": len(self.events),
             "ts": time.time(),
@@ -97,6 +106,8 @@ class ServeJob:
         record.update(data)
         record["event"] = event
         self.events.append(record)
+        for wake in tuple(self.wakers):
+            wake()
         if self.live_sink is not None:
             self.live_sink(record)
 

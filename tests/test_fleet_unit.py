@@ -1,10 +1,13 @@
-"""Fleet primitives: hash ring, circuit breaker, event mux, client backoff.
+"""Fleet primitives: hash ring, circuit breaker, event mux, client waiting.
 
 Pure in-process tests - no sockets, no daemons.  The live fleet (real
 members, real kills) is exercised by ``test_fleet.py``.
 """
 
+import http.client
+import socket
 import threading
+import time
 
 import pytest
 
@@ -182,23 +185,90 @@ def test_parse_retry_after_garbage_degrades_to_none():
     assert parse_retry_after(None) is None
 
 
-def test_wait_backs_off_exponentially_with_jitter(monkeypatch):
+def _waiting_client(monkeypatch, states, streams):
+    """A client whose status answers and event streams are scripted.
+
+    ``states`` are the successive ``state`` answers of ``job()``; each
+    item of ``streams`` is one ``events()`` connection: the event names
+    it yields, then optionally an exception that ends it.
+    """
     client = ServeClient(port=1)
-    states = iter(["queued"] * 6 + ["done"])
+    states, streams = iter(states), iter(streams)
+    follows = []
+
+    def events(job_id, timeout):
+        follows.append(timeout)
+        script = next(streams)
+        for seq, name in enumerate(script):
+            if isinstance(name, BaseException):
+                raise name
+            yield {"seq": seq, "job_id": job_id, "event": name}
+
     monkeypatch.setattr(
         client, "job",
         lambda job_id: {"state": next(states), "job_id": job_id},
     )
-    sleeps = []
-    monkeypatch.setattr("repro.serve.client.time.sleep", sleeps.append)
-    final = client.wait("j1", timeout=60, poll=0.1, poll_max=1.0,
-                        jitter=0.25)
-    assert final["state"] == "done"
-    assert len(sleeps) == 6
-    # Nominal schedule 0.1 0.2 0.4 0.8 1.0 1.0, each within +/-25%.
-    for observed, nominal in zip(sleeps, [0.1, 0.2, 0.4, 0.8, 1.0, 1.0]):
-        assert nominal * 0.74 <= observed <= nominal * 1.26
-    # Jitter actually varies the delays (not a fixed multiplier).
-    ratios = {round(s / n, 6) for s, n in
-              zip(sleeps, [0.1, 0.2, 0.4, 0.8, 1.0, 1.0])}
-    assert len(ratios) > 1
+    monkeypatch.setattr(client, "events", events)
+    return client, follows
+
+
+def _no_sleeping(monkeypatch):
+    def sleep(seconds):
+        raise AssertionError(f"wait() slept {seconds}s instead of streaming")
+
+    monkeypatch.setattr("repro.serve.client.time.sleep", sleep)
+
+
+def test_wait_follows_the_event_stream_to_done(monkeypatch):
+    _no_sleeping(monkeypatch)
+    client, follows = _waiting_client(
+        monkeypatch, ["queued", "done"],
+        [["queued", "started", "attempt", "done"]],
+    )
+    assert client.wait("j1", timeout=60)["state"] == "done"
+    assert len(follows) == 1 and 0 < follows[0] <= 60
+
+
+def test_wait_returns_a_failed_job(monkeypatch):
+    _no_sleeping(monkeypatch)
+    client, follows = _waiting_client(
+        monkeypatch, ["running", "failed"], [["started", "failed"]],
+    )
+    assert client.wait("j1", timeout=60)["state"] == "failed"
+    assert len(follows) == 1
+
+
+@pytest.mark.parametrize("first_stream", [
+    ["queued", "handed_off"],
+    ["queued", http.client.IncompleteRead(b"")],
+], ids=["ends-cleanly", "connection-dropped"])
+def test_wait_refollows_a_stream_that_ends_without_a_terminal_event(
+        monkeypatch, first_stream):
+    _no_sleeping(monkeypatch)
+    client, follows = _waiting_client(
+        monkeypatch, ["queued", "queued", "done"],
+        [first_stream, ["started", "done"]],
+    )
+    assert client.wait("j1", timeout=60)["state"] == "done"
+    assert len(follows) == 2
+
+
+def test_wait_raises_timeout_error_at_its_deadline(monkeypatch):
+    client = ServeClient(port=1)
+    follows = []
+
+    def silent_stream(job_id, timeout):
+        # A job that never progresses: the socket read times out.
+        follows.append(timeout)
+        time.sleep(timeout)
+        raise socket.timeout("timed out")
+        yield  # pragma: no cover - makes this a generator
+
+    monkeypatch.setattr(client, "job",
+                        lambda job_id: {"state": "running", "job_id": job_id})
+    monkeypatch.setattr(client, "events", silent_stream)
+    began = time.monotonic()
+    with pytest.raises(TimeoutError, match="still running"):
+        client.wait("j1", timeout=0.2)
+    assert time.monotonic() - began < 5.0
+    assert follows and all(t <= 0.2 for t in follows)

@@ -7,6 +7,13 @@ missing Retry-After header.
 """
 
 import json
+import os
+import statistics
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -18,12 +25,13 @@ from repro.sim import spr_config
 from repro.workloads import build_app
 
 
-def make_spec(seed: int = 3, num_ops: int = 600) -> ProfileSpec:
+def make_spec(seed: int = 3, num_ops: int = 600,
+              epoch_cycles: float = 20_000.0) -> ProfileSpec:
     workload = build_app("541.leela_r", num_ops=num_ops, seed=seed)
     app = AppSpec(
         workload=workload, core=0, membind=cxl_node_id(spr_config())
     )
-    return ProfileSpec(apps=[app], epoch_cycles=20_000.0)
+    return ProfileSpec(apps=[app], epoch_cycles=epoch_cycles)
 
 
 def reference_counters(spec: ProfileSpec) -> list:
@@ -178,3 +186,199 @@ def test_shutdown_drains_queued_and_in_flight_jobs(tmp_path):
         assert record.state == "done", (record.state, record.error)
     # Draining refused new work before exiting.
     assert server.daemon._draining is True
+
+
+# -- push delivery ----------------------------------------------------------
+
+
+def eventually(predicate, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def test_done_reaches_both_streams_within_milliseconds():
+    # ``done`` is pushed the moment it is published, so it reaches both
+    # kinds of stream within milliseconds; a poll loop adds up to its
+    # interval (half of it in the median).
+    jobs = 20
+    with BackgroundServer(workers=1, queue_depth=8, cache=None) as server:
+        client = ServeClient(port=server.port)
+        live_lags, stream_lags = [], []
+        subscribed = threading.Event()
+
+        def follow_live():
+            for event in client.live(timeout=120):
+                if event["event"] == "hello":
+                    subscribed.set()
+                elif event["event"] == "done":
+                    live_lags.append(time.time() - event["ts"])
+                    if len(live_lags) == jobs:
+                        return
+
+        follower = threading.Thread(target=follow_live, daemon=True)
+        follower.start()
+        assert subscribed.wait(30)
+        for seed in range(jobs):
+            job = client.submit_run(make_spec(seed=200 + seed, num_ops=100))
+            for event in client.events(job["job_id"], timeout=120):
+                if event["event"] == "done":
+                    stream_lags.append(time.time() - event["ts"])
+        follower.join(30)
+    assert len(stream_lags) == len(live_lags) == jobs
+    assert statistics.median(stream_lags) < 0.010, sorted(stream_lags)
+    assert statistics.median(live_lags) < 0.010, sorted(live_lags)
+
+
+def test_a_finished_stream_releases_its_wake_callback(client, server):
+    # The handler deregisters before it sends the final chunk.
+    job = client.submit_run(make_spec(seed=13), cacheable=False)
+    assert list(client.events(job["job_id"], timeout=300))[-1]["event"] \
+        == "done"
+    assert server.daemon.store.get(job["job_id"]).wakers == []
+    assert server.daemon.live_bus.stats()["subscribers"] == 0
+
+
+def test_hangups_and_drains_release_stream_wake_callbacks():
+    # workers=0 keeps the job queued, so every stream below is mid-job.
+    server = BackgroundServer(workers=0, queue_depth=4, cache=None).start()
+    try:
+        _hang_up_then_drain(server)
+    finally:
+        server.stop(force=True)  # no-op after the drain
+
+
+def _hang_up_then_drain(server):
+    client = ServeClient(port=server.port)
+    bus = server.daemon.live_bus
+    job = client.submit_run(make_spec(seed=61))
+    record = server.daemon.store.get(job["job_id"])
+
+    # A client that hangs up is released at once, not at the next event.
+    stream, live = client.events(job["job_id"]), client.live()
+    assert next(stream)["event"] == "queued"
+    assert next(live)["event"] == "hello"
+    assert len(record.wakers) == 1 and bus.stats()["subscribers"] == 1
+    stream.close()
+    live.close()
+    assert eventually(lambda: not record.wakers
+                      and bus.stats()["subscribers"] == 0)
+
+    # A drain hands the job off and closes the bus: both streams end.
+    ends = {}
+
+    def follow(name, events):
+        ends[name] = [event["event"] for event in events]
+
+    followers = [
+        threading.Thread(target=follow, args=item, daemon=True)
+        for item in (("events", client.events(job["job_id"])),
+                     ("live", client.live()))
+    ]
+    for follower in followers:
+        follower.start()
+    assert eventually(lambda: len(record.wakers) == 1
+                      and bus.stats()["subscribers"] == 1)
+    server.stop()
+    for follower in followers:
+        follower.join(30)
+    assert ends == {"events": ["queued", "handed_off"],
+                    "live": ["hello", "handed_off"]}
+    assert record.wakers == [] and bus.stats()["subscribers"] == 0
+
+
+def test_concurrent_streams_see_every_event_once_in_order():
+    # More streaming threads than cores, against concurrent live jobs
+    # whose per-epoch events are published from executor threads, with
+    # the GIL switching threads every few microseconds.
+    followers = 2 * (os.cpu_count() or 1) + 2
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with BackgroundServer(workers=2, queue_depth=32,
+                              cache=None) as server:
+            client = ServeClient(port=server.port)
+            jobs = [client.submit_run(make_spec(seed=300 + i, num_ops=1500,
+                                                epoch_cycles=1_000.0),
+                                      live={"window": 2})
+                    for i in range(4)]
+            seen = {}
+
+            def follow(i):
+                job_id = jobs[i % len(jobs)]["job_id"]
+                time.sleep(0.01 * i)  # join at different points
+                deadline = time.monotonic() + 120
+                seen[i] = (job_id,
+                           list(client._events_once(job_id, deadline)))
+
+            threads = [threading.Thread(target=follow, args=(i,),
+                                        daemon=True)
+                       for i in range(followers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+            assert len(seen) == followers, "a stream never ended"
+            for job_id, events in seen.values():
+                log = server.daemon.store.get(job_id).events
+                assert [e["seq"] for e in events] == list(range(len(log)))
+                assert events[-1]["event"] == "done"
+                assert sum(e["event"] == "epoch" for e in events) > 1
+                assert server.daemon.store.get(job_id).wakers == []
+    finally:
+        sys.setswitchinterval(switch)
+
+
+_SHUTDOWN_SCRIPT = """
+import sys, threading, time
+sys.path.insert(0, "src")
+from tests.test_serve import make_spec
+from repro.serve import BackgroundServer, ServeClient
+
+server = BackgroundServer(workers=1, queue_depth=4, cache=None).start()
+client = ServeClient(port=server.port)
+job = client.submit_run(make_spec(seed=71))
+record = server.daemon.store.get(job["job_id"])
+ends = {}
+
+def follow(name, events):
+    try:
+        ends[name] = [event["event"] for event in events][-1]
+    except Exception as exc:
+        ends[name] = type(exc).__name__
+
+threads = [threading.Thread(target=follow, args=item) for item in
+           (("events", client.events(job["job_id"])), ("live", client.live()))]
+for thread in threads:
+    thread.start()
+deadline = time.monotonic() + 30
+while not (record.wakers and server.daemon.live_bus.stats()["subscribers"]):
+    assert time.monotonic() < deadline, "streams never opened"
+    time.sleep(0.01)
+server.stop(force=sys.argv[1] == "force")
+for thread in threads:
+    thread.join(60)
+print(sorted(ends.items()))
+"""
+
+
+@pytest.mark.parametrize("mode", ["drain", "force"])
+def test_stop_with_open_streams_logs_no_traceback(mode):
+    # Under asyncio debug mode (-X dev), a cancel escaping a finished
+    # connection handler, a loop call from the wrong thread or a task
+    # left pending all print to stderr.
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", _SHUTDOWN_SCRIPT, mode],
+        capture_output=True, text=True, timeout=300,
+        cwd=str(Path(__file__).resolve().parent.parent),
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    for marker in ("Traceback", "Exception in callback", "never retrieved",
+                   "was destroyed but it is pending"):
+        assert marker not in proc.stderr, proc.stderr[-3000:]
+    if mode == "drain":
+        # A drain finishes the in-flight job before the streams close.
+        assert "('events', 'done'), ('live', 'done')" in proc.stdout
