@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-snapshot bench-engine bench-engine-check bench-tsdb bench-tsdb-check profile-engine figures docs campaign-smoke trace-smoke serve-smoke fleet-smoke fabric-smoke durable-smoke live-smoke sweeps clean
+.PHONY: install test bench figures docs campaign-smoke trace-smoke serve-smoke fleet-smoke fabric-smoke durable-smoke live-smoke sweeps clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -39,33 +39,6 @@ durable-smoke:
 
 live-smoke:
 	$(PYTHON) scripts/live_smoke.py
-
-bench-snapshot:
-	$(PYTHON) scripts/bench_snapshot.py
-
-# Re-measure the engine hot-path matrix and rewrite BENCH_engine.json.
-bench-engine:
-	$(PYTHON) scripts/bench_engine.py
-
-# Regression gate: fail when the geomean sim_cycles_per_s drops >15%
-# below the committed BENCH_engine.json, batched/legacy counter parity
-# breaks, or the committed fidelity/pool floors no longer hold.
-bench-engine-check:
-	$(PYTHON) scripts/bench_engine.py --check
-
-# cProfile top-N hotspot dump per app x node cell (add --steady for the
-# warp path); the starting point for any engine perf work.
-profile-engine:
-	$(PYTHON) scripts/profile_engine.py
-
-# Re-measure TSDB ingest/query rates and rewrite BENCH_tsdb.json.
-bench-tsdb:
-	$(PYTHON) scripts/bench_tsdb.py
-
-# Regression gate: fail when points_per_s drops >30% below the committed
-# BENCH_tsdb.json, or a retention bound breaks.
-bench-tsdb-check:
-	$(PYTHON) scripts/bench_tsdb.py --check
 
 sweeps:
 	$(PYTHON) scripts/sweep_local_vs_cxl.py

@@ -10,31 +10,10 @@ anything that needs to block (a core stalled on a full buffer, a request
 waiting for a queue slot) parks itself on a :class:`Waiter` that the
 resource owner wakes.
 
-Two schedulers are provided behind the same API:
-
-* The default *batched* scheduler groups events into per-timestamp buckets
-  and orders the distinct timestamps with a calendar queue (timing wheel):
-  each distinct time lands in ``slots[int(time / width) & mask]``, the
-  drain walks a cursor around the wheel, and times beyond the wheel's
-  horizon overflow into a small ``heapq``.  Because ~75% of distinct
-  timestamps carry exactly one event, a bucket starts life as the bare
-  callback and is promoted to a list only when a second event lands on the
-  same timestamp - the common case pays one dict probe and one slot append
-  per event, with no list allocation and no heap traffic.  The wheel's
-  slot width and span are sized from the inter-event deltas observed early
-  in the run.  Execution order is exactly the (time, insertion-seq) order
-  of the classic heap.
-* The *legacy* heap scheduler (``Engine(batched=False)``) is the original
-  one-entry-per-event ``heapq`` implementation, kept as the reference for
-  ordering-equivalence tests and benchmark parity checks.
-
-A default-constructed engine *auto-selects*: it starts batched, measures
-the events-per-distinct-timestamp density over the first few thousand
-events, and migrates the pending queue onto the legacy heap when the
-density is too low for bucketing to pay for itself (the C-level heap wins
-below ~3 events per timestamp).  ``set_batched`` pins either scheduler
-and disables the auto-selection, which benchmarks use to A/B the two
-implementations deterministically.
+The scheduler is one ``heapq`` of ``(time, seq, callback)`` entries, so
+events run in (time, insertion) order: same-time events run first-in
+first-out, including events a callback schedules at the running time.
+That order is all the stage network relies on.
 
 :meth:`Engine.fast_forward` supports the adaptive-fidelity warp
 (``repro.sim.warp``): it advances the clock by a delta while shifting every
@@ -49,7 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 #: Relative tolerance for scheduling "in the past": drift within this
 #: fraction of ``now`` (floored at the same absolute amount near zero) is
@@ -80,190 +59,29 @@ class SimulationBudgetExceeded(RuntimeError):
 class Engine:
     """Discrete-event scheduler keyed on CPU cycles.
 
-    ``batched=True`` (the default) selects the calendar-queue bucket
-    scheduler; ``batched=False`` selects the legacy event heap.  Both obey
-    identical (time, insertion-order) execution semantics.
+    Events execute in (time, insertion-order) order.
     """
-
-    #: Default calendar-queue geometry: 512 slots of 4 cycles each gives a
-    #: 2048-cycle horizon, which covers the fixed stage-hop delays of every
-    #: built-in workload; :meth:`_size_wheel` re-fits both from observed
-    #: inter-event deltas once enough samples accumulate.
-    _DEFAULT_WIDTH = 4.0
-    _DEFAULT_SLOTS = 512
-    _SIZE_SAMPLES = 128
-    #: Auto-selection: once this many events have executed, keep the
-    #: batched scheduler only if the observed events-per-distinct-timestamp
-    #: density clears _AUTO_DENSITY (below it, the C-level event heap wins;
-    #: the crossover sits near 3 on this interpreter).
-    _AUTO_WINDOW = 4096
-    _AUTO_DENSITY = 3.0
 
     __slots__ = (
         "now",
-        "_batched",
-        "_buckets",
         "_heap",
         "_seq",
         "_events_executed",
-        "_stopped",
         "_budget",
-        # Calendar queue over distinct timestamps.
-        "_slots",
-        "_slot_mask",
-        "_inv_width",
-        "_cursor",
-        "_overflow",
-        "_wheel_times",
-        "_delay_samples",
-        "_auto",
-        "_times_drained",
         "_warp_marks",
     )
 
-    def __init__(self, batched: bool = True) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self._batched = bool(batched)
-        # Auto-selection is armed only for the default batched mode; an
-        # explicit Engine(batched=False) or set_batched() call pins the
-        # caller's choice.
-        self._auto = self._batched
-        self._times_drained = 0
-        # Batched mode: bucket per distinct timestamp (a bare callback
-        # until a second event shares the time, then a list); the calendar
-        # wheel plus overflow heap orders the distinct timestamps.
-        self._buckets: Dict[float, object] = {}
-        self._init_wheel(self._DEFAULT_WIDTH, self._DEFAULT_SLOTS)
-        self._delay_samples: Optional[List[float]] = []
-        # Legacy mode: one heap entry per event.
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self._events_executed = 0
-        self._stopped = False
         # Absolute events_executed ceiling set by set_event_budget(); lets
         # budgets compose across resumed run() calls.
         self._budget: Optional[int] = None
         # (post-jump time, cumulative fast-forwarded cycles) per warp, so
         # elapsed() can exclude warped spans from wall-derived durations.
         self._warp_marks: List[Tuple[float, float]] = []
-
-    # -- configuration ------------------------------------------------
-
-    @property
-    def batched(self) -> bool:
-        return self._batched
-
-    def set_batched(self, flag: bool) -> None:
-        """Pin a scheduler implementation (only while no events pend).
-
-        Pinning disables density-based auto-selection, so benchmarks can
-        A/B the two schedulers deterministically.
-        """
-        if self.pending_events:
-            raise RuntimeError("cannot switch scheduler with events pending")
-        self._batched = bool(flag)
-        self._auto = False
-
-    # -- calendar queue (distinct timestamps) --------------------------
-
-    def _init_wheel(self, width: float, slot_count: int) -> None:
-        self._slots: List[List[float]] = [[] for _ in range(slot_count)]
-        self._slot_mask = slot_count - 1
-        # width is always a power of two, so multiplying by the inverse is
-        # exact and int(t * inv) is a pure float multiply + truncate.
-        self._inv_width = 1.0 / width
-        self._cursor = int(self.now * self._inv_width)
-        self._overflow: List[float] = []
-        self._wheel_times = 0
-
-    def _wheel_insert(self, time: float) -> None:
-        """File a *distinct* timestamp into the wheel (or overflow)."""
-        asn = int(time * self._inv_width)
-        if asn - self._cursor > self._slot_mask:
-            self._overflow_insert(time)
-        else:
-            self._slots[asn & self._slot_mask].append(time)
-            self._wheel_times += 1
-
-    def _overflow_insert(self, time: float) -> None:
-        """File a beyond-horizon timestamp into the overflow heap."""
-        heapq.heappush(self._overflow, time)
-        if len(self._overflow) > (self._slot_mask + 1) * 4:
-            # The wheel is far too fine for this workload; double the
-            # slot width until the horizon covers the overflow bulk.
-            self._rebuild_wheel(2.0 / self._inv_width,
-                                self._slot_mask + 1)
-
-    def _rebuild_wheel(self, width: float, slot_count: int) -> None:
-        """Re-slot every pending distinct time under a new geometry.
-
-        Rebuilds from the bucket dict (the source of truth), which drops
-        any stale wheel entries but may re-file a timestamp currently
-        being drained; the drain loops treat a popped time with no bucket
-        as stale and skip it.
-        """
-        times = list(self._buckets.keys())
-        self._init_wheel(width, slot_count)
-        cursor = self._cursor
-        mask = self._slot_mask
-        inv = self._inv_width
-        for time in times:
-            asn = int(time * inv)
-            if asn - cursor > mask:
-                heapq.heappush(self._overflow, time)
-            else:
-                self._slots[asn & mask].append(time)
-                self._wheel_times += 1
-
-    def _size_wheel(self) -> None:
-        """Fit slot width/count to the observed scheduling deltas."""
-        samples = self._delay_samples or []
-        self._delay_samples = None
-        if not samples:
-            return
-        samples.sort()
-        median = samples[len(samples) // 2]
-        spread = samples[-1]
-        width = 1.0
-        while width > median and width > 0.125:
-            width /= 2.0
-        while width * 2.0 <= median and width < 64.0:
-            width *= 2.0
-        slot_count = self._DEFAULT_SLOTS
-        # Aim the horizon at twice the largest common delta so steady
-        # traffic never detours through the overflow heap.
-        while slot_count * width < 2.0 * spread and slot_count < 4096:
-            slot_count *= 2
-        if (width != 1.0 / self._inv_width
-                or slot_count != self._slot_mask + 1):
-            self._rebuild_wheel(width, slot_count)
-
-    def _pop_next_time(self, until: Optional[float]) -> Optional[float]:
-        """Remove and return the earliest pending distinct timestamp.
-
-        The cold-path twin of the inline walk in :meth:`_run_batched`,
-        used by :meth:`step`: a direct scan over the wheel and overflow
-        heap.  Returns ``None`` when nothing is pending or the earliest
-        time lies beyond ``until`` (the entry is left queued).
-        """
-        best: Optional[float] = None
-        for slot in self._slots:
-            for time in slot:
-                if best is None or time < best:
-                    best = time
-        overflow = self._overflow
-        if overflow and (best is None or overflow[0] < best):
-            if until is not None and overflow[0] > until:
-                return None
-            return heapq.heappop(overflow)
-        if best is None:
-            return None
-        if until is not None and best > until:
-            return None
-        self._slots[int(best * self._inv_width) & self._slot_mask].remove(best)
-        self._wheel_times -= 1
-        self._cursor = int(best * self._inv_width)
-        return best
 
     # -- scheduling ---------------------------------------------------
 
@@ -284,115 +102,22 @@ class Engine:
                 raise ValueError(
                     f"cannot schedule event in the past: {time} < {now}"
                 )
-        if self._batched:
-            buckets = self._buckets
-            bucket = buckets.get(time)
-            if bucket is None:
-                buckets[time] = callback
-                asn = int(time * self._inv_width)
-                if asn - self._cursor > self._slot_mask:
-                    self._overflow_insert(time)
-                else:
-                    self._slots[asn & self._slot_mask].append(time)
-                    self._wheel_times += 1
-            elif type(bucket) is list:
-                bucket.append(callback)
-            else:
-                buckets[time] = [bucket, callback]
-        else:
-            heapq.heappush(self._heap, (time, next(self._seq), callback))
+        heapq.heappush(self._heap, (time, next(self._seq), callback))
 
     def after(self, delay: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` to run ``delay`` cycles from now.
-
-        This is the fixed-delay stage-hop fast path: the common case is
-        one dict probe plus either a bare-callback store (first event at
-        the timestamp, filed into the wheel slot) or a list append
-        (subsequent events), with no heap traffic at all.
-        """
+        """Schedule ``callback`` to run ``delay`` cycles from now."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         time = self.now + delay
-        if self._batched:
-            buckets = self._buckets
-            bucket = buckets.get(time)
-            if bucket is None:
-                buckets[time] = callback
-                asn = int(time * self._inv_width)
-                if asn - self._cursor > self._slot_mask:
-                    self._overflow_insert(time)
-                else:
-                    self._slots[asn & self._slot_mask].append(time)
-                    self._wheel_times += 1
-                samples = self._delay_samples
-                if samples is not None and delay > 0.0:
-                    samples.append(delay)
-            elif type(bucket) is list:
-                bucket.append(callback)
-            else:
-                buckets[time] = [bucket, callback]
-        else:
-            heapq.heappush(self._heap, (time, next(self._seq), callback))
+        heapq.heappush(self._heap, (time, next(self._seq), callback))
 
     def post(self, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at the current cycle (``after(0.0, ...)``).
 
-        This is the zero-delay fast path used by wake-ups and completion
-        fan-out: in batched mode it is a dict probe plus an append, and
-        the timestamp (the running clock) is by construction at the wheel
-        cursor, never in overflow.
+        The zero-delay path used by wake-ups and completion fan-out; the
+        callback runs after everything already queued at this cycle.
         """
-        time = self.now
-        if self._batched:
-            buckets = self._buckets
-            bucket = buckets.get(time)
-            if bucket is None:
-                buckets[time] = callback
-                asn = int(time * self._inv_width)
-                if asn - self._cursor > self._slot_mask:
-                    self._overflow_insert(time)
-                else:
-                    self._slots[asn & self._slot_mask].append(time)
-                    self._wheel_times += 1
-            elif type(bucket) is list:
-                bucket.append(callback)
-            else:
-                buckets[time] = [bucket, callback]
-        else:
-            heapq.heappush(self._heap, (time, next(self._seq), callback))
-
-    def schedule_batch(
-        self, time: float, callbacks: Iterable[Callable[[], None]]
-    ) -> None:
-        """Schedule many callbacks at one absolute time in one operation.
-
-        The bulk analogue of :meth:`at`: the past-check runs once and the
-        callbacks land in the timestamp's bucket in iteration order.
-        """
-        now = self.now
-        if time < now:
-            drift = now - time
-            if drift <= _PAST_TOLERANCE * max(1.0, abs(now)):
-                time = now
-            else:
-                raise ValueError(
-                    f"cannot schedule event in the past: {time} < {now}"
-                )
-        if self._batched:
-            buckets = self._buckets
-            bucket = buckets.get(time)
-            if bucket is None:
-                bucket = []
-                buckets[time] = bucket
-                self._wheel_insert(time)
-            elif type(bucket) is not list:
-                bucket = [bucket]
-                buckets[time] = bucket
-            bucket.extend(callbacks)
-        else:
-            heap, seq = self._heap, self._seq
-            for callback in callbacks:
-                heapq.heappush(heap, (time, next(seq), callback))
+        heapq.heappush(self._heap, (self.now, next(self._seq), callback))
 
     # -- budgets ------------------------------------------------------
 
@@ -419,38 +144,6 @@ class Engine:
 
     # -- execution ----------------------------------------------------
 
-    def step(self) -> bool:
-        """Run the earliest pending event.  Returns False when idle."""
-        if self._batched:
-            bucket = None
-            while bucket is None:
-                time = self._pop_next_time(None)
-                if time is None:
-                    return False
-                # Skip wheel entries gone stale after a mid-run rebuild.
-                bucket = self._buckets.get(time)
-            if type(bucket) is list:
-                callback = bucket.pop(0)
-                if bucket:
-                    # More events remain at this timestamp; re-file it.
-                    self._wheel_insert(time)
-                else:
-                    del self._buckets[time]
-            else:
-                callback = bucket
-                del self._buckets[time]
-            self.now = time
-            self._events_executed += 1
-            callback()
-            return True
-        if not self._heap:
-            return False
-        time, _, callback = heapq.heappop(self._heap)
-        self.now = time
-        self._events_executed += 1
-        callback()
-        return True
-
     def run(
         self, until: Optional[float] = None, max_events: Optional[int] = None
     ) -> float:
@@ -464,207 +157,15 @@ class Engine:
         (a silent return here used to hide runaway simulations).  Returns
         the final clock value.
         """
-        self._stopped = False
         start = self._events_executed
         ceiling = self._budget
         if max_events is not None:
             call_ceiling = start + max_events
             if ceiling is None or call_ceiling < ceiling:
                 ceiling = call_ceiling
-        if self._batched:
-            if self._auto and start >= self._AUTO_WINDOW:
-                self._auto = False
-                if start < self._AUTO_DENSITY * max(1, self._times_drained):
-                    # Too few events share a timestamp for bucketing to
-                    # pay off; hand the pending queue to the event heap.
-                    self._migrate_to_heap()
-                    return self._run_heap(until, ceiling, start)
-            samples = self._delay_samples
-            if samples is not None and len(samples) >= self._SIZE_SAMPLES:
-                # Sized here, between drains, so the hot loop below never
-                # sees its cached wheel references invalidated mid-bucket.
-                self._size_wheel()
-            return self._run_batched(until, ceiling, start)
-        return self._run_heap(until, ceiling, start)
-
-    def _migrate_to_heap(self) -> None:
-        """Move pending batched events onto the legacy heap, in order.
-
-        Walking the bucketed timestamps in sorted order and handing out
-        fresh sequence numbers reproduces the exact (time, insertion-seq)
-        execution order the batched scheduler would have produced.
-        """
-        heap = self._heap
-        seq = self._seq
-        for time in sorted(self._buckets):
-            bucket = self._buckets[time]
-            if type(bucket) is list:
-                for callback in bucket:
-                    heap.append((time, next(seq), callback))
-            else:
-                heap.append((time, next(seq), bucket))
-        heapq.heapify(heap)
-        self._buckets = {}
-        self._init_wheel(1.0 / self._inv_width, self._slot_mask + 1)
-        self._delay_samples = None
-        self._batched = False
-
-    def _run_batched(
-        self, until: Optional[float], ceiling: Optional[int], start: int
-    ) -> float:
-        buckets = self._buckets
-        # Wheel state cached in locals for the drain; refreshed whenever a
-        # mid-run rebuild (overflow growth during a callback) swaps the
-        # underlying structures.
-        slots = self._slots
-        mask = self._slot_mask
-        inv = self._inv_width
-        overflow = self._overflow
-        cursor = int(self.now * inv)
-        heappop = heapq.heappop
-        # The event counter lives in a local inside the drain (hot) loop;
-        # the finally block keeps the engine-visible count exact even when
-        # a callback raises.  drained counts distinct timestamps consumed,
-        # feeding the density-based scheduler auto-selection.
-        executed = self._events_executed
-        drained = 0
-        try:
-            while buckets:
-                if slots is not self._slots or inv != self._inv_width:
-                    slots = self._slots
-                    mask = self._slot_mask
-                    inv = self._inv_width
-                    overflow = self._overflow
-                    cursor = int(self.now * inv)
-                # -- find the earliest distinct timestamp ---------------
-                # Migrate overflow entries inside the horizon: afterwards
-                # every overflow time sorts after every wheel time.
-                while overflow and int(overflow[0] * inv) - cursor <= mask:
-                    time = heappop(overflow)
-                    slots[int(time * inv) & mask].append(time)
-                    self._wheel_times += 1
-                if not self._wheel_times:
-                    if not overflow:
-                        break
-                    cursor = int(overflow[0] * inv)
-                    continue
-                time = None
-                scan = cursor
-                end = cursor + mask + 1
-                while scan < end:
-                    slot = slots[scan & mask]
-                    if slot:
-                        candidate = slot[0] if len(slot) == 1 else min(slot)
-                        if int(candidate * inv) <= scan:
-                            time = candidate
-                            break
-                        # The slot's earliest entry belongs to a later
-                        # revolution; keep walking.
-                    scan += 1
-                if time is None:
-                    # A full revolution matched nothing (entries beyond
-                    # one revolution after a stale-horizon insert): fall
-                    # back to a direct scan for the global minimum.
-                    for slot_ in slots:
-                        for candidate in slot_:
-                            if time is None or candidate < time:
-                                time = candidate
-                    if time is None or (overflow and overflow[0] < time):
-                        if not overflow:
-                            break
-                        cursor = int(overflow[0] * inv)
-                        continue
-                    scan = int(time * inv)
-                    slot = slots[scan & mask]
-                if until is not None and time > until:
-                    cursor = scan
-                    self.now = until
-                    return until
-                if len(slot) == 1:
-                    del slot[0]
-                else:
-                    slot.remove(time)
-                self._wheel_times -= 1
-                # Publish the cursor before running callbacks: their
-                # inserts measure the wheel horizon against it, and a
-                # stale cursor would spill every future time to overflow.
-                self._cursor = cursor = scan
-                # -- drain the timestamp's bucket -----------------------
-                # The bucket is removed up front, so callbacks scheduling
-                # at this same timestamp start a fresh bucket that the
-                # wheel walk picks up next - preserving the legacy heap's
-                # (time, insertion-seq) order exactly.
-                bucket = buckets.pop(time, None)
-                if bucket is None:
-                    # Stale wheel entry left behind by a mid-run rebuild.
-                    continue
-                drained += 1
-                if ceiling is not None and executed >= ceiling:
-                    buckets[time] = bucket
-                    self._wheel_insert(time)
-                    raise SimulationBudgetExceeded(executed - start, self.now)
-                self.now = time
-                if type(bucket) is not list:
-                    # Singleton fast path: ~75% of distinct timestamps
-                    # carry exactly one event - no list, no index loop.
-                    executed += 1
-                    bucket()
-                    if self._stopped:
-                        return self.now
-                    continue
-                i = 0
-                n = len(bucket)
-                if ceiling is None:
-                    while i < n:
-                        callback = bucket[i]
-                        i += 1
-                        executed += 1
-                        callback()
-                        if self._stopped:
-                            break
-                else:
-                    while i < n:
-                        if executed >= ceiling:
-                            rest = bucket[i:]
-                            self._refile(time, rest)
-                            raise SimulationBudgetExceeded(
-                                executed - start, time
-                            )
-                        callback = bucket[i]
-                        i += 1
-                        executed += 1
-                        callback()
-                        if self._stopped:
-                            break
-                if self._stopped:
-                    if i < n:
-                        self._refile(time, bucket[i:])
-                    return self.now
-            if until is not None and self.now < until:
-                self.now = until
-            return self.now
-        finally:
-            self._events_executed = executed
-            self._times_drained += drained
-            self._cursor = cursor
-
-    def _refile(self, time: float, rest: List[Callable[[], None]]) -> None:
-        """Put un-run callbacks back at ``time``, ahead of later arrivals."""
-        extra = self._buckets.get(time)
-        if extra is None:
-            self._wheel_insert(time)
-        elif type(extra) is list:
-            rest.extend(extra)
-        else:
-            rest.append(extra)
-        self._buckets[time] = rest
-
-    def _run_heap(
-        self, until: Optional[float], ceiling: Optional[int], start: int
-    ) -> float:
         heap = self._heap
         heappop = heapq.heappop
-        while heap and not self._stopped:
+        while heap:
             if until is not None and heap[0][0] > until:
                 self.now = until
                 return until
@@ -679,10 +180,6 @@ class Engine:
         if until is not None and self.now < until:
             self.now = until
         return self.now
-
-    def stop(self) -> None:
-        """Abort :meth:`run` after the current event completes."""
-        self._stopped = True
 
     def fast_forward(self, delta: float) -> None:
         """Advance the clock by ``delta`` cycles, carrying pending events.
@@ -701,22 +198,11 @@ class Engine:
         self.now += delta
         previous = self._warp_marks[-1][1] if self._warp_marks else 0.0
         self._warp_marks.append((self.now, previous + delta))
-        if self._batched:
-            if self._buckets:
-                self._buckets = {
-                    time + delta: bucket
-                    for time, bucket in self._buckets.items()
-                }
-                self._rebuild_wheel(1.0 / self._inv_width,
-                                    self._slot_mask + 1)
-            else:
-                self._cursor = int(self.now * self._inv_width)
-        elif self._heap:
-            # A uniform shift preserves (time, seq) order; re-heapify only
-            # to restore the invariant against float rounding edge cases.
-            self._heap = [(time + delta, seq, callback)
-                          for time, seq, callback in self._heap]
-            heapq.heapify(self._heap)
+        # A uniform shift preserves (time, seq) order; re-heapify only to
+        # restore the invariant against float rounding edge cases.
+        self._heap = [(time + delta, seq, callback)
+                      for time, seq, callback in self._heap]
+        heapq.heapify(self._heap)
 
     def elapsed(self, start: float, end: Optional[float] = None) -> float:
         """Simulated cycles in ``[start, end]`` excluding warped spans.
@@ -733,7 +219,6 @@ class Engine:
         marks = self._warp_marks
         if not marks or raw <= 0:
             return raw
-        total = marks[-1][1]
         if end < marks[0][0]:
             return raw
         # Cumulative warped cycles at or before each endpoint; warps are
@@ -750,11 +235,6 @@ class Engine:
 
     @property
     def pending_events(self) -> int:
-        if self._batched:
-            return sum(
-                len(bucket) if type(bucket) is list else 1
-                for bucket in self._buckets.values()
-            )
         return len(self._heap)
 
     @property

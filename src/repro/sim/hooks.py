@@ -10,10 +10,10 @@ machine exposes, so ``Machine.attach_recorder`` is a data-driven walk
 over ports instead of hand-wired assignments.
 
 Anything implementing :class:`EngineHooks` (the reference implementation
-is :class:`repro.obs.FlightRecorder`) can be attached; the batched
-engine drains same-timestamp events in exactly the insertion order the
-legacy heap used, so a recorder sees the identical hop/queue event
-stream under either scheduler (see ``tests/test_engine_fastpath.py``).
+is :class:`repro.obs.FlightRecorder`) can be attached.  The engine runs
+events in (time, insertion) order, so a recorder sees the same
+hop/queue event stream on every run of a spec (see
+``tests/test_obs_trace.py``).
 """
 
 from __future__ import annotations

@@ -1,5 +1,15 @@
-"""Unit tests for the discrete-event engine."""
+"""Unit and property tests for the discrete-event engine.
 
+The stage network relies on one ordering contract: events run in
+(time, insertion) order, so equal-timestamp events are FIFO, including
+events a callback schedules at the running time.  Around it sit the
+sub-epsilon past-drift clamp, event budgets that compose across resumed
+``run()`` calls, and ``fast_forward``, which shifts every pending event
+by the warp delta.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from repro.sim.engine import Engine, SimulationBudgetExceeded, Waiter
@@ -80,16 +90,6 @@ def test_max_events_bound():
     assert len(count) == 10
 
 
-def test_stop_aborts_run():
-    engine = Engine()
-    seen = []
-    engine.at(1.0, lambda: (seen.append(1), engine.stop()))
-    engine.at(2.0, lambda: seen.append(2))
-    engine.run()
-    assert seen == [1]
-    assert engine.pending_events == 1
-
-
 def test_events_can_schedule_more_events():
     engine = Engine()
     seen = []
@@ -168,3 +168,166 @@ def test_genuinely_past_times_still_raise():
     engine.run()
     with pytest.raises(ValueError):
         engine.at(9.9, lambda: None)
+
+
+# -- FIFO ordering -----------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from([0.0, 1.0, 1.0, 2.5, 2.5, 2.5, 7.0]),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_equal_timestamp_events_keep_fifo_order(times):
+    engine = Engine()
+    order = []
+    for tag, time in enumerate(times):
+        engine.at(time, lambda t=tag: order.append(t))
+    engine.run()
+    # Exactly a stable sort by timestamp: FIFO within one timestamp,
+    # timestamps ascending.
+    expected = [i for i, _ in sorted(enumerate(times), key=lambda p: p[1])]
+    assert order == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 3.0, 3.0, 5.0]),
+            st.integers(min_value=0, max_value=2),
+        ),
+        min_size=1,
+        max_size=25,
+    )
+)
+def test_mid_drain_same_time_appends_keep_fifo_order(plan):
+    """Events scheduled at the running time join the back of that time.
+
+    Each outer event schedules ``extra`` inner events at its own
+    timestamp; they run after every event already queued at that time.
+    """
+    engine = Engine()
+    order = []
+    for tag, (time, extra) in enumerate(plan):
+        def outer(t=time, n=extra, base=tag):
+            order.append(("outer", base))
+            for k in range(n):
+                engine.at(
+                    t, lambda b=base, kk=k: order.append(("inner", b, kk))
+                )
+        engine.at(time, outer)
+    engine.run()
+    expected = []
+    for time in sorted({t for t, _ in plan}):
+        here = [(tag, n) for tag, (t, n) in enumerate(plan) if t == time]
+        expected += [("outer", tag) for tag, _ in here]
+        expected += [("inner", tag, k) for tag, n in here for k in range(n)]
+    assert order == expected
+
+
+# -- past-drift clamping -----------------------------------------------------
+
+
+def test_at_clamps_subepsilon_past_drift():
+    engine = Engine()
+    hit = []
+    # A target a relative 1e-13 below now: the classic way a chain of
+    # fractional stage delays lands a few ULPs before "now".
+    def late():
+        engine.at(engine.now - engine.now * 1e-13, lambda: hit.append(engine.now))
+
+    engine.at(100.0, late)
+    engine.run()
+    assert hit and hit[0] == 100.0
+
+
+def test_at_rejects_genuinely_past_times():
+    engine = Engine()
+    engine.at(50.0, lambda: None)
+    engine.run()
+    with pytest.raises(ValueError, match="in the past"):
+        engine.at(25.0, lambda: None)
+
+
+# -- budget composition ------------------------------------------------------
+
+
+def _load(engine: Engine, n: int = 50) -> None:
+    for i in range(n):
+        engine.at(float(i), lambda: None)
+
+
+def test_per_call_max_events_compose_across_resumed_runs():
+    engine = Engine()
+    _load(engine)
+    with pytest.raises(SimulationBudgetExceeded) as e1:
+        engine.run(max_events=3)
+    assert e1.value.events_executed == 3
+    assert engine.events_executed == 3
+    with pytest.raises(SimulationBudgetExceeded) as e2:
+        engine.run(max_events=3)
+    # The second bounded run gets its own fresh allowance of 3.
+    assert e2.value.events_executed == 3
+    assert engine.events_executed == 6
+
+
+def test_persistent_budget_spans_run_calls():
+    engine = Engine()
+    _load(engine)
+    engine.set_event_budget(10)
+    engine.run(until=4.5)  # executes events at t=0..4 -> 5 events
+    assert engine.events_executed == 5
+    assert engine.event_budget_remaining == 5
+    with pytest.raises(SimulationBudgetExceeded) as exc:
+        engine.run()
+    assert exc.value.events_executed == 5  # five more, then the ceiling
+    assert engine.events_executed == 10
+    assert engine.event_budget_remaining == 0
+
+
+# -- fast_forward ------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    times=st.lists(st.integers(min_value=0, max_value=40), min_size=1,
+                   max_size=30),
+    split=st.integers(min_value=0, max_value=40),
+    delta=st.integers(min_value=1, max_value=10_000),
+)
+def test_fast_forward_shifts_every_pending_event(times, split, delta):
+    """Pending events run at old time + delta, in their old order.
+
+    Integer times and deltas keep every shifted time exact, so the
+    expected schedule is a plain stable sort.  ``elapsed`` measured from
+    before the jump excludes the warped span: from t=0 every event sees
+    its unshifted time, and from the jump it sees its offset from
+    ``split``.
+    """
+    engine = Engine()
+    seen = []
+    for tag, time in enumerate(times):
+        engine.at(float(time), lambda t=tag: seen.append(
+            (t, engine.now, engine.elapsed(0.0), engine.elapsed(float(split)))
+        ))
+    engine.run(until=float(split))
+    ran = len(seen)
+    pending = engine.pending_events
+    engine.fast_forward(float(delta))
+    assert engine.now == split + delta
+    assert engine.pending_events == pending
+    engine.run()
+    ordered = sorted(enumerate(times), key=lambda p: p[1])
+    before = [(tag, float(t)) for tag, t in ordered if t <= split]
+    after = [(tag, float(t)) for tag, t in ordered if t > split]
+    assert [(tag, now) for tag, now, _, _ in seen[:ran]] == before
+    assert [(tag, now) for tag, now, _, _ in seen[ran:]] == [
+        (tag, t + delta) for tag, t in after
+    ]
+    for (_, old), (_, _, since_zero, since_split) in zip(after, seen[ran:]):
+        assert since_zero == old
+        assert since_split == old - split

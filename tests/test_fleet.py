@@ -144,8 +144,17 @@ def test_empty_fleet_raises():
 
 
 def test_metrics_rollup_aggregates_and_reports_unreachable(fleet):
-    fleet.coordinator.run_many([make_job(seed) for seed in range(50, 53)])
-    dead = fleet.kill(0)
+    result = fleet.coordinator.run_many(
+        [make_job(seed) for seed in range(50, 53)]
+    )
+    # Member ids carry ephemeral ports, so the ring may route every job
+    # to any one member; kill one that did not run the first job so at
+    # least one completed job stays on a reachable member.
+    first = result.jobs[0].member_id
+    dead = fleet.kill(next(
+        index for index in range(3) if fleet.member_id(index) != first
+    ))
+    survived = sum(1 for record in result.jobs if record.member_id != dead)
     metrics = fleet.coordinator.metrics()
     assert metrics["members_total"] == 3
     assert metrics["members_reachable"] == 2
@@ -155,6 +164,7 @@ def test_metrics_rollup_aggregates_and_reports_unreachable(fleet):
     assert metrics["routing"]["jobs_routed"] >= 3
     assert metrics["routing"]["jobs_completed"] >= 3
     assert metrics["fleet"]["jobs_completed"] >= 1
+    assert metrics["fleet"]["jobs_completed"] == survived
     reachable = [m for m, doc in metrics["members"].items()
                  if doc["reachable"]]
     assert all("submit_latency_ms" in metrics["members"][m]

@@ -149,21 +149,35 @@ def test_partial_blocks_are_not_emitted():
 # -- retention bounds ---------------------------------------------------------
 
 
-def test_raw_retention_bounds_memory_and_counts_drops():
+@pytest.mark.parametrize("straggle_every,num_tags", [
+    pytest.param(0, 0, id="in-order"),
+    # Every 20th insert lands 7.5 ticks late, spread over 4 tag sets, so
+    # the pending-buffer merge runs under the trim.
+    pytest.param(20, 4, id="stragglers"),
+])
+def test_raw_retention_bounds_memory_and_counts_drops(straggle_every, num_tags):
     db = make_tiered_db(raw_points=1_000, tier_points=50)
     total = 20_000
+    newest = float("-inf")
     for i in range(total):
-        db.insert("m", float(i), fields={"v": float(i)})
+        ts = float(i)
+        if straggle_every and i % straggle_every == straggle_every - 1:
+            ts -= 7.5
+        tags = {"pid": str(i % num_tags)} if num_tags else None
+        db.insert("m", ts, tags=tags, fields={"v": float(i)})
+        newest = max(newest, ts)
     raw = db.measurement("m")
     # Amortised trim: never more than cap + slack points in memory.
     assert len(raw) <= 1_000 + max(64, 1_000 // 8)
     assert raw.dropped == total - len(raw)
     # The newest points survive and stay queryable.
-    assert db.from_("m").timestamps()[-1] == float(total - 1)
-    # Tier caps hold too.
-    for tier in (1, 2):
+    assert db.from_("m").timestamps()[-1] == newest
+    # Tier caps hold too, and every tier point kept or dropped comes
+    # from one full block of its factor: partial blocks stay unemitted.
+    for tier, factor in ((1, 10), (2, 100)):
         table = db.measurement("m", tier=tier)
         assert len(table) <= 50 + 64
+        assert 0 < len(table) + table.dropped <= total // factor
     stats = db.stats()
     assert stats["m"]["dropped"] == raw.dropped
 
