@@ -31,7 +31,7 @@ from .persistence import (
     spec_from_document,
     spec_to_document,
 )
-from .profiler import EpochResult, PathFinder, ProfileResult, profile
+from .profiler import EpochResult, PathFinder, ProfileResult
 from .report import (
     render_epoch,
     render_fabric,
@@ -85,7 +85,6 @@ __all__ = [
     "render_diff",
     "save_session",
     "UNCORE_COMPONENTS",
-    "profile",
     "render_epoch",
     "render_fabric",
     "render_path_map",

@@ -333,20 +333,3 @@ class PathFinder:
             queues=queues,
         )
 
-
-def profile(
-    machine: Machine, spec: ProfileSpec
-) -> ProfileResult:
-    """Deprecated one-call wrapper; use :func:`repro.api.run` instead.
-
-    The :mod:`repro.api` facade adds result caching and campaign
-    execution on top of the same single-run semantics.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.core.profiler.profile() is deprecated; use repro.api.run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return PathFinder(machine, spec).run()

@@ -168,7 +168,7 @@ def render_campaign(campaign) -> str:
     if summary.get("spawn_failures"):
         lines.append(
             f"pool: {summary['spawn_failures']} worker spawn failure(s); "
-            "affected jobs degraded to in-process execution"
+            "each failed its job's attempt as spawn_failed"
         )
     return "\n".join(lines)
 

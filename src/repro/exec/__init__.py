@@ -8,9 +8,10 @@
   digests keyed by those hashes;
 * :mod:`~repro.exec.runner` - the scheduler: worker-pool fan-out,
   per-job timeout, bounded retries, structured per-job records;
-* :mod:`~repro.exec.pool` - the warm :class:`WorkerPool` behind it:
-  persistent forkserver workers, length-prefixed pipe protocol,
-  per-worker job quotas and timeout-kill-respawn.
+* :mod:`~repro.exec.pool` - the warm :class:`WorkerPool` behind it, the
+  only way a job runs outside the calling process: persistent
+  forkserver workers, length-prefixed pipe protocol, per-worker job
+  quotas, timeout-kill-respawn and typed spawn failure.
 
 Most users want :func:`repro.api.run_many`, which wraps all of this.
 """
@@ -31,14 +32,13 @@ from .hashing import (
     job_key,
     local_node_id,
 )
-from .pool import PoolSpawnError, WorkerPool
+from .pool import WorkerPool
 from .runner import (
     CampaignJob,
     CampaignResult,
     JobRecord,
     expand_duplicates,
     run_campaign,
-    run_single_job,
 )
 from .scenarios import congestion_ab_jobs, fabric_matrix_jobs
 
@@ -49,7 +49,6 @@ __all__ = [
     "CampaignJob",
     "CampaignResult",
     "JobRecord",
-    "PoolSpawnError",
     "ResultCache",
     "WorkerPool",
     "canonical_config",
@@ -64,5 +63,4 @@ __all__ = [
     "job_key",
     "local_node_id",
     "run_campaign",
-    "run_single_job",
 ]

@@ -1,8 +1,7 @@
-"""Warm worker pool: persistent profiling workers, recycled not respawned.
+"""Warm worker pool: the one way a profiling job leaves the process.
 
-The campaign runner and the serve daemon historically paid one
-``Process.start()`` per job.  That is robust - a crashed or hung job can
-never poison the parent - but for short jobs the spawn dominates: a
+A fresh ``Process.start()`` per job is robust - a crashed or hung job
+can never poison the parent - but for short jobs the spawn dominates: a
 fresh interpreter (spawn) or a fork of a large parent re-pays import
 and setup cost on every single job.  :class:`WorkerPool` keeps a fixed
 set of worker processes alive across jobs and feeds them over a pipe,
@@ -23,31 +22,26 @@ preserving the per-job isolation properties that matter:
   long-lived simulation process might accumulate.
 * **timeout-kill-respawn** - a job exceeding its wall-clock budget gets
   its worker killed (the only way to stop a stuck simulation); the
-  pool replaces the worker on the next dispatch.
+  pool replaces the worker on the next lease.
+* **typed spawn failure** - a worker that cannot be started (process
+  or fd limits) ends the job as a ``spawn_failed`` outcome, retryable
+  like any other failure; nothing falls back to another execution path.
 
-Two driving styles, one pool:
-
-* :meth:`WorkerPool.dispatch` / :meth:`WorkerPool.poll` - non-blocking,
-  for the campaign scheduler's single-threaded drain loop;
-* :meth:`WorkerPool.run_job` - blocking and thread-safe, for the serve
-  daemon's worker threads (each call leases one worker for the whole
-  conversation).
-
-Use one style per pool instance; interleaving them on the same pool is
-not supported.
+:meth:`WorkerPool.run_job` is the pool's only driving call: blocking
+and thread-safe, it leases one worker for the whole conversation.  The
+campaign runner calls it from ``workers`` threads and the serve daemon
+from its worker threads.
 """
 
 from __future__ import annotations
 
 import logging
 import multiprocessing
-import multiprocessing.connection
 import pickle
 import struct
 import threading
 import time
-import traceback
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 logger = logging.getLogger(__name__)
 
@@ -61,17 +55,13 @@ class PoolProtocolError(Exception):
     """A frame on the worker pipe was truncated or malformed."""
 
 
-class PoolSpawnError(OSError):
-    """A worker process could not be started (fd/process limits, ...).
-
-    Subclasses :class:`OSError` so call sites that already degrade on
-    spawn failure (campaign drain, serve executor) catch it unchanged.
-    """
+def _encode_frame(message: Any) -> bytes:
+    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    return _LENGTH.pack(len(payload)) + payload
 
 
 def _send_frame(conn, message: Any) -> None:
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    conn.send_bytes(_LENGTH.pack(len(payload)) + payload)
+    conn.send_bytes(_encode_frame(message))
 
 
 def _recv_frame(conn) -> Any:
@@ -89,8 +79,7 @@ def _recv_frame(conn) -> Any:
 
 def _pool_worker_main(conn, max_jobs: Optional[int]) -> None:
     """Entry point of one persistent worker: serve jobs until retired."""
-    from ..sim.engine import SimulationBudgetExceeded
-    from .runner import _execute_job
+    from . import runner
 
     served = 0
     while True:
@@ -109,30 +98,15 @@ def _pool_worker_main(conn, max_jobs: Optional[int]) -> None:
                 except (OSError, ValueError):
                     pass  # parent went away; keep simulating for the cache
 
-        try:
-            outcome = _execute_job(
-                message["spec"],
-                message["config"],
-                message.get("max_events"),
-                message.get("setup"),
-                live=message.get("live"),
-                progress=progress,
-                fidelity=message.get("fidelity"),
-            )
-        except SimulationBudgetExceeded as exc:
-            outcome = {
-                "ok": False,
-                "kind": "budget_exceeded",
-                "error": str(exc),
-                "events_executed": exc.events_executed,
-                "total_cycles": exc.now,
-            }
-        except Exception:
-            outcome = {
-                "ok": False,
-                "kind": "error",
-                "error": traceback.format_exc(limit=20),
-            }
+        outcome = runner._job_outcome(
+            message["spec"],
+            message["config"],
+            message.get("max_events"),
+            message.get("setup"),
+            live=message.get("live"),
+            progress=progress,
+            fidelity=message.get("fidelity"),
+        )
         try:
             _send_frame(conn, outcome)
         except (OSError, ValueError):
@@ -146,21 +120,13 @@ def _pool_worker_main(conn, max_jobs: Optional[int]) -> None:
 class _Worker:
     """Parent-side handle for one pool worker process."""
 
-    __slots__ = ("proc", "conn", "jobs_done", "ticket", "began", "deadline",
-                 "on_progress")
+    __slots__ = ("proc", "conn", "jobs_done", "busy")
 
     def __init__(self, proc, conn) -> None:
         self.proc = proc
         self.conn = conn
         self.jobs_done = 0
-        self.ticket: Any = None          # None = idle
-        self.began = 0.0
-        self.deadline: Optional[float] = None
-        self.on_progress: Optional[Callable[[Dict[str, Any]], None]] = None
-
-    @property
-    def busy(self) -> bool:
-        return self.ticket is not None
+        self.busy = False  # leased to a run_job call
 
 
 def _pool_context(start_method: Optional[str]):
@@ -213,20 +179,23 @@ class WorkerPool:
                 logger.exception("pool metrics hook failed")
 
     def _spawn_locked(self) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        """Start one worker; an ``OSError`` is counted, then re-raised."""
+        conns = ()
         try:
+            conns = self._ctx.Pipe(duplex=True)
             proc = self._ctx.Process(
                 target=_pool_worker_main,
-                args=(child_conn, self.max_jobs_per_worker),
+                args=(conns[1], self.max_jobs_per_worker),
                 daemon=True,
             )
             proc.start()
-        except OSError as exc:
-            parent_conn.close()
-            child_conn.close()
+        except OSError:
+            for conn in conns:
+                conn.close()
             self.spawn_failures += 1
             self._note("spawn_failure")
-            raise PoolSpawnError(f"could not start pool worker: {exc}") from exc
+            raise
+        parent_conn, child_conn = conns
         child_conn.close()
         worker = _Worker(proc, parent_conn)
         self._pool.append(worker)
@@ -266,18 +235,28 @@ class WorkerPool:
             worker.proc.kill()
             worker.proc.join(timeout=2.0)
 
-    def _release_locked(self, worker: _Worker) -> None:
-        """Return a worker after a completed job; recycle when due."""
-        worker.ticket = None
-        worker.on_progress = None
-        worker.deadline = None
-        worker.jobs_done += 1
-        if (self.max_jobs_per_worker is not None
-                and worker.jobs_done >= self.max_jobs_per_worker):
-            self._retire_locked(worker, kill=False)
-            self.recycled += 1
-            self._note("recycled")
-        self._idle_cv.notify_all()
+    def _release(self, worker: _Worker) -> None:
+        """End a lease after a completed job; recycle the worker when due."""
+        with self._idle_cv:
+            worker.busy = False
+            worker.jobs_done += 1
+            if (self.max_jobs_per_worker is not None
+                    and worker.jobs_done >= self.max_jobs_per_worker):
+                self._retire_locked(worker, kill=False)
+                self.recycled += 1
+                self._note("recycled")
+            self._idle_cv.notify_all()
+
+    def _end_lease(self, worker: _Worker, kind: str,
+                   error: str = "") -> Dict[str, Any]:
+        """Kill a leased worker that crashed or timed out; the job's outcome."""
+        with self._idle_cv:
+            self._retire_locked(worker, kill=True)
+            self._idle_cv.notify_all()
+        if kind == "crashed":
+            error = (f"pool worker exited with code {worker.proc.exitcode} "
+                     "before reporting a result")
+        return {"ok": False, "kind": kind, "error": error}
 
     def close(self) -> None:
         """Retire every worker; the pool is unusable afterwards."""
@@ -293,155 +272,7 @@ class WorkerPool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- non-blocking API (campaign drain loop) --------------------------
-
-    @property
-    def busy_count(self) -> int:
-        with self._lock:
-            return sum(1 for w in self._pool if w.busy)
-
-    @property
-    def has_capacity(self) -> bool:
-        with self._lock:
-            return sum(1 for w in self._pool if w.busy) < self.workers
-
-    def dispatch(
-        self,
-        ticket: Any,
-        spec,
-        config,
-        *,
-        max_events: Optional[int] = None,
-        setup: Optional[Callable] = None,
-        fidelity: Any = None,
-        timeout: Optional[float] = None,
-        live: Any = None,
-        on_progress: Optional[Callable[[Dict[str, Any]], None]] = None,
-    ) -> None:
-        """Hand one job to an idle worker (spawning one if below size).
-
-        Raises :class:`PoolSpawnError` when no worker can be started and
-        :class:`RuntimeError` when called with every worker busy (check
-        :attr:`has_capacity` first).  The outcome arrives via
-        :meth:`poll`, tagged with ``ticket``.
-        """
-        message = {
-            "op": "job",
-            "spec": spec,
-            "config": config,
-            "max_events": max_events,
-            "setup": setup,
-            "fidelity": fidelity,
-            "live": live,
-        }
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("pool is closed")
-            for _ in range(2):  # one retry if a leased worker died stale
-                worker = self._acquire_locked()
-                if worker is None:
-                    raise RuntimeError("dispatch with no idle worker")
-                worker.ticket = ticket
-                worker.began = time.monotonic()
-                worker.deadline = (worker.began + timeout) if timeout else None
-                worker.on_progress = on_progress
-                try:
-                    _send_frame(worker.conn, message)
-                    return
-                except (OSError, ValueError):
-                    self._retire_locked(worker, kill=True)
-            raise PoolSpawnError("pool worker died before accepting a job")
-
-    def poll(self, timeout: float = 0.0) -> List[Tuple[Any, Dict[str, Any]]]:
-        """Completed ``(ticket, outcome)`` pairs; waits up to ``timeout``.
-
-        Covers all three terminal paths: a worker's outcome frame, a
-        worker dead without one (``crashed``), and a job past its
-        deadline (``timeout``, worker killed).  Every outcome carries
-        ``wall_time``.
-        """
-        with self._lock:
-            busy = [w for w in self._pool if w.busy]
-        if not busy:
-            if timeout:
-                time.sleep(timeout)
-            return []
-        ready = multiprocessing.connection.wait(
-            [w.conn for w in busy], timeout
-        )
-        ready_set = set(ready)
-        completed: List[Tuple[Any, Dict[str, Any]]] = []
-        now = time.monotonic()
-        with self._lock:
-            for worker in busy:
-                if not worker.busy:
-                    continue  # raced with close()
-                outcome: Optional[Dict[str, Any]] = None
-                crashed = False
-                if worker.conn in ready_set:
-                    outcome, crashed = self._drain_worker_locked(worker)
-                if outcome is None and not crashed:
-                    if worker.deadline is not None and now > worker.deadline:
-                        wall = now - worker.began
-                        outcome = {
-                            "ok": False,
-                            "kind": "timeout",
-                            "error": f"job exceeded its {wall:.1f}s "
-                                     "wall-clock budget",
-                        }
-                        ticket = worker.ticket
-                        self._retire_locked(worker, kill=True)
-                        worker.ticket = None
-                        self._idle_cv.notify_all()
-                        outcome["wall_time"] = wall
-                        completed.append((ticket, outcome))
-                        continue
-                    if not worker.proc.is_alive():
-                        crashed = True
-                if crashed and outcome is None:
-                    outcome = {
-                        "ok": False,
-                        "kind": "crashed",
-                        "error": f"pool worker exited with code "
-                                 f"{worker.proc.exitcode} before reporting "
-                                 "a result",
-                    }
-                if outcome is None:
-                    continue  # still running
-                wall = time.monotonic() - worker.began
-                ticket = worker.ticket
-                if crashed:
-                    self._retire_locked(worker, kill=True)
-                    worker.ticket = None
-                    self._idle_cv.notify_all()
-                else:
-                    self._release_locked(worker)
-                outcome["wall_time"] = wall
-                completed.append((ticket, outcome))
-        return completed
-
-    def _drain_worker_locked(
-        self, worker: _Worker
-    ) -> Tuple[Optional[Dict[str, Any]], bool]:
-        """Read buffered frames; returns ``(outcome, crashed)``."""
-        while True:
-            try:
-                message = _recv_frame(worker.conn)
-            except (EOFError, OSError, PoolProtocolError,
-                    pickle.UnpicklingError):
-                return None, True
-            if isinstance(message, dict) and "ok" not in message:
-                if worker.on_progress is not None and "live" in message:
-                    try:
-                        worker.on_progress(message["live"])
-                    except Exception:  # noqa: BLE001
-                        logger.exception("live progress callback failed")
-                if worker.conn.poll(0):
-                    continue
-                return None, False
-            return message, False
-
-    # -- blocking API (serve worker threads) -----------------------------
+    # -- the job call ----------------------------------------------------
 
     def run_job(
         self,
@@ -457,103 +288,98 @@ class WorkerPool:
     ) -> Dict[str, Any]:
         """Execute one job on a leased pool worker; blocks until done.
 
-        Drop-in for :func:`repro.exec.runner.run_single_job`: same
-        outcome dicts, same wall-clock enforcement (the leased worker is
-        killed and replaced on timeout), but without the per-job spawn.
-        Thread-safe: callers beyond the pool size queue for an idle
-        worker.  Raises :class:`PoolSpawnError` when no worker can be
-        started at all.
+        Returns the job's outcome dict, always with ``wall_time``:
+        ``{"ok": True, "document": ...}`` on success, otherwise
+        ``{"ok": False, "kind": ..., "error": ...}`` where ``kind`` is
+
+        * ``timeout`` - past ``timeout`` seconds; the worker was killed
+          and is replaced on a later lease;
+        * ``budget_exceeded`` - the simulation hit ``max_events``;
+        * ``error`` - the job raised, or cannot be pickled to a worker;
+        * ``crashed`` - the worker died without reporting;
+        * ``spawn_failed`` - no worker process could be started.
+
+        With ``live``, the worker streams per-epoch digests and each one
+        is handed to ``on_progress`` as it arrives.  Thread-safe:
+        callers beyond the pool size queue for an idle worker.
         """
         began = time.monotonic()
-        lease = object()
+        deadline = (began + timeout) if timeout else None
+        try:
+            frame = _encode_frame({
+                "op": "job",
+                "spec": spec,
+                "config": config,
+                "max_events": max_events,
+                "setup": setup,
+                "fidelity": fidelity,
+                "live": live,
+            })
+        except Exception as exc:  # noqa: BLE001 - e.g. a lambda setup hook
+            outcome = {
+                "ok": False,
+                "kind": "error",
+                "error": "job cannot be sent to a pool worker: "
+                         f"{type(exc).__name__}: {exc}",
+            }
+        else:
+            outcome = self._lease_and_run(frame, deadline, timeout,
+                                          on_progress)
+        outcome["wall_time"] = time.monotonic() - began
+        return outcome
+
+    def _lease_and_run(self, frame, deadline, timeout, on_progress):
         with self._idle_cv:
             while True:
                 if self._closed:
                     raise RuntimeError("pool is closed")
-                worker = self._acquire_locked()
+                try:
+                    worker = self._acquire_locked()
+                except OSError as exc:
+                    return {
+                        "ok": False,
+                        "kind": "spawn_failed",
+                        "error": f"could not start a pool worker: {exc} "
+                                 "(parallel=False runs jobs in-process, "
+                                 "without a worker)",
+                    }
                 if worker is not None:
-                    worker.ticket = lease
-                    worker.began = began
-                    worker.deadline = (began + timeout) if timeout else None
+                    worker.busy = True
                     break
                 self._idle_cv.wait(0.1)
-        message = {
-            "op": "job",
-            "spec": spec,
-            "config": config,
-            "max_events": max_events,
-            "setup": setup,
-            "fidelity": fidelity,
-            "live": live,
-        }
-        outcome = self._converse(worker, message, timeout, on_progress)
-        outcome["wall_time"] = time.monotonic() - began
-        return outcome
+        return self._converse(worker, frame, deadline, timeout, on_progress)
 
-    def _converse(self, worker, message, timeout, on_progress):
+    def _converse(self, worker, frame, deadline, timeout, on_progress):
         """The leased conversation: send the job, await its outcome."""
         try:
-            _send_frame(worker.conn, message)
+            worker.conn.send_bytes(frame)
         except (OSError, ValueError):
-            with self._idle_cv:
-                self._retire_locked(worker, kill=True)
-                worker.ticket = None
-                self._idle_cv.notify_all()
-            return {
-                "ok": False,
-                "kind": "crashed",
-                "error": "pool worker died before accepting the job",
-            }
-        deadline = worker.deadline
+            return self._end_lease(worker, "crashed")
         while True:
             remaining = (None if deadline is None
                          else deadline - time.monotonic())
             if remaining is not None and remaining <= 0:
-                with self._idle_cv:
-                    self._retire_locked(worker, kill=True)
-                    worker.ticket = None
-                    self._idle_cv.notify_all()
-                return {
-                    "ok": False,
-                    "kind": "timeout",
-                    "error": f"job exceeded its {timeout:.1f}s wall-clock "
-                             "budget",
-                }
-            wait = 0.1 if remaining is None else min(0.1, remaining)
-            if worker.conn.poll(wait):
-                try:
-                    received = _recv_frame(worker.conn)
-                except (EOFError, OSError, PoolProtocolError,
-                        pickle.UnpicklingError):
-                    received = None
-                if received is None:
-                    with self._idle_cv:
-                        self._retire_locked(worker, kill=True)
-                        worker.ticket = None
-                        self._idle_cv.notify_all()
-                    return {
-                        "ok": False,
-                        "kind": "crashed",
-                        "error": f"pool worker exited with code "
-                                 f"{worker.proc.exitcode} before reporting "
-                                 "a result",
-                    }
-                if isinstance(received, dict) and "ok" not in received:
-                    if on_progress is not None and "live" in received:
+                return self._end_lease(
+                    worker, "timeout",
+                    f"job exceeded its {timeout:.1f}s wall-clock budget",
+                )
+            try:
+                if not worker.conn.poll(0.1 if remaining is None
+                                        else min(0.1, remaining)):
+                    if worker.proc.is_alive():
+                        continue
+                    if not worker.conn.poll(0):
+                        return self._end_lease(worker, "crashed")
+                received = _recv_frame(worker.conn)
+            except (EOFError, OSError, ValueError, PoolProtocolError,
+                    pickle.UnpicklingError):
+                return self._end_lease(worker, "crashed")
+            if isinstance(received, dict) and "ok" not in received:
+                if on_progress is not None and "live" in received:
+                    try:
                         on_progress(received["live"])
-                    continue
-                with self._idle_cv:
-                    self._release_locked(worker)
-                return received
-            if not worker.proc.is_alive() and not worker.conn.poll(0):
-                with self._idle_cv:
-                    self._retire_locked(worker, kill=True)
-                    worker.ticket = None
-                    self._idle_cv.notify_all()
-                return {
-                    "ok": False,
-                    "kind": "crashed",
-                    "error": f"pool worker exited with code "
-                             f"{worker.proc.exitcode} before reporting "
-                             "a result",
-                }
+                    except Exception:  # noqa: BLE001 - keep the lease whole
+                        logger.exception("live progress callback failed")
+                continue
+            self._release(worker)
+            return received

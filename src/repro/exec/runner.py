@@ -1,4 +1,4 @@
-"""Parallel campaign runner: fan profiling jobs over a worker pool.
+"""Campaign runner: execute batches of profiling jobs, cached and retried.
 
 The paper's evaluation is dozens of independent ``PathFinder`` sessions
 (figure sweeps, app x node grids, load sweeps).  A :class:`CampaignJob`
@@ -10,13 +10,16 @@ batch of them with:
 * **content-addressed caching** - each job's canonical hash keys a
   ``results/cache/`` store, so reruns and overlapping sweeps are
   near-free (see :mod:`repro.exec.hashing` / :mod:`repro.exec.cache`);
-* **process parallelism** - cache misses fan out over ``workers``
-  single-job processes; results travel back as JSON session digests, so
-  a worker crash can never poison the parent;
-* **robustness** - per-job wall-clock timeout (enforced by terminating
-  the worker), bounded retry with exponential backoff, and graceful
-  degradation: a failed job yields a structured :class:`JobRecord`
-  instead of crashing the sweep;
+* **one scheduling loop, two ways to start a job** - inline on the
+  calling thread (``parallel=False``, or nothing to overlap and no
+  wall-clock limit), or on the warm :class:`~repro.exec.pool.WorkerPool`
+  via ``workers`` threads each blocking in ``run_job``; results travel
+  back as JSON session digests, so a worker crash can never poison the
+  parent;
+* **robustness** - per-job wall-clock timeout (enforced by killing the
+  worker), bounded retry with exponential backoff, and typed failures:
+  a failed job - including one whose worker could not be started -
+  yields a structured :class:`JobRecord` instead of crashing the sweep;
 * **observability** - per-job timing / event-count / cache-hit metrics
   and a campaign summary, rendered by
   :func:`repro.core.report.render_campaign`.
@@ -26,9 +29,11 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import threading
 import time
 import traceback
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
@@ -41,12 +46,9 @@ from ..sim.topology import MachineConfig, spr_config
 from ..sim.warp import fidelity_token
 from .cache import ResultCache, coerce_cache
 from .hashing import job_key
-from .pool import PoolSpawnError, WorkerPool
+from .pool import WorkerPool
 
 logger = logging.getLogger(__name__)
-
-#: Poll interval of the parent scheduling loop (seconds).
-_POLL_S = 0.02
 
 
 @dataclass
@@ -100,7 +102,8 @@ class JobRecord:
     tag: str
     key: str
     status: str = "pending"          # ok | cache_hit | failed
-    failure: Optional[str] = None    # timeout | budget_exceeded | error | crashed
+    #: timeout | budget_exceeded | error | crashed | spawn_failed
+    failure: Optional[str] = None
     error: Optional[str] = None
     attempts: int = 0
     wall_time: float = 0.0
@@ -140,8 +143,8 @@ class CampaignResult:
     results: List[Optional[ProfileResult]]
     wall_time: float = 0.0
     workers: int = 1
-    #: Pool workers that failed to start (process/fd limits); those jobs
-    #: degraded to in-process execution instead of being lost.
+    #: Pool workers that failed to start (process/fd limits); each one
+    #: failed its job's attempt as ``spawn_failed``.
     spawn_failures: int = 0
     #: Pool workers retired after serving their per-worker job quota.
     workers_recycled: int = 0
@@ -192,7 +195,7 @@ class CampaignResult:
         }
 
 
-# -- job execution (runs in the worker, and in-process when serial) ---------
+# -- job execution (runs in a pool worker, or inline) ------------------------
 
 
 def _execute_job(
@@ -234,162 +237,45 @@ def _execute_job(
     }
 
 
-def _worker_main(conn, spec, config, max_events, setup, live=None,
-                 fidelity=None) -> None:
-    """Entry point of a single-job worker process.
-
-    With ``live``, per-epoch digests are interleaved on the pipe as
-    ``{"live": digest}`` messages ahead of the final outcome dict (which
-    always carries an ``"ok"`` key, so the parent can tell them apart).
-    """
-    progress = None
-    if live is not None and live is not False:
-
-        def progress(digest, _conn=conn):
-            try:
-                _conn.send({"live": digest})
-            except (OSError, ValueError):
-                pass  # parent went away; keep simulating for the cache
-
-    try:
-        try:
-            outcome = _execute_job(
-                spec, config, max_events, setup, live=live, progress=progress,
-                fidelity=fidelity,
-            )
-        except SimulationBudgetExceeded as exc:
-            outcome = {
-                "ok": False,
-                "kind": "budget_exceeded",
-                "error": str(exc),
-                "events_executed": exc.events_executed,
-                "total_cycles": exc.now,
-            }
-        except Exception:
-            outcome = {
-                "ok": False,
-                "kind": "error",
-                "error": traceback.format_exc(limit=20),
-            }
-        conn.send(outcome)
-    finally:
-        conn.close()
-
-
-def run_single_job(
+def _job_outcome(
     spec: ProfileSpec,
     config: MachineConfig,
-    *,
-    max_events: Optional[int] = None,
-    setup: Optional[Callable[[Machine, ProfileSpec], None]] = None,
-    timeout: Optional[float] = None,
+    max_events: Optional[int],
+    setup: Optional[Callable[[Machine, ProfileSpec], None]],
     live: Any = None,
-    on_progress: Optional[Callable[[Dict[str, Any]], None]] = None,
+    progress: Optional[Callable[[Dict[str, Any]], None]] = None,
     fidelity: Any = None,
 ) -> Dict[str, Any]:
-    """Execute one job in a dedicated worker process; returns its outcome.
+    """:func:`_execute_job`, with a raised failure turned into an outcome.
 
-    The single-job building block ``repro.serve`` drains its queue with:
-    same worker entry point as the campaign pool, same transportable
-    outcome dicts (``{"ok": True, "document": ...}`` on success,
-    ``{"ok": False, "kind": "timeout" | "budget_exceeded" | "error" |
-    "crashed", ...}`` otherwise), with the wall-clock ``timeout``
-    enforced by terminating the worker.  Always adds ``wall_time``.
-
-    With ``live``, the worker streams per-epoch digests over the pipe
-    and each one is handed to ``on_progress`` as it arrives - the final
-    outcome is still the return value.
+    The one place a job's exception becomes a typed outcome dict: pool
+    workers run every job through it, and so does the inline campaign
+    path.  ``_execute_job`` is looked up on this module at call time.
     """
-    ctx = multiprocessing.get_context()
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_worker_main,
-        args=(child_conn, spec, config, max_events, setup, live, fidelity),
-        daemon=True,
-    )
-    began = time.monotonic()
     try:
-        proc.start()
-    except OSError:
-        # Process limit or similar: degrade to in-process execution
-        # (no wall-clock enforcement, as in the campaign pool).
-        parent_conn.close()
-        child_conn.close()
-        try:
-            outcome = _execute_job(
-                spec, config, max_events, setup, live=live,
-                progress=on_progress, fidelity=fidelity,
-            )
-        except SimulationBudgetExceeded as exc:
-            outcome = {
-                "ok": False, "kind": "budget_exceeded", "error": str(exc),
-                "events_executed": exc.events_executed, "total_cycles": exc.now,
-            }
-        except Exception:
-            outcome = {
-                "ok": False, "kind": "error",
-                "error": traceback.format_exc(limit=20),
-            }
-        outcome["wall_time"] = time.monotonic() - began
-        return outcome
-    child_conn.close()
-    deadline = began + timeout if timeout is not None else None
-    outcome: Optional[Dict[str, Any]] = None
-    try:
-        while True:
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                proc.terminate()
-                outcome = {
-                    "ok": False,
-                    "kind": "timeout",
-                    "error": (
-                        f"job exceeded its {timeout:.1f}s wall-clock budget"
-                    ),
-                }
-                break
-            if parent_conn.poll(min(_POLL_S * 5, remaining)
-                                if remaining is not None else _POLL_S * 5):
-                try:
-                    message = parent_conn.recv()
-                except (EOFError, OSError):
-                    outcome = None
-                    break
-                # Live progress interleaves ahead of the final outcome;
-                # only a dict carrying "ok" ends the job.
-                if isinstance(message, dict) and "ok" not in message:
-                    if on_progress is not None and "live" in message:
-                        on_progress(message["live"])
-                    continue
-                outcome = message
-                break
-            if not proc.is_alive():
-                # Drain anything that landed between poll() and exit.
-                while parent_conn.poll(0):
-                    try:
-                        message = parent_conn.recv()
-                    except (EOFError, OSError):
-                        break
-                    if isinstance(message, dict) and "ok" not in message:
-                        if on_progress is not None and "live" in message:
-                            on_progress(message["live"])
-                        continue
-                    outcome = message
-                    break
-                break
-    finally:
-        parent_conn.close()
-        proc.join(timeout=5.0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(timeout=5.0)
-    if outcome is None:
-        outcome = {
+        return _execute_job(spec, config, max_events, setup, live=live,
+                            progress=progress, fidelity=fidelity)
+    except SimulationBudgetExceeded as exc:
+        return {
             "ok": False,
-            "kind": "crashed",
-            "error": f"worker exited with code {proc.exitcode} before "
-                     "reporting a result",
+            "kind": "budget_exceeded",
+            "error": str(exc),
+            "events_executed": exc.events_executed,
+            "total_cycles": exc.now,
         }
+    except Exception:  # noqa: BLE001 - the job's failure, not the caller's
+        return {
+            "ok": False,
+            "kind": "error",
+            "error": traceback.format_exc(limit=20),
+        }
+
+
+def _run_inline(job: CampaignJob) -> Dict[str, Any]:
+    """One attempt on the calling thread (no wall-clock limit applies)."""
+    began = time.monotonic()
+    outcome = _job_outcome(job.spec, job.config, job.max_events, job.setup,
+                           fidelity=job.fidelity)
     outcome["wall_time"] = time.monotonic() - began
     return outcome
 
@@ -412,14 +298,20 @@ def run_campaign(
 
     ``workers`` defaults to ``min(4, cpu_count)``.  ``retries`` is the
     number of *additional* attempts granted to a job that times out,
-    exceeds its event budget, raises, or crashes its worker; attempts are
-    spaced by ``backoff * 2**(attempt-1)`` seconds.  A job that exhausts
-    its attempts contributes a failed :class:`JobRecord` (with the last
-    failure kind and message) while every other job still completes.
+    exceeds its event budget, raises, crashes its worker or finds no
+    worker to start; attempts are spaced by ``backoff * 2**(attempt-1)``
+    seconds.  A job that exhausts its attempts contributes a failed
+    :class:`JobRecord` (with the last failure kind and message) while
+    every other job still completes.
 
-    Cache misses run on a warm :class:`~repro.exec.pool.WorkerPool`
-    (workers persist across jobs); pass ``pool`` to reuse one across
-    campaigns - the caller then owns its lifetime.
+    Cache misses run inline on the calling thread when ``parallel`` is
+    False, or when there is nothing to overlap (one job, or one worker)
+    and no wall-clock limit to enforce.  Otherwise ``workers`` threads
+    feed them to a warm :class:`~repro.exec.pool.WorkerPool` (workers
+    persist across jobs); pass ``pool`` to reuse one across campaigns -
+    the caller then owns its lifetime.  A pool that cannot start a
+    worker fails the attempt as ``spawn_failed``; the job never falls
+    back to running inline.
     """
     jobs = list(jobs)
     cache_obj = coerce_cache(cache)
@@ -460,14 +352,27 @@ def run_campaign(
             resolved_keys[record.key] = i
             pending.append(("run", i, 0))
 
-    def finalize_ok(i: int, outcome: Dict[str, Any], wall: float) -> None:
+    def settle(i: int, outcome: Dict[str, Any]) -> bool:
+        """Record one attempt's outcome; True if the job should retry."""
         job, record = jobs[i], records[i]
+        record.wall_time += float(outcome.get("wall_time", 0.0))
+        record.events_executed = int(outcome.get("events_executed", 0))
+        record.total_cycles = float(outcome.get("total_cycles", 0.0))
+        if not outcome.get("ok"):
+            record.failure = outcome.get("kind", "error")
+            record.error = outcome.get("error")
+            retryable = record.attempts <= retries
+            logger.warning(
+                "campaign job %s attempt %d failed (%s)%s",
+                record.tag, record.attempts, record.failure,
+                ": retrying" if retryable else ": giving up",
+            )
+            if not retryable:
+                record.status = "failed"
+            return retryable
         results[i] = result_from_document(outcome["document"])
         record.status = "ok"
         record.failure = record.error = None
-        record.wall_time += wall
-        record.events_executed = int(outcome.get("events_executed", 0))
-        record.total_cycles = float(outcome.get("total_cycles", 0.0))
         record.num_epochs = int(outcome.get("num_epochs", 0))
         if cache_obj is not None and job.cacheable:
             try:
@@ -483,193 +388,144 @@ def run_campaign(
                 )
             except OSError as exc:
                 logger.warning("could not persist %s: %s", record.key, exc)
+        return False
 
-    def note_failure(i: int, kind: str, message: Optional[str],
-                     outcome: Optional[Dict[str, Any]], wall: float) -> bool:
-        """Record one failed attempt; True if the job may retry."""
-        record = records[i]
-        record.wall_time += wall
-        record.failure = kind
-        record.error = message
-        if outcome:
-            record.events_executed = int(outcome.get("events_executed", 0))
-            record.total_cycles = float(outcome.get("total_cycles", 0.0))
-        retryable = record.attempts <= retries
-        logger.warning(
-            "campaign job %s attempt %d failed (%s)%s",
-            record.tag, record.attempts, kind,
-            ": retrying" if retryable else ": giving up",
-        )
-        if not retryable:
-            record.status = "failed"
-        return retryable
-
-    # Timeout enforcement needs a worker process to terminate, so any
-    # requested wall-clock budget forces the pool path even for a single
-    # job or a single-core pool.
+    # Timeout enforcement needs a worker process to kill, so with
+    # parallel=True a wall-clock limit sends even one job to the pool.
     wants_timeout = timeout is not None or any(
         job.timeout is not None for job in jobs
     )
-    run_parallel = parallel and len(pending) > 0 and (
+    use_pool = parallel and len(pending) > 0 and (
         (workers > 1 and len(pending) > 1) or wants_timeout
     )
-    pool_stats: Dict[str, int] = {}
-    if run_parallel:
-        pool_stats = _drain_parallel(jobs, records, pending, workers, timeout,
-                                     finalize_ok, note_failure, backoff,
-                                     pool=pool)
+    spawn_failures = recycled = 0
+    if not use_pool:
+        _drain(jobs, records, pending, _run_inline, settle, backoff, lanes=1)
     else:
-        _drain_serial(jobs, records, pending, finalize_ok, note_failure,
-                      backoff)
+        own_pool = pool is None
+        if own_pool:
+            pool = WorkerPool(workers=workers)
 
-    # Resolve intra-campaign duplicates against their computed twin.
-    for record, result in zip(records, results):
+        def on_pool(job: CampaignJob) -> Dict[str, Any]:
+            return pool.run_job(
+                job.spec, job.config, max_events=job.max_events,
+                setup=job.setup, fidelity=job.fidelity,
+                timeout=job.timeout if job.timeout is not None else timeout,
+            )
+
+        try:
+            _drain(jobs, records, pending, on_pool, settle, backoff,
+                   lanes=min(workers, len(pending)))
+        finally:
+            spawn_failures, recycled = pool.spawn_failures, pool.recycled
+            if own_pool:
+                pool.close()
+
+    for record in records:
         if record.status == "pending":
             record.status = "failed"
             record.failure = record.failure or "error"
             record.error = record.error or "job was never scheduled"
-    campaign = CampaignResult(
+    return CampaignResult(
         jobs=records,
         results=results,
         wall_time=time.monotonic() - started,
-        workers=workers if run_parallel else 1,
-        spawn_failures=pool_stats.get("spawn_failures", 0),
-        workers_recycled=pool_stats.get("workers_recycled", 0),
+        workers=workers if use_pool else 1,
+        spawn_failures=spawn_failures,
+        workers_recycled=recycled,
     )
-    return campaign
 
 
-def _drain_serial(jobs, records, pending, finalize_ok, note_failure,
-                  backoff) -> None:
-    """In-process execution path (``parallel=False`` or a single job).
+def _drain(jobs, records, pending, start, settle, backoff, lanes) -> None:
+    """Drive every pending job to a terminal state.
 
-    Timeouts are not enforced here: there is no worker to terminate.
+    The campaign's one scheduling loop.  ``start(job)`` runs one attempt
+    and returns its outcome dict; ``settle(i, outcome)`` records it and
+    says whether the job retries.  A duplicate waits for its twin and a
+    retry waits out its backoff while other ready jobs start.  With one
+    lane the loop runs on the calling thread; otherwise ``lanes``
+    threads share the queue, each blocking in ``start``.
     """
-    while pending:
-        kind, i, extra = pending.popleft()
-        if kind == "dup":
-            _resolve_duplicate(jobs, records, pending, i, extra)
-            continue
-        job, record = jobs[i], records[i]
-        record.attempts += 1
-        began = time.monotonic()
-        try:
-            outcome = _execute_job(job.spec, job.config, job.max_events,
-                                   job.setup, fidelity=job.fidelity)
-        except SimulationBudgetExceeded as exc:
-            failed = {"events_executed": exc.events_executed,
-                      "total_cycles": exc.now}
-            if note_failure(i, "budget_exceeded", str(exc), failed,
-                            time.monotonic() - began):
-                time.sleep(backoff * (2 ** (record.attempts - 1)))
-                pending.append(("run", i, 0))
-            continue
-        except Exception:
-            if note_failure(i, "error", traceback.format_exc(limit=20), None,
-                            time.monotonic() - began):
-                time.sleep(backoff * (2 ** (record.attempts - 1)))
-                pending.append(("run", i, 0))
-            continue
-        finalize_ok(i, outcome, time.monotonic() - began)
-
-
-def _drain_parallel(jobs, records, pending, workers, timeout, finalize_ok,
-                    note_failure, backoff,
-                    pool: Optional[WorkerPool] = None) -> Dict[str, int]:
-    """Fan pending jobs over the warm worker pool.
-
-    Workers persist across jobs (see :mod:`repro.exec.pool`); the pool
-    enforces per-job deadlines by killing and replacing the worker, and
-    recycles workers after their job quota.  Returns the pool's spawn /
-    recycle statistics for the campaign summary.
-    """
-    own_pool = pool is None
-    if pool is None:
-        pool = WorkerPool(workers=workers)
+    cv = threading.Condition()
     not_before: Dict[int, float] = {}
+    running = 0
+    stopped = False
 
-    def retry_or_fail(i: int, kind: str, message, outcome, wall) -> None:
-        if note_failure(i, kind, message, outcome, wall):
-            not_before[i] = time.monotonic() + backoff * (
-                2 ** (records[i].attempts - 1)
-            )
-            pending.append(("run", i, 0))
-
-    try:
-        while pending or pool.busy_count:
-            # Launch as many ready jobs as there are free workers.
-            deferred = []
-            while pending and pool.has_capacity:
-                kind, i, extra = pending.popleft()
-                if kind == "dup":
-                    if records[extra].status == "pending":
-                        deferred.append((kind, i, extra))  # twin not done yet
-                    else:
-                        _resolve_duplicate(jobs, records, pending, i, extra)
-                    continue
-                if not_before.get(i, 0.0) > time.monotonic():
-                    deferred.append((kind, i, extra))
-                    continue
-                job, record = jobs[i], records[i]
-                record.attempts += 1
-                limit = job.timeout if job.timeout is not None else timeout
-                try:
-                    pool.dispatch(
-                        i, job.spec, job.config, max_events=job.max_events,
-                        setup=job.setup, fidelity=job.fidelity, timeout=limit,
-                    )
-                except PoolSpawnError as exc:  # process limit: go serial
-                    logger.warning("pool worker spawn failed (%s); running "
-                                   "%s in-process", exc, record.tag)
-                    record.attempts -= 1  # the serial path re-counts it
-                    deferred.append((kind, i, extra))
-                    if not pool.busy_count:
-                        _drain_serial(jobs, records,
-                                      deque(deferred + list(pending)),
-                                      finalize_ok, note_failure, backoff)
-                        pending.clear()
-                        deferred = []
-                    break
-            pending.extendleft(reversed(deferred))
-
-            if not pool.busy_count:
-                if pending:
-                    time.sleep(_POLL_S)
-                continue
-
-            for i, outcome in pool.poll(_POLL_S):
-                wall = float(outcome.get("wall_time", 0.0))
-                if outcome.get("ok"):
-                    finalize_ok(i, outcome, wall)
+    def next_job() -> Optional[int]:
+        """Under ``cv``: the next job to start; None once none ever will."""
+        nonlocal running
+        while not stopped:
+            deferred, wake, ready = [], None, None
+            while pending and ready is None:
+                entry = pending.popleft()
+                kind, i, twin = entry
+                if kind == "dup" and records[twin].status != "pending":
+                    _resolve_duplicate(records, pending, i, twin)
+                elif kind == "dup":
+                    deferred.append(entry)  # twin in flight or retrying
+                elif not_before.get(i, 0.0) > time.monotonic():
+                    deferred.append(entry)
+                    wake = (not_before[i] if wake is None
+                            else min(wake, not_before[i]))
                 else:
-                    retry_or_fail(i, outcome.get("kind", "error"),
-                                  outcome.get("error"), outcome, wall)
+                    ready = i
+            pending.extendleft(reversed(deferred))
+            if ready is not None:
+                running += 1
+                return ready
+            if wake is None and not running:
+                return None
+            cv.wait(None if wake is None else wake - time.monotonic())
+        return None
+
+    def lane() -> None:
+        nonlocal running
+        while True:
+            with cv:
+                i = next_job()
+                if i is None:
+                    return
+                records[i].attempts += 1
+            outcome = None
+            try:
+                outcome = start(jobs[i])
+            finally:
+                with cv:
+                    running -= 1
+                    cv.notify_all()
+                    if outcome is not None and settle(i, outcome):
+                        not_before[i] = time.monotonic() + backoff * (
+                            2 ** (records[i].attempts - 1))
+                        pending.append(("run", i, 0))
+
+    if lanes == 1:
+        lane()
+        return
+    threads = ThreadPoolExecutor(lanes, thread_name_prefix="campaign")
+    try:
+        for future in [threads.submit(lane) for _ in range(lanes)]:
+            future.result()
+    except BaseException:
+        with cv:  # let in-flight attempts finish; start nothing new
+            stopped = True
+            cv.notify_all()
+        raise
     finally:
-        stats = {
-            "spawn_failures": pool.spawn_failures,
-            "workers_recycled": pool.recycled,
-            "workers_spawned": pool.spawned,
-        }
-        if own_pool:
-            pool.close()
-    return stats
+        threads.shutdown(wait=False)
 
 
-def _resolve_duplicate(jobs, records, pending, i: int, twin: int) -> None:
-    """Share a twin job's outcome with a duplicate-spec job.
+def _resolve_duplicate(records, pending, i: int, twin: int) -> None:
+    """Share a finished twin job's outcome with a duplicate-spec job.
 
-    A successful twin is shared as a free ``cache_hit``.  A twin that is
-    still retrying defers the duplicate.  A twin that *failed* promotes
-    the duplicate to run on its own attempt budget - a transient failure
-    (timeout, crashed worker) must not cascade through every duplicate -
-    and re-points any later duplicates of the same key at the promoted
-    job, so at most one execution is in flight per key at a time.
+    A successful twin is shared as a free ``cache_hit``.  A twin that
+    *failed* promotes the duplicate to run on its own attempt budget - a
+    transient failure (timeout, crashed worker) must not cascade through
+    every duplicate - and re-points any later duplicates of the same key
+    at the promoted job, so at most one execution is in flight per key
+    at a time.
     """
     twin_record = records[twin]
     record = records[i]
-    if twin_record.status == "pending":
-        pending.append(("dup", i, twin))  # twin still retrying: wait
-        return
     if twin_record.status in ("ok", "cache_hit"):
         record.status = "cache_hit"
         record.events_executed = twin_record.events_executed

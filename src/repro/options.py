@@ -15,12 +15,10 @@ for all of them:
 Every field defaults to :data:`UNSET` ("not given"), so one
 ``RunOptions`` can be reused across verbs while each verb keeps its own
 historical defaults for the fields the caller left alone (``run`` caches
-off / no retries; ``run_many`` caches on / one retry).  The legacy
-keyword arguments still work; passing a keyword *and* the same field on
-``options`` is a conflict and raises ``ValueError``, while mixing
-``options`` with other legacy keywords merges them and emits a
-``DeprecationWarning`` nudging callers to fold everything into
-``options``.
+off / no retries; ``run_many`` caches on / one retry).  The individual
+keyword arguments still work on their own, but a call takes its fields
+from one place: passing ``options`` together with any of those keywords
+raises ``ValueError``.
 
 ``trace`` accepts ``True`` (default :class:`~repro.core.spec.TraceSpec`),
 an ``int`` (sample 1-in-N requests), or a full ``TraceSpec``; it is
@@ -31,7 +29,6 @@ passed in are never mutated.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -187,41 +184,30 @@ def resolve_options(
     api: str,
     defaults: Dict[str, Any],
 ) -> Dict[str, Any]:
-    """Merge ``options`` with legacy keyword arguments into one dict.
+    """Every field's value, from ``options`` or the legacy keywords.
 
     ``legacy`` maps field name to the value the verb's keyword received
     (:data:`UNSET` when the caller left it alone); ``defaults`` holds the
     verb's historical defaults and also defines which fields the verb
-    supports.  A field set both ways is ambiguous -> ``ValueError``;
-    legacy keywords alongside ``options`` merge with a
-    ``DeprecationWarning``.  Fields a verb does not support (absent from
-    ``defaults``) raise when explicitly set.
+    supports.  Legacy keywords alongside ``options`` -> ``ValueError``:
+    a call sets its fields in one place.  Fields a verb does not support
+    (absent from ``defaults``) raise when explicitly set.
     """
     if options is not None and not isinstance(options, RunOptions):
         raise TypeError(f"options must be a RunOptions, got {type(options).__name__}")
-    mixed = []
+    given = [f for f in _FIELDS if legacy.get(f, UNSET) is not UNSET]
+    if options is not None and given:
+        raise ValueError(
+            f"{api}: {', '.join(given)} passed as keyword argument(s) "
+            f"alongside options=; set it in one place, on RunOptions"
+        )
     resolved: Dict[str, Any] = {}
     for field in _FIELDS:
-        from_opts = getattr(options, field) if options is not None else UNSET
-        from_kwarg = legacy.get(field, UNSET)
-        if from_opts is not UNSET and from_kwarg is not UNSET:
-            raise ValueError(
-                f"{api}: '{field}' passed both via options= and as a "
-                f"keyword argument; set it in one place"
-            )
-        if from_kwarg is not UNSET:
-            mixed.append(field)
-        value = from_kwarg if from_kwarg is not UNSET else from_opts
+        value = (getattr(options, field) if options is not None
+                 else legacy.get(field, UNSET))
         if value is not UNSET and field not in defaults:
             raise ValueError(f"{api}: option '{field}' is not supported here")
         resolved[field] = _validate(field, value)
-    if options is not None and mixed:
-        warnings.warn(
-            f"{api}: mixing options= with keyword argument(s) "
-            f"{', '.join(sorted(mixed))}; fold them into RunOptions",
-            DeprecationWarning,
-            stacklevel=3,
-        )
     for field, default in defaults.items():
         if resolved.get(field) is UNSET:
             resolved[field] = default

@@ -2,11 +2,13 @@
 
 Each daemon worker hands one :class:`~repro.serve.jobs.ServeJob` at a
 time to :meth:`JobExecutor.execute`, which runs on a thread but does all
-the heavy lifting in a worker *process* - a leased worker from the warm
-:class:`~repro.exec.pool.WorkerPool` when one is configured, else a
-one-shot process via :func:`repro.exec.runner.run_single_job`.  Either
-way the outcome dicts and wall-clock enforcement match the campaign
-pool, so a hung or crashed simulation can never take the daemon down.
+the heavy lifting on a leased worker of the warm
+:class:`~repro.exec.pool.WorkerPool` - the same outcome dicts and
+wall-clock enforcement as a campaign, so a hung or crashed simulation
+can never take the daemon down.  A worker that cannot be started fails
+the attempt as ``spawn_failed`` (retried under the daemon's retry
+budget, counted as ``pool_spawn_failure`` in ``/metricsz``); there is
+no other execution path to fall back to.
 
 The executor shares one :class:`~repro.exec.cache.ResultCache` across
 every client of the daemon: a result computed for one caller is a warm
@@ -21,8 +23,7 @@ import time
 from typing import Optional
 
 from ..exec.cache import ResultCache
-from ..exec.pool import PoolSpawnError, WorkerPool
-from ..exec.runner import run_single_job
+from ..exec.pool import WorkerPool
 from .jobs import DONE, FAILED, RUNNING, ServeJob, counters_from_session
 from .metrics import ServeMetrics
 
@@ -37,16 +38,15 @@ class JobExecutor:
         cache: Optional[ResultCache],
         metrics: ServeMetrics,
         *,
+        pool: WorkerPool,
         retries: int = 0,
         backoff: float = 0.25,
-        pool: Optional[WorkerPool] = None,
     ) -> None:
         self.cache = cache
         self.metrics = metrics
         self.retries = retries
         self.backoff = backoff
-        #: Warm worker pool jobs run on when set; a pool spawn failure
-        #: degrades to the one-shot :func:`run_single_job` path.
+        #: The warm worker pool every job attempt runs on.
         self.pool = pool
 
     def execute(self, record: ServeJob) -> None:
@@ -86,7 +86,16 @@ class JobExecutor:
         while True:
             record.attempts += 1
             record.publish("attempt", attempt=record.attempts)
-            outcome = self._run_attempt(record, on_progress)
+            outcome = self.pool.run_job(
+                record.job.spec,
+                record.job.config,
+                max_events=record.job.max_events,
+                setup=record.job.setup,
+                timeout=record.job.timeout,
+                live=record.job.live,
+                on_progress=on_progress,
+                fidelity=record.job.fidelity,
+            )
             record.wall_time += float(outcome.get("wall_time", 0.0))
             if outcome.get("ok"):
                 break
@@ -116,34 +125,6 @@ class JobExecutor:
             except OSError as exc:
                 logger.warning("could not persist %s: %s", record.key, exc)
         self._finish_done(record, document, cache_hit=False)
-
-    def _run_attempt(self, record: ServeJob, on_progress) -> dict:
-        """One execution attempt: warm pool first, one-shot fallback."""
-        if self.pool is not None:
-            try:
-                return self.pool.run_job(
-                    record.job.spec,
-                    record.job.config,
-                    max_events=record.job.max_events,
-                    setup=record.job.setup,
-                    timeout=record.job.timeout,
-                    live=record.job.live,
-                    on_progress=on_progress,
-                    fidelity=record.job.fidelity,
-                )
-            except (PoolSpawnError, RuntimeError) as exc:
-                logger.warning("pool unavailable for %s (%s); falling back "
-                               "to a one-shot worker", record.job_id, exc)
-        return run_single_job(
-            record.job.spec,
-            record.job.config,
-            max_events=record.job.max_events,
-            setup=record.job.setup,
-            timeout=record.job.timeout,
-            live=record.job.live,
-            on_progress=on_progress,
-            fidelity=record.job.fidelity,
-        )
 
     # -- terminal transitions --------------------------------------------
 

@@ -5,14 +5,16 @@ wall-clock timeout, crashing) must degrade into a structured per-job
 error record while the rest of the campaign completes.
 """
 
-import warnings
+import collections
+import sys
+import threading
+import time
 
 import pytest
 
 import repro
 from repro import api
 from repro.core import AppSpec, ProfileSpec
-from repro.core.profiler import profile
 from repro.exec import (
     CampaignJob,
     cxl_node_id,
@@ -20,6 +22,7 @@ from repro.exec import (
     local_node_id,
     run_campaign,
 )
+from repro.exec.runner import JobRecord, _drain
 from repro.sim import Machine, spr_config
 from repro.workloads import SequentialStream, build_app
 
@@ -236,6 +239,74 @@ def test_twin_exhausting_retries_still_promotes(tmp_path):
     assert by_tag["b"].status == "ok"
 
 
+# -- the shared scheduling loop under thread contention ---------------------
+
+
+def test_drain_lanes_lose_no_update_under_contention():
+    # Eight lanes, a tiny switch interval, duplicates and retries: a lost
+    # update to the shared queue or in-flight count would hang the
+    # drain, drop a job, or run one key twice at the same time.
+    keys, per_key, flaky = 30, 4, 5
+    jobs = list(range(keys * per_key))
+    records = [JobRecord(index=i, tag=f"j{i}", key=f"k{i % keys}")
+               for i in jobs]
+    pending = collections.deque(
+        ("run", i, 0) if i < keys else ("dup", i, i % keys) for i in jobs
+    )
+    guard = threading.Lock()
+    in_flight, runs, overlaps = set(), collections.Counter(), []
+
+    def start(i):
+        key = records[i].key
+        with guard:
+            if key in in_flight:
+                overlaps.append(key)
+            in_flight.add(key)
+            runs[key] += 1
+            first = runs[key] == 1
+        time.sleep(0.001)
+        with guard:
+            in_flight.discard(key)
+        return {"ok": not (i % flaky == 0 and first)}
+
+    def settle(i, outcome):
+        if outcome["ok"]:
+            records[i].status = "ok"
+        return not outcome["ok"]  # a flaky job retries once
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        drain = threading.Thread(
+            target=_drain, daemon=True,
+            args=(jobs, records, pending, start, settle, 0.0, 8),
+        )
+        drain.start()
+        drain.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not drain.is_alive()
+    assert not overlaps and not pending
+    assert sum(runs.values()) == keys + keys // flaky
+    for record in records[:keys]:
+        assert record.status == "ok"
+        assert record.attempts == (2 if record.index % flaky == 0 else 1)
+    for record in records[keys:]:
+        assert record.status == "cache_hit" and record.attempts == 0
+
+
+def test_drain_reraises_a_lane_failure():
+    records = [JobRecord(index=i, tag=f"j{i}", key=f"k{i}") for i in range(4)]
+    pending = collections.deque(("run", i, 0) for i in range(4))
+
+    def start(i):
+        raise RuntimeError("lane died")
+
+    with pytest.raises(RuntimeError, match="lane died"):
+        _drain(list(range(4)), records, pending, start,
+               lambda i, outcome: False, 0.0, 2)
+
+
 # -- the api facade -------------------------------------------------------
 
 
@@ -302,18 +373,3 @@ def test_api_compare_smoke():
 def test_facade_is_reexported_from_package_root():
     for name in ("run", "run_many", "compare", "counters"):
         assert getattr(repro, name) is getattr(api, name)
-
-
-def test_core_profile_shim_warns_deprecation():
-    config = spr_config()
-    machine = Machine(config)
-    spec = make_spec()
-    for app in spec.apps:
-        app.workload.reseed()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = profile(machine, spec)
-    assert any(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    )
-    assert result.num_epochs >= 1

@@ -51,17 +51,14 @@ def test_conflicting_option_and_kwarg_raises():
         )
 
 
-def test_mixing_options_and_kwargs_warns_and_merges():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        opts = resolve_options(
+def test_mixing_options_and_kwargs_raises():
+    with pytest.raises(ValueError, match="retries"):
+        resolve_options(
             RunOptions(cache=False),
             {"retries": 4},
             api="x",
             defaults={"cache": True, "retries": 0},
         )
-    assert opts["cache"] is False and opts["retries"] == 4
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
 
 
 def test_legacy_kwargs_alone_stay_silent():

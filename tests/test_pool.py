@@ -1,20 +1,23 @@
-"""Warm worker pool: framing, leasing, recycling, kill-respawn, degrade.
+"""Warm worker pool: framing, leasing, recycling, kill-respawn, typed failure.
 
-The pool must preserve every robustness property of the old
-process-per-job path - timeouts kill the worker, crashes are typed
-outcomes, spawn failure degrades instead of losing jobs - while
+The pool is the only way a job runs outside the calling process, so it
+must keep every robustness property of a process-per-job design -
+timeouts kill the worker, crashes and spawn failures are typed outcomes,
+a misbehaving job or callback never leaks its leased worker - while
 actually reusing workers across jobs (the whole point).
 """
 
-import pickle
+import errno
+import os
+import threading
 
 import pytest
 
 from repro.core.spec import AppSpec, ProfileSpec
 from repro.exec.pool import (
     PoolProtocolError,
-    PoolSpawnError,
     WorkerPool,
+    _pool_context,
     _recv_frame,
     _send_frame,
 )
@@ -122,41 +125,80 @@ def test_budget_exceeded_is_a_typed_failure():
         assert pool.spawned == 1
 
 
-def test_spawn_failure_counts_and_raises():
-    pool = WorkerPool(workers=1)
+@pytest.fixture
+def unstartable_workers(monkeypatch):
+    """Every pool worker's ``Process.start`` fails as a pid limit would."""
+
+    def start(self):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(_pool_context(None).Process, "start", start)
+
+
+def test_spawn_failure_counts_and_raises(unstartable_workers):
+    # A worker that cannot start no longer raises out of run_job: the
+    # job fails typed, and the failure is counted and reported.
     events = []
-    pool._metrics_hook = events.append
+    with WorkerPool(workers=1, metrics_hook=events.append) as pool:
+        outcome = pool.run_job(tiny_spec(1), CONFIG)
+        assert not outcome["ok"]
+        assert outcome["kind"] == "spawn_failed"
+        assert "parallel=False" in outcome["error"]
+        assert outcome["wall_time"] >= 0
+        assert pool.spawn_failures == 1 and pool.spawned == 0
+    assert events == ["spawn_failure"]
 
-    def exploding_spawn():
-        raise PoolSpawnError("out of pids")
 
-    pool._spawn_locked = exploding_spawn
-    with pytest.raises(OSError):  # PoolSpawnError IS an OSError
-        pool.run_job(tiny_spec(1), CONFIG)
-    pool.close()
-
-
-def test_dispatch_poll_round_trip():
+def test_concurrent_run_job_callers_each_lease_a_worker():
+    outcomes = {}
     with WorkerPool(workers=2) as pool:
-        pool.dispatch("a", tiny_spec(1), CONFIG)
-        pool.dispatch("b", tiny_spec(2), CONFIG)
-        done = {}
-        while len(done) < 2:
-            for ticket, outcome in pool.poll(0.05):
-                done[ticket] = outcome
-        assert done["a"]["ok"] and done["b"]["ok"]
-        assert done["a"]["wall_time"] > 0
+
+        def call(seed):
+            outcomes[seed] = pool.run_job(tiny_spec(seed), CONFIG,
+                                          timeout=120)
+
+        threads = [threading.Thread(target=call, args=(seed,))
+                   for seed in (1, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=180)
+        assert all(outcome["ok"] for outcome in outcomes.values()), outcomes
+        assert sorted(outcomes) == [1, 2]
+        assert outcomes[1]["wall_time"] > 0
+        assert pool.spawned == 2
 
 
-def test_poll_reports_timeout_outcomes():
+def test_unpicklable_job_fails_typed_without_leasing_a_worker():
     with WorkerPool(workers=1) as pool:
-        pool.dispatch("slow", endless_spec(), CONFIG, timeout=0.5)
-        completed = []
-        while not completed:
-            completed = pool.poll(0.05)
-        (ticket, outcome), = completed
-        assert ticket == "slow"
-        assert outcome["kind"] == "timeout"
+        outcome = pool.run_job(tiny_spec(1), CONFIG,
+                               setup=lambda machine, spec: None)
+        assert not outcome["ok"]
+        assert outcome["kind"] == "error"
+        assert "cannot be sent" in outcome["error"]
+        assert pool.spawned == 0
+        # The one worker is free for the next job.
+        assert pool.run_job(tiny_spec(2), CONFIG, timeout=120)["ok"]
+        assert pool.spawned == 1
+
+
+def test_raising_progress_callback_keeps_the_lease_whole():
+    calls = []
+
+    def explode(digest):
+        calls.append(digest)
+        raise RuntimeError("dashboard went away")
+
+    with WorkerPool(workers=1) as pool:
+        first = pool.run_job(tiny_spec(1, num_ops=3000), CONFIG,
+                             timeout=120, live=True, on_progress=explode)
+        assert first["ok"], first
+        # Every epoch's digest still arrived after the first one raised.
+        assert first["num_epochs"] > 1
+        assert len(calls) == first["num_epochs"]
+        second = pool.run_job(tiny_spec(2), CONFIG, timeout=120)
+        assert second["ok"], second
+        assert pool.spawned == 1
 
 
 # -- campaign integration ----------------------------------------------------
@@ -184,3 +226,40 @@ def test_campaign_shares_an_external_pool():
             assert all(job.ok for job in campaign.jobs)
         # Both campaigns rode the same two processes.
         assert pool.spawned <= 2
+
+
+def test_campaign_records_an_unpicklable_job_and_runs_the_rest():
+    jobs = [
+        CampaignJob(spec=tiny_spec(1), config=CONFIG, tag="lambda",
+                    setup=lambda machine, spec: None),
+        CampaignJob(spec=tiny_spec(2), config=CONFIG, tag="plain"),
+    ]
+    campaign = run_campaign(jobs, workers=2, cache=False, parallel=True,
+                            retries=0)
+    by_tag = {record.tag: record for record in campaign.jobs}
+    assert by_tag["lambda"].status == "failed"
+    assert by_tag["lambda"].failure == "error"
+    assert by_tag["plain"].status == "ok"
+
+
+#: Pids the setup hook below ran in; only ever filled in-process.
+_SETUP_RAN_IN = []
+
+
+def _record_setup_pid(machine, spec):
+    _SETUP_RAN_IN.append(os.getpid())
+
+
+def test_campaign_spawn_failure_fails_typed_never_inline(unstartable_workers):
+    _SETUP_RAN_IN.clear()
+    jobs = [CampaignJob(spec=tiny_spec(seed), config=CONFIG, tag=f"j{seed}",
+                        setup=_record_setup_pid)
+            for seed in (1, 2)]
+    campaign = run_campaign(jobs, workers=2, cache=False, parallel=True,
+                            retries=1, backoff=0.0)
+    for record in campaign.jobs:
+        assert record.status == "failed"
+        assert record.failure == "spawn_failed"
+        assert record.attempts == 2  # retries + 1
+    assert campaign.summary()["spawn_failures"] > 0
+    assert _SETUP_RAN_IN == []  # no job fell back to running in this process

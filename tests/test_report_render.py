@@ -122,3 +122,19 @@ def test_render_campaign_mixed_keeps_table():
     )
     text = render_campaign(campaign)
     assert "1/2 ok" in text
+
+
+def test_render_campaign_reports_spawn_failures_as_failed_attempts():
+    from repro.core.report import render_campaign
+    from repro.exec.runner import CampaignResult
+
+    campaign = CampaignResult(
+        jobs=[_job(0, "a@cxl", status="ok"),
+              _job(1, "b@cxl", failure="spawn_failed")],
+        results=[None, None],
+        spawn_failures=2,
+    )
+    text = render_campaign(campaign)
+    assert "pool: 2 worker spawn failure(s)" in text
+    assert "in-process" not in text  # nothing fell back to running inline
+    assert text.count("spawn_failed") == 2  # the job row and the pool line

@@ -6,6 +6,7 @@ an in-process shortcut would not catch a broken chunked encoding or a
 missing Retry-After header.
 """
 
+import errno
 import json
 import os
 import statistics
@@ -186,6 +187,32 @@ def test_shutdown_drains_queued_and_in_flight_jobs(tmp_path):
         assert record.state == "done", (record.state, record.error)
     # Draining refused new work before exiting.
     assert server.daemon._draining is True
+
+
+# -- typed spawn failure ---------------------------------------------------
+
+
+def test_spawn_failure_fails_the_job_typed(monkeypatch):
+    # A daemon whose pool cannot start a worker ends the job FAILED /
+    # spawn_failed after its retries and counts every failed start in
+    # /metricsz; no other path runs the job instead.
+    from repro.exec.pool import _pool_context
+
+    def start(self):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(_pool_context(None).Process, "start", start)
+    with BackgroundServer(workers=1, queue_depth=4, cache=None,
+                          retries=1) as server:
+        client = ServeClient(port=server.port)
+        job = client.submit_run(make_spec(seed=61))
+        final = client.wait(job["job_id"], timeout=120)
+        counters = client.metrics()["counters"]
+    assert final["state"] == "failed"
+    assert final["failure"] == "spawn_failed"
+    assert final["attempts"] == 2
+    assert counters["pool_spawn_failure"] == 2
+    assert counters.get("pool_spawned", 0) == 0
 
 
 # -- push delivery ----------------------------------------------------------
