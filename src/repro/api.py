@@ -125,6 +125,10 @@ def run(
     point is the in-flight stream, not a cached document); for live
     streaming over HTTP submit ``{"live": true}`` to a serve daemon and
     read ``GET /v1/live``.
+
+    A ``timeout`` runs the job on a fresh pool worker (one process
+    start per call), which is killed when the limit passes; an untimed
+    job runs in this process.
     """
     opts = resolve_options(
         options,
@@ -182,7 +186,8 @@ def run(
     )
     campaign = run_campaign(
         [job],
-        parallel=False,
+        workers=1,
+        parallel=opts["timeout"] is not None,
         cache=_tiered_cache(opts["cache"], opts["shared_cache"]),
         timeout=opts["timeout"],
         retries=opts["retries"],

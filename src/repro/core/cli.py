@@ -97,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--workers", type=int, default=None,
                           help="worker processes (default: min(4, cpus))")
     campaign.add_argument("--serial", action="store_true",
-                          help="run in-process, no worker pool")
+                          help="run in-process, no worker pool (cannot "
+                               "enforce --timeout)")
     campaign.add_argument("--cache-dir", default=None,
                           help="result cache directory (default results/cache)")
     campaign.add_argument("--no-cache", action="store_true",
@@ -371,14 +372,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # render_session already appends the CXL fabric section when the
     # final snapshot carries switch-port estimates.
     print(render_session(result))
-    if result.warp is not None:
-        report = result.warp
-        print(
-            f"warp: {len(report.events)} fast-forward(s), "
-            f"{report.epochs_skipped:.1f} epochs "
-            f"({report.cycles_skipped:.0f} cycles) skipped"
-            + (", aborted on divergence" if report.aborted else "")
-        )
     return 0
 
 
@@ -391,6 +384,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         if name not in APPLICATIONS:
             print(f"unknown application: {name}", file=sys.stderr)
             return 2
+    if args.serial and args.timeout is not None:
+        print("--timeout needs a pool worker to kill; --serial runs jobs "
+              "in-process and cannot enforce it", file=sys.stderr)
+        return 2
     config_fn = spr_config if args.machine == "spr" else emr_config
     config = config_fn(num_cores=2)
     node_ids = {"local": local_node_id(config), "cxl": cxl_node_id(config)}

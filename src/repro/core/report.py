@@ -241,10 +241,27 @@ def render_trace(trace, top_queues: int = 6) -> str:
     return "\n".join(lines)
 
 
+def _fidelity_line(result: ProfileResult) -> str:
+    """One line: how much of the session was simulated event by event.
+
+    ``exact`` unless the adaptive warp fired; then its fast-forwards,
+    the ones aborted on divergence, and the epochs they skipped.
+    """
+    report = result.warp
+    if report is None:
+        return "fidelity: exact"
+    return (
+        f"fidelity: adaptive, {len(report.events)} warp(s),"
+        f" {report.aborted} aborted, {report.epochs_skipped:.1f} epochs"
+        f" ({report.cycles_skipped:.0f} cycles) skipped"
+    )
+
+
 def render_session(result: ProfileResult, core_id: int = 0) -> str:
     lines = [
         f"PathFinder session: {result.num_epochs} epochs,"
-        f" {result.total_cycles:.0f} cycles, {len(result.flows)} mFlows"
+        f" {result.total_cycles:.0f} cycles, {len(result.flows)} mFlows",
+        _fidelity_line(result),
     ]
     for flow in result.flows:
         lines.append(

@@ -17,7 +17,9 @@ batch of them with:
   back as JSON session digests, so a worker crash can never poison the
   parent;
 * **robustness** - per-job wall-clock timeout (enforced by killing the
-  worker), bounded retry with exponential backoff, and typed failures:
+  worker, so a timed job always runs on the pool and ``parallel=False``
+  with a timeout is a ``ValueError``), bounded retry with exponential
+  backoff, and typed failures:
   a failed job - including one whose worker could not be started -
   yields a structured :class:`JobRecord` instead of crashing the sweep;
 * **observability** - per-job timing / event-count / cache-hit metrics
@@ -312,8 +314,22 @@ def run_campaign(
     the caller then owns its lifetime.  A pool that cannot start a
     worker fails the attempt as ``spawn_failed``; the job never falls
     back to running inline.
+
+    A ``timeout``, campaign-wide or on any job, needs a worker process
+    to kill, so it sends even a single job to the pool; with
+    ``parallel=False`` it raises ``ValueError`` rather than run
+    unenforced.
     """
     jobs = list(jobs)
+    # Timeout enforcement needs a worker process to kill.
+    wants_timeout = timeout is not None or any(
+        job.timeout is not None for job in jobs
+    )
+    if wants_timeout and not parallel:
+        raise ValueError(
+            "a timeout needs a pool worker to kill; parallel=False runs "
+            "jobs in-process and cannot enforce it"
+        )
     cache_obj = coerce_cache(cache)
     started = time.monotonic()
     if workers is None:
@@ -390,11 +406,6 @@ def run_campaign(
                 logger.warning("could not persist %s: %s", record.key, exc)
         return False
 
-    # Timeout enforcement needs a worker process to kill, so with
-    # parallel=True a wall-clock limit sends even one job to the pool.
-    wants_timeout = timeout is not None or any(
-        job.timeout is not None for job in jobs
-    )
     use_pool = parallel and len(pending) > 0 and (
         (workers > 1 and len(pending) > 1) or wants_timeout
     )

@@ -116,8 +116,9 @@ class CXLDevice:
             self.engine.after(self.unpack_latency, lambda: self._drain(buffer))
         else:
             # Packing buffer full: link-level credits would throttle the
-            # sender; retry shortly (back-pressure, never a drop).
-            self.engine.after(4.0, lambda: self.receive(request, respond))
+            # sender; it re-checks every 4 cycles and re-enters receive
+            # once a slot frees (back-pressure, never a drop).
+            buffer.poll_space(lambda: self.receive(request, respond))
 
     def _drain(self, buffer: MonitoredQueue) -> None:
         """Move the buffer head into the MC once the MC has room."""

@@ -5,15 +5,23 @@ The whole server is simulated as a network of queueing stages (the paper's
 *cycles* as a float; the machine configuration maps cycles to wall-clock
 time via its core frequency.
 
-Components never busy-wait: they schedule callbacks at absolute times, and
-anything that needs to block (a core stalled on a full buffer, a request
-waiting for a queue slot) parks itself on a :class:`Waiter` that the
-resource owner wakes.
+Components schedule callbacks at absolute times.  Most blocked work (a
+core stalled on a full buffer, a request waiting for a queue slot) parks
+itself on a :class:`Waiter` that the resource owner wakes.  Two senders
+busy-wait instead, re-trying every 4 cycles as link credits would pace
+them: a flit facing the CXL device's full packing buffer polls through
+:meth:`Engine.poll`, and a flit facing a full switch port
+(``CXLSwitch.forward_to_device`` / ``forward_to_host``) re-enters
+through :meth:`Engine.after`, because each attempt counts into
+``retried_down`` / ``retried_up``.
 
-The scheduler is one ``heapq`` of ``(time, seq, callback)`` entries, so
-events run in (time, insertion) order: same-time events run first-in
-first-out, including events a callback schedules at the running time.
-That order is all the stage network relies on.
+The scheduler is one ``heapq`` of ``(time, seq, callback)`` entries plus
+a FIFO of pending poll checks, so events run in (time, insertion) order:
+same-time events run first-in first-out, including events a callback
+schedules at the running time.  That order is all the stage network
+relies on.  Every check is armed at ``now + POLL_PERIOD`` and ``now``
+never decreases, so the FIFO is in (time, seq) order as appended, and
+the drain loop merges its head with the heap's.
 
 :meth:`Engine.fast_forward` supports the adaptive-fidelity warp
 (``repro.sim.warp``): it advances the clock by a delta while shifting every
@@ -27,13 +35,20 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Sized, Tuple
 
 #: Relative tolerance for scheduling "in the past": drift within this
 #: fraction of ``now`` (floored at the same absolute amount near zero) is
 #: treated as float round-off, not a logic error.
 _PAST_TOLERANCE = 1e-9
+
+_NEVER = float("inf")
+
+#: Cycles between two checks of an :meth:`Engine.poll` (the retry
+#: interval of a credit-throttled link sender).
+POLL_PERIOD = 4.0
 
 
 class SimulationBudgetExceeded(RuntimeError):
@@ -65,6 +80,7 @@ class Engine:
     __slots__ = (
         "now",
         "_heap",
+        "_polls",
         "_seq",
         "_events_executed",
         "_budget",
@@ -74,6 +90,9 @@ class Engine:
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
+        # Pending poll checks, (time, seq, items, limit, callback), in
+        # (time, seq) order.
+        self._polls: Deque[Tuple[float, int, Sized, int, Callable[[], None]]] = deque()
         self._seq = itertools.count()
         self._events_executed = 0
         # Absolute events_executed ceiling set by set_event_budget(); lets
@@ -119,6 +138,24 @@ class Engine:
         """
         heapq.heappush(self._heap, (self.now, next(self._seq), callback))
 
+    def poll(
+        self, items: Sized, limit: int, callback: Callable[[], None]
+    ) -> None:
+        """Run ``callback`` once ``len(items) < limit``, checking every
+        :data:`POLL_PERIOD` cycles.
+
+        The first check runs one period from now (the caller has just
+        found ``items`` full).  Each check is one event; a failed check
+        re-arms at ``now + POLL_PERIOD`` with a fresh sequence number, so
+        the schedule - times, (time, seq) order and ``events_executed`` -
+        is exactly that of an ``after(POLL_PERIOD, retry)`` chain whose
+        retry re-tests the length.  The drain loop runs the check itself,
+        without a call.
+        """
+        self._polls.append(
+            (self.now + POLL_PERIOD, next(self._seq), items, limit, callback)
+        )
+
     # -- budgets ------------------------------------------------------
 
     def set_event_budget(self, max_events: Optional[int]) -> None:
@@ -163,20 +200,41 @@ class Engine:
             call_ceiling = start + max_events
             if ceiling is None or call_ceiling < ceiling:
                 ceiling = call_ceiling
+        # Unset bounds become sentinels, so the drain loop pays one
+        # comparison per bound and no per-event ``is not None`` tests.
+        stop = _NEVER if until is None else until
+        if ceiling is None:
+            ceiling = sys.maxsize
         heap = self._heap
         heappop = heapq.heappop
-        while heap:
-            if until is not None and heap[0][0] > until:
-                self.now = until
-                return until
-            if ceiling is not None and self._events_executed >= ceiling:
+        polls = self._polls
+        rearm = polls.append
+        seq = self._seq
+        while heap or polls:
+            # Seqs are unique, so comparing two entries never reaches
+            # their third field.
+            is_poll = polls and (not heap or polls[0] < heap[0])
+            entry = polls[0] if is_poll else heap[0]
+            time = entry[0]
+            if time > stop:
+                self.now = stop
+                return stop
+            if self._events_executed >= ceiling:
                 raise SimulationBudgetExceeded(
                     self._events_executed - start, self.now
                 )
-            time, _, callback = heappop(heap)
             self.now = time
             self._events_executed += 1
-            callback()
+            if is_poll:
+                polls.popleft()
+                _, _, items, limit, callback = entry
+                if len(items) < limit:
+                    callback()
+                else:
+                    rearm((time + POLL_PERIOD, next(seq), items, limit, callback))
+            else:
+                heappop(heap)
+                entry[2]()
         if until is not None and self.now < until:
             self.now = until
         return self.now
@@ -203,6 +261,8 @@ class Engine:
         self._heap = [(time + delta, seq, callback)
                       for time, seq, callback in self._heap]
         heapq.heapify(self._heap)
+        self._polls = deque((time + delta, seq, items, limit, callback)
+                            for time, seq, items, limit, callback in self._polls)
 
     def elapsed(self, start: float, end: Optional[float] = None) -> float:
         """Simulated cycles in ``[start, end]`` excluding warped spans.
@@ -235,7 +295,7 @@ class Engine:
 
     @property
     def pending_events(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._polls)
 
     @property
     def events_executed(self) -> int:

@@ -157,6 +157,15 @@ class MonitoredQueue:
             self.observer.on_queue_push(self, item)
         return True
 
+    def poll_space(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` once the queue has room, re-checking every
+        :data:`~repro.sim.engine.POLL_PERIOD` cycles.
+
+        For a sender that retries on a fixed period instead of parking on
+        :attr:`space_waiter` (see :meth:`Engine.poll`).
+        """
+        self.engine.poll(self._items, self.capacity, callback)
+
     def push(self, item: Any) -> None:
         """Push that trusts the caller already checked ``full``."""
         if not self.try_push(item):
@@ -169,7 +178,9 @@ class MonitoredQueue:
         self.stats.on_remove(self.engine.now)
         if self.observer is not None:
             self.observer.on_queue_pop(self, item)
-        self.space_waiter.wake_one()
+        waiter = self.space_waiter
+        if waiter._waiting:
+            waiter.wake_one()
         return item
 
     def peek(self) -> Any:

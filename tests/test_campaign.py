@@ -84,6 +84,25 @@ def test_timeout_yields_structured_record_while_others_succeed():
     assert "wall-clock" in slow.error
 
 
+def test_serial_campaign_rejects_a_timeout_it_cannot_enforce():
+    timed_job = CampaignJob(spec=make_spec(), config=spr_config(),
+                            tag="timed", timeout=30.0)
+    with pytest.raises(ValueError, match="timeout"):
+        run_campaign([timed_job], parallel=False, cache=False)
+    plain_job = CampaignJob(spec=make_spec(), config=spr_config())
+    with pytest.raises(ValueError, match="timeout"):
+        run_campaign([plain_job], parallel=False, cache=False, timeout=30.0)
+
+
+def test_api_run_enforces_its_timeout_on_a_pool_worker():
+    spec = make_spec()
+    timed = api.run(spec, timeout=60.0)
+    assert api.counters(timed) == api.counters(api.run(spec))
+    # ~60k ops take seconds in-process; the worker is killed at 0.5 s.
+    with pytest.raises(RuntimeError, match="timeout"):
+        api.run(make_spec(num_ops=60_000, seed=13), timeout=0.5)
+
+
 def test_worker_exception_is_reported_not_raised():
     # core 5 does not exist on a 2-core machine: the worker raises during
     # installation and the campaign reports it instead of crashing.

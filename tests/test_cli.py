@@ -131,6 +131,19 @@ def test_campaign_all_failed_exits_nonzero(capsys, monkeypatch):
     assert "campaign FAILED" in out
 
 
+def test_campaign_serial_timeout_is_a_usage_error(capsys, tmp_path):
+    # --serial runs jobs in-process, where no worker can be killed.
+    rc = main([
+        "campaign", "--app", "541.leela_r", "--node", "local",
+        "--ops", "100", "--serial", "--timeout", "5",
+        "--cache-dir", str(tmp_path / "cache"),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "--timeout" in captured.err
+    assert "campaign:" not in captured.out
+
+
 def test_trace_verb_prints_stage_table(capsys, tmp_path):
     out_path = tmp_path / "trace.json"
     rc = main([

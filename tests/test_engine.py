@@ -4,8 +4,9 @@ The stage network relies on one ordering contract: events run in
 (time, insertion) order, so equal-timestamp events are FIFO, including
 events a callback schedules at the running time.  Around it sit the
 sub-epsilon past-drift clamp, event budgets that compose across resumed
-``run()`` calls, and ``fast_forward``, which shifts every pending event
-by the warp delta.
+``run()`` calls, ``fast_forward``, which shifts every pending event by
+the warp delta, and ``poll``, which must schedule exactly like the
+``after`` retry chain it replaces.
 """
 
 from hypothesis import given, settings
@@ -331,3 +332,89 @@ def test_fast_forward_shifts_every_pending_event(times, split, delta):
     for (_, old), (_, _, since_zero, since_split) in zip(after, seen[ran:]):
         assert since_zero == old
         assert since_split == old - split
+
+
+# -- poll: the same schedule as an after() retry chain -----------------------
+
+
+def _drive_producers(retry, plan, capacity, service, phases):
+    """Feed producers into a bounded queue; return the execution log.
+
+    Each producer pushes its items ``gap`` cycles apart; a push into the
+    full queue retries every 4 cycles, through ``after(4.0, ...)`` when
+    ``retry`` is ``"after"`` and through the poll primitive when it is
+    ``"poll"``.  A consumer pops one item every ``service`` cycles.
+    Between ``run(until=...)`` calls the engine may ``fast_forward``.
+    """
+    from repro.sim.queues import MonitoredQueue
+
+    engine = Engine()
+    queue = MonitoredQueue(engine, capacity, name="q")
+    log = []
+    total = sum(count for _, count, _ in plan)
+    popped = [0]
+
+    def consume():
+        if queue.empty:
+            log.append(("idle", engine.now))
+        else:
+            log.append(("pop", engine.now, queue.pop()))
+            popped[0] += 1
+        if popped[0] < total:
+            engine.after(service, consume)
+
+    def send(producer, index, count, gap):
+        if queue.try_push((producer, index)):
+            log.append(("push", engine.now, producer, index))
+            if index + 1 < count:
+                engine.after(gap, lambda: send(producer, index + 1, count, gap))
+        elif retry == "after":
+            engine.after(4.0, lambda: send(producer, index, count, gap))
+        else:
+            queue.poll_space(lambda: send(producer, index, count, gap))
+
+    for producer, (start, count, gap) in enumerate(plan):
+        engine.at(start, lambda p=producer, c=count, g=gap: send(p, 0, c, g))
+    engine.at(0.0, consume)
+    try:
+        for span, delta in phases:
+            engine.run(until=engine.now + span, max_events=5_000)
+            log.append(("phase", engine.now, engine.pending_events))
+            engine.fast_forward(delta)
+        engine.run(max_events=5_000)
+    except SimulationBudgetExceeded as exc:
+        log.append(("budget", exc.events_executed, engine.now))
+    return log, engine.events_executed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    plan=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.0, 1.0, 2.5, 4.0, 6.25]),
+            st.integers(min_value=1, max_value=6),
+            st.sampled_from([0.0, 0.5, 1.0, 4.0, 5.75]),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    capacity=st.integers(min_value=1, max_value=3),
+    service=st.sampled_from([1.0, 2.5, 4.0, 6.0, 9.5]),
+    phases=st.lists(
+        st.tuples(
+            st.sampled_from([1.0, 3.5, 8.0, 13.0, 30.0]),
+            st.sampled_from([0.0, 2.0, 7.25, 1000.0]),
+        ),
+        max_size=3,
+    ),
+)
+def test_poll_schedule_matches_after_retry_chain(plan, capacity, service, phases):
+    """The poll primitive is a cheaper spelling of the same retry chain.
+
+    Same pushes and pops at the same times in the same order, the same
+    ``events_executed``, across ``fast_forward`` warps with polls still
+    pending.  Times and deltas are dyadic, so every sum is exact.
+    """
+    after = _drive_producers("after", plan, capacity, service, phases)
+    poll = _drive_producers("poll", plan, capacity, service, phases)
+    assert poll == after

@@ -138,3 +138,29 @@ def test_render_campaign_reports_spawn_failures_as_failed_attempts():
     assert "pool: 2 worker spawn failure(s)" in text
     assert "in-process" not in text  # nothing fell back to running inline
     assert text.count("spawn_failed") == 2  # the job row and the pool line
+
+
+def test_render_session_states_exact_fidelity():
+    from repro.core.profiler import ProfileResult
+    from repro.core.report import render_session
+
+    text = render_session(ProfileResult(total_cycles=1000.0))
+    assert text.splitlines()[1] == "fidelity: exact"
+
+
+def test_render_session_states_adaptive_warps_aborts_and_skipped_epochs():
+    from repro.core.profiler import ProfileResult
+    from repro.core.report import render_session
+    from repro.sim.warp import WarpEvent, WarpReport
+
+    warp = WarpReport(events=[
+        WarpEvent(epoch=4, t_start=20_000.0, t_end=60_000.0,
+                  epochs_skipped=8.0, ops_skipped=900, verified=True),
+        WarpEvent(epoch=14, t_start=70_000.0, t_end=80_000.0,
+                  epochs_skipped=2.0, ops_skipped=200, verified=False),
+    ])
+    text = render_session(ProfileResult(total_cycles=90_000.0, warp=warp))
+    assert text.splitlines()[1] == (
+        "fidelity: adaptive, 2 warp(s), 1 aborted, 10.0 epochs"
+        " (50000 cycles) skipped"
+    )
