@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench figures docs campaign-smoke trace-smoke serve-smoke fleet-smoke fabric-smoke durable-smoke live-smoke sweeps clean
+.PHONY: install test bench figures docs campaign-smoke trace-smoke serve-smoke fleet-smoke durable-smoke live-smoke sweeps clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -30,9 +30,6 @@ serve-smoke:
 
 fleet-smoke:
 	$(PYTHON) scripts/fleet_smoke.py
-
-fabric-smoke:
-	$(PYTHON) scripts/fabric_smoke.py
 
 durable-smoke:
 	$(PYTHON) scripts/durable_smoke.py

@@ -316,58 +316,17 @@ class PFAnalyzer:
     def _fabric_ports(
         self, delta: Dict[Tuple[str, str], float], clocks: float
     ) -> List[FabricPortEstimate]:
-        """One estimate per switch output port, from ``unc_cxlsw_*``.
-
-        Understands both counter layouts: the multi-host fabric's
-        per-port events (scope ``cxlsw.<switch>``, ``unc_cxlsw_fwd.<port>``)
-        and the one-tier :class:`~repro.sim.cxl_switch.CXLSwitch`'s
-        directional events (scope-level ``unc_cxlsw_fwd_{down,up}``
-        apportioned over that direction's ports by occupancy share)."""
-        scopes: Dict[str, Dict[str, float]] = {}
+        """One estimate per switch output port, from the per-port
+        ``unc_cxlsw_*.<port>`` events under scope ``cxlsw.<switch>``."""
+        switches: Dict[str, Dict[str, Dict[str, float]]] = {}
         for (scope, event), value in delta.items():
-            if scope.startswith("cxlsw"):
-                scopes.setdefault(scope, {})[event] = value
-        out: List[FabricPortEstimate] = []
-        for scope in sorted(scopes):
-            events = scopes[scope]
-            switch = scope.split(".", 1)[1] if "." in scope else scope
-            per_port: Dict[str, Dict[str, float]] = {}
-            legacy: Dict[str, List[str]] = {"down": [], "up": []}
-            for event, value in events.items():
-                if "." not in event:
-                    continue
+            if scope.startswith("cxlsw.") and "." in event:
                 stem, port = event.split(".", 1)
-                if stem.startswith("unc_cxlsw_down_") or stem.startswith(
-                    "unc_cxlsw_up_"
-                ):
-                    _, _, direction, measure = stem.split("_", 3)
-                    port_key = f"{direction}.{port}"
-                    if port_key not in per_port:
-                        per_port[port_key] = {}
-                        legacy[direction].append(port_key)
-                    per_port[port_key][measure] = value
-                else:
-                    measure = stem[len("unc_cxlsw_"):]
-                    per_port.setdefault(port, {})[measure] = value
-            # Legacy scopes publish forwarded/retry per direction only:
-            # spread the aggregate over that direction's ports by
-            # occupancy share (equal split when all ports sat empty).
-            for direction, port_keys in legacy.items():
-                if not port_keys:
-                    continue
-                fwd = events.get(f"unc_cxlsw_fwd_{direction}", 0.0)
-                retry = events.get(f"unc_cxlsw_retry_{direction}", 0.0)
-                occ_total = sum(
-                    per_port[k].get("occupancy", 0.0) for k in port_keys
-                )
-                for key in port_keys:
-                    occ = per_port[key].get("occupancy", 0.0)
-                    share = (
-                        occ / occ_total if occ_total > 0
-                        else 1.0 / len(port_keys)
-                    )
-                    per_port[key]["fwd"] = fwd * share
-                    per_port[key]["retry"] = retry * share
+                per_port = switches.setdefault(scope[len("cxlsw."):], {})
+                per_port.setdefault(port, {})[stem[len("unc_cxlsw_"):]] = value
+        out: List[FabricPortEstimate] = []
+        for switch in sorted(switches):
+            per_port = switches[switch]
             for port in sorted(per_port):
                 measures = per_port[port]
                 occupancy = measures.get("occupancy", 0.0)

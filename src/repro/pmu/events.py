@@ -183,20 +183,6 @@ UNCORE_EVENTS: List[EventSpec] = [
        "FlexBus serialisation queue occupancy, both directions"),
     _E("unc_m2p_link_cycles_ne", "uncore", "per-socket", "cycles",
        ("DRd", "RFO", "HWPF", "DWr")),
-    _E("unc_cxlsw_fwd_down", "uncore", "per-socket", "event",
-       ("DRd", "RFO", "HWPF", "DWr"),
-       "Fabric-switch flits forwarded toward devices (extension)"),
-    _E("unc_cxlsw_fwd_up", "uncore", "per-socket", "event",
-       ("DRd", "RFO", "HWPF", "DWr"),
-       "Fabric-switch flits forwarded toward hosts (extension)"),
-    _E("unc_cxlsw_retry_down", "uncore", "per-socket", "event",
-       ("DRd", "RFO", "HWPF", "DWr"),
-       "Device-direction submissions throttled by full port queues"
-       " (extension)"),
-    _E("unc_cxlsw_retry_up", "uncore", "per-socket", "event",
-       ("DRd", "RFO", "HWPF", "DWr"),
-       "Host-direction submissions throttled by full port queues"
-       " (extension)"),
     _E("unc_cxlsw_occupancy", "uncore", "per-switch-port", "occupancy",
        ("DRd", "RFO", "HWPF", "DWr"),
        "Fabric switch output-port queue occupancy, per port (extension)"),

@@ -10,7 +10,6 @@ the PMU counters of the paper's Tables 1-4.
 from .address import AddressSpace, NodeKind, NumaNode, PAGE_SIZE, build_address_space
 from .cache import Cache, MESIF
 from .engine import Engine, SimulationBudgetExceeded, Waiter
-from .cxl_switch import CXLSwitch, attach_switch
 from .fabric import (
     FABRIC_PRESETS,
     Fabric,
@@ -39,7 +38,6 @@ __all__ = [
     "AddressSpace",
     "CACHELINE",
     "CXLOpcode",
-    "CXLSwitch",
     "Cache",
     "DevLoadThrottler",
     "Engine",
@@ -68,7 +66,6 @@ __all__ = [
     "Waiter",
     "apply_fabric",
     "attach_fabric",
-    "attach_switch",
     "build_address_space",
     "emr_config",
     "preset_fabric",

@@ -7,13 +7,10 @@ time via its core frequency.
 
 Components schedule callbacks at absolute times.  Most blocked work (a
 core stalled on a full buffer, a request waiting for a queue slot) parks
-itself on a :class:`Waiter` that the resource owner wakes.  Two senders
-busy-wait instead, re-trying every 4 cycles as link credits would pace
-them: a flit facing the CXL device's full packing buffer polls through
-:meth:`Engine.poll`, and a flit facing a full switch port
-(``CXLSwitch.forward_to_device`` / ``forward_to_host``) re-enters
-through :meth:`Engine.after`, because each attempt counts into
-``retried_down`` / ``retried_up``.
+itself on a :class:`Waiter` that the resource owner wakes.  The one
+busy-wait is a flit facing the CXL device's full packing buffer: it
+polls through :meth:`Engine.poll`, re-trying every 4 cycles as link
+credits would pace its sender.
 
 The scheduler is one ``heapq`` of ``(time, seq, callback)`` entries plus
 a FIFO of pending poll checks, so events run in (time, insertion) order:

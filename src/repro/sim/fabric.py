@@ -2,11 +2,12 @@
 
 The paper's evaluation stops at directly-attached Type-3 devices, but its
 introduction motivates multi-tier switched pools ("a disaggregated memory
-pool can provide tens to hundreds of terabytes").  This module generalises
-the one-tier :class:`~repro.sim.cxl_switch.CXLSwitch` into an arbitrary
-fabric graph: hosts x switches x pooled Type-3 devices, described
-declaratively by a :class:`FabricSpec` and compiled into a routed mesh of
-output-serialised :class:`~repro.sim.cxl_switch.SwitchPort` stages.
+pool can provide tens to hundreds of terabytes").  This module models
+that step as a fabric graph: hosts x switches x pooled Type-3 devices,
+described declaratively by a :class:`FabricSpec` and compiled into a
+routed mesh of output-serialised :class:`SwitchPort` stages.  A single
+switch in front of one host is the same graph with one host, one switch
+and N devices.
 
 Model
 -----
@@ -51,17 +52,13 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..pmu.registry import CounterRegistry
 from .cxl_device import CXLDevice
-from .cxl_switch import SwitchPort
 from .engine import Engine
+from .queues import MonitoredQueue, Server
 from .request import MemRequest, Path
 
 #: Extra bytes a PBR (port-based routing) flit carries per switch hop: the
 #: 256B-mode header grows a destination-port id for multi-tier routing.
 PBR_HOP_OVERHEAD_BYTES = 4.0
-
-#: Mirrors :data:`repro.sim.topology.FLIT_MODES` (kept literal to avoid an
-#: import cycle; the two are cross-checked by the fabric tests).
-_FLIT_MODE_NAMES = ("68B", "256B", "PBR")
 
 
 # -- declarative spec --------------------------------------------------------
@@ -152,10 +149,13 @@ class FabricSpec:
             raise ValueError("fabric needs at least one switch")
         if not devices:
             raise ValueError("fabric needs at least one device")
-        if self.flit_mode not in _FLIT_MODE_NAMES:
+        # Function-local: topology imports this module at load time.
+        from .topology import FLIT_MODES
+
+        if self.flit_mode not in FLIT_MODES:
             raise ValueError(
                 f"unknown flit mode {self.flit_mode!r};"
-                f" choose from {sorted(_FLIT_MODE_NAMES)}"
+                f" choose from {sorted(FLIT_MODES)}"
             )
         names: List[str] = (
             [h.name for h in hosts] + [s.name for s in switches] + list(devices)
@@ -310,6 +310,36 @@ def _shortest_path(adjacency: Dict[str, List[str]], src: str, dst: str,
 
 
 # -- compiled fabric ---------------------------------------------------------
+
+
+class SwitchPort:
+    """One output-serialised direction of the crossbar."""
+
+    def __init__(
+        self,
+        engine: Engine,
+        name: str,
+        bytes_per_cycle: float,
+        forward_latency: float,
+        queue_depth: int = 128,
+    ) -> None:
+        self.engine = engine
+        self.forward_latency = forward_latency
+        self.queue = MonitoredQueue(engine, queue_depth, name=name)
+        self._server = Server(
+            engine,
+            self.queue,
+            service_time=lambda item: item[0] / bytes_per_cycle,
+            on_done=self._forward,
+            name=name,
+        )
+
+    def _forward(self, item) -> None:
+        _flit_bytes, deliver = item
+        self.engine.after(self.forward_latency, deliver)
+
+    def send(self, flit_bytes: float, deliver: Callable[[], None]) -> bool:
+        return self._server.submit((flit_bytes, deliver))
 
 
 class FabricSwitch:
@@ -596,16 +626,11 @@ def attach_fabric(machine, spec: FabricSpec) -> Fabric:
     """Interpose a compiled fabric between a machine's root ports and its
     CXL devices, and boot the background injector hosts.
 
-    Raises if a fabric or a one-tier switch is already attached (the shims
-    must wrap the raw device exactly once).
+    Raises if a fabric is already attached (the shims must wrap the raw
+    device exactly once).
     """
     if getattr(machine, "fabric", None) is not None:
         raise RuntimeError("machine already has a fabric attached")
-    if getattr(machine, "cxl_switch", None) is not None:
-        raise RuntimeError(
-            "machine already routes CXL traffic through attach_switch(); "
-            "a fabric cannot be layered on top"
-        )
     node_ids = sorted(machine.m2pcie)
     if len(spec.devices) != len(node_ids):
         raise ValueError(

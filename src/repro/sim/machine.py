@@ -126,8 +126,7 @@ class Machine:
             for core_id in range(self.config.num_cores)
         ]
         self._active = 0
-        # CXL interconnect attachments (at most one of the two).
-        self.cxl_switch = None
+        # The switched CXL fabric, once attach_fabric wires one in.
         self.fabric = None
         if self.config.fabric is not None:
             from .fabric import attach_fabric

@@ -54,7 +54,8 @@ class MachineConfig:
 
     name: str = "spr"
     # This machine's identity on a multi-host fabric (numactl -H hostname
-    # analogue); attach_switch/attach_fabric key upstream traffic by it.
+    # analogue); attach_fabric keys upstream traffic by it when the fabric
+    # has a host of that name (FabricSpec.primary).
     host_id: str = "host0"
     frequency_ghz: float = 2.0
     num_cores: int = 4

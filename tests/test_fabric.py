@@ -1,6 +1,9 @@
-"""Tests for the multi-host switched CXL fabric (repro.sim.fabric)."""
+"""Tests for the switched CXL fabric (repro.sim.fabric), from one host
+behind one switch to multi-host, multi-tier pools."""
 
+import dataclasses
 import json
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from repro.core import AppSpec, PathFinder, ProfileSpec
 from repro.pmu.registry import CounterRegistry
 from repro.sim import (
+    FLIT_MODES,
     Engine,
     FabricSpec,
     HostSpec,
@@ -16,11 +20,10 @@ from repro.sim import (
     SwitchSpec,
     apply_fabric,
     attach_fabric,
-    attach_switch,
     preset_fabric,
     spr_config,
 )
-from repro.workloads import SequentialStream
+from repro.workloads import RandomAccess, SequentialStream
 
 
 def one_switch_spec(**switch_overrides) -> FabricSpec:
@@ -29,6 +32,17 @@ def one_switch_spec(**switch_overrides) -> FabricSpec:
         switches=(SwitchSpec("sw0", **switch_overrides),),
         devices=("dev0",),
         links=(("host0", "sw0"), ("host1", "sw0"), ("sw0", "dev0")),
+    )
+
+
+def one_host_spec(num_devices: int = 1, **switch_overrides) -> FabricSpec:
+    """One switch between the machine and ``num_devices`` devices."""
+    devices = tuple(f"dev{i}" for i in range(num_devices))
+    return FabricSpec(
+        hosts=(HostSpec("host0"),),
+        switches=(SwitchSpec("sw0", **switch_overrides),),
+        devices=devices,
+        links=(("host0", "sw0"),) + tuple(("sw0", d) for d in devices),
     )
 
 
@@ -91,6 +105,14 @@ def test_spec_normalises_plain_strings():
     )
     assert spec.hosts[0] == HostSpec("host0")
     assert spec.switches[0].queue_depth == 128
+
+
+def test_spec_accepts_exactly_the_topology_flit_modes():
+    spec = one_host_spec()
+    for mode in FLIT_MODES:
+        assert dataclasses.replace(spec, flit_mode=mode).flit_mode == mode
+    with pytest.raises(ValueError, match="flit mode"):
+        dataclasses.replace(spec, flit_mode="1024B")
 
 
 def test_unknown_preset_raises():
@@ -235,13 +257,6 @@ def test_attach_fabric_is_exclusive():
     attach_fabric(machine, preset_fabric("pooled"))
     with pytest.raises(RuntimeError):
         attach_fabric(machine, preset_fabric("pooled"))
-    with pytest.raises(RuntimeError):
-        attach_switch(machine)
-
-    switched = Machine(spr_config(num_cores=2))
-    attach_switch(switched)
-    with pytest.raises(RuntimeError):
-        attach_fabric(switched, preset_fabric("pooled"))
 
 
 def test_attach_fabric_checks_device_count():
@@ -256,6 +271,147 @@ def test_apply_fabric_grows_device_count():
     )
     assert config.num_cxl_devices == 3
     assert apply_fabric(config, None) is config
+
+
+def test_primary_host_follows_machine_host_id():
+    """The machine plays the fabric host named by its
+    ``MachineConfig.host_id`` unless the spec pins ``primary_host``; any
+    other injecting host becomes background load."""
+
+    def attach(primary_host: str):
+        spec = FabricSpec(
+            hosts=(HostSpec("host0", inject_ops=100), HostSpec("hostA")),
+            switches=(SwitchSpec("sw0"),),
+            devices=("dev0",),
+            links=(("host0", "sw0"), ("hostA", "sw0"), ("sw0", "dev0")),
+            primary_host=primary_host,
+        )
+        config = spr_config(num_cores=2, host_id="hostA")
+        machine = Machine(apply_fabric(config, spec))
+        host_keys = {port.device.host_key for port in machine.m2pcie.values()}
+        injectors = [i.host.name for i in machine.fabric.injectors]
+        return host_keys, injectors
+
+    assert attach("") == ({"hostA"}, ["host0"])
+    assert attach("host0") == ({"host0"}, [])
+
+
+# -- one host behind one switch ----------------------------------------------
+
+
+def run_cxl(fabric: Optional[FabricSpec], workload=None) -> Machine:
+    """Run one core's CXL-bound workload to completion behind ``fabric``
+    (``None``: direct attach), striped over the fabric's devices."""
+    machine = Machine(apply_fabric(spr_config(num_cores=2), fabric))
+    if workload is None:
+        workload = RandomAccess(
+            num_ops=2000, working_set_bytes=1 << 22, read_ratio=0.9,
+            gap=2.0, seed=5,
+        )
+    node_ids = [n.node_id for n in machine.address_space.cxl_nodes]
+    if len(node_ids) == 1:
+        workload.install(machine, node_ids[0])
+    else:
+        workload.install_striped(machine, node_ids)
+    machine.pin(0, iter(workload))
+    machine.run(max_events=40_000_000)
+    assert machine.all_idle
+    return machine
+
+
+def _cxl_latency(machine) -> float:
+    snap = machine.snapshot_counters()
+    count = snap.get(("core0", "lat_sample.CXL_DRAM.count"), 0.0)
+    total = snap.get(("core0", "lat_sample.CXL_DRAM.sum"), 0.0)
+    assert count > 0
+    return total / count
+
+
+def _root_port_inserts(snap) -> float:
+    return sum(
+        v for (s, e), v in snap.items() if e == "unc_m2p_rxc_inserts.all"
+    )
+
+
+def test_one_host_switch_adds_latency():
+    direct = _cxl_latency(run_cxl(None))
+    assert _cxl_latency(run_cxl(one_host_spec())) > direct + 50.0
+
+
+def test_one_host_switch_conserves_flits():
+    machine = run_cxl(one_host_spec())
+    inserts = _root_port_inserts(machine.snapshot_counters())
+    assert inserts > 0
+    # Everything the root port sent transited the switch, both ways.
+    assert machine.fabric.switches["sw0"].forwarded == {
+        "host0": inserts, "dev0": inserts,
+    }
+
+
+def test_one_host_switch_port_counters_in_pmu():
+    machine = run_cxl(one_host_spec())
+    switch = machine.fabric.switches["sw0"]
+    snap = machine.snapshot_counters()
+    for port in ("host0", "dev0"):
+        assert snap[("cxlsw.sw0", f"unc_cxlsw_fwd.{port}")] == (
+            switch.forwarded[port]
+        )
+        assert ("cxlsw.sw0", f"unc_cxlsw_occupancy.{port}") in snap
+
+
+def test_one_host_switch_routes_multiple_devices():
+    machine = run_cxl(one_host_spec(num_devices=2))
+    forwarded = machine.fabric.switches["sw0"].forwarded
+    assert forwarded["dev0"] > 0 and forwarded["dev1"] > 0
+    snap = machine.snapshot_counters()
+    per_device = [
+        snap.get((f"m2pcie{n.node_id}", "unc_m2p_rxc_inserts.all"), 0.0)
+        for n in machine.address_space.cxl_nodes
+    ]
+    assert len(per_device) == 2 and all(v > 0 for v in per_device)
+
+
+def test_one_host_switch_accounting_under_saturation():
+    """unc_cxlsw_fwd.* counts delivered flits, never attempts: a port
+    driven past queue_depth parks its flits without re-counting them, and
+    the retry counters tick instead."""
+    machine = run_cxl(
+        one_host_spec(bytes_per_cycle=1.0, queue_depth=2),
+        SequentialStream(
+            num_ops=1500, working_set_bytes=1 << 21, gap=0.5, seed=11,
+        ),
+    )
+    switch = machine.fabric.switches["sw0"]
+    snap = machine.snapshot_counters()
+    # Exactly one forward per flit the root port sent, despite retries.
+    assert switch.forwarded["dev0"] == _root_port_inserts(snap)
+    assert switch.retries["dev0"] > 0
+    for port in ("host0", "dev0"):
+        assert snap[("cxlsw.sw0", f"unc_cxlsw_retry.{port}")] == (
+            switch.retries[port]
+        )
+        assert snap[("cxlsw.sw0", f"unc_cxlsw_fwd.{port}")] == (
+            switch.forwarded[port]
+        )
+
+
+def test_profiler_runs_unchanged_over_switched_fabric():
+    """PathFinder needs no changes: the switch is just more uncore latency
+    visible through the same counters."""
+    machine = Machine(apply_fabric(spr_config(num_cores=2), one_host_spec()))
+    workload = SequentialStream(
+        num_ops=4000, working_set_bytes=1 << 21, read_ratio=0.8, seed=7,
+    )
+    app = AppSpec(workload=workload, core=0,
+                  membind=machine.cxl_node.node_id)
+    result = PathFinder(
+        machine, ProfileSpec(apps=[app], epoch_cycles=25_000.0)
+    ).run()
+    assert result.num_epochs >= 1
+    assert result.final.path_map.cxl_hits() > 0
+    shares = result.final.stalls.shares("DRd")
+    # The fabric time lands in the FlexBus+MC / DIMM buckets.
+    assert shares["FlexBus+MC"] + shares["CXL_DIMM"] > 0.3
 
 
 def _fabric_session(inject_ops: int):
@@ -277,11 +433,7 @@ def _fabric_session(inject_ops: int):
     result = PathFinder(
         machine, ProfileSpec(apps=[app], epoch_cycles=25_000.0)
     ).run()
-    snap = machine.snapshot_counters()
-    count = snap.get(("core0", "lat_sample.CXL_DRAM.count"), 0.0)
-    total = snap.get(("core0", "lat_sample.CXL_DRAM.sum"), 0.0)
-    assert count > 0
-    return machine, result, total / count
+    return machine, result, _cxl_latency(machine)
 
 
 def test_pooling_neighbour_inflates_cxl_latency():
@@ -332,19 +484,41 @@ def test_campaign_distinguishes_fabric_congestion_from_device_bound():
     through api.run_many - the report names the fabric in one scenario
     and the device in the other."""
     from repro import api
+    from repro.core.report import render_fabric
     from repro.exec import congestion_ab_jobs
+
+    def total(counters, scope_prefix, event_prefix) -> float:
+        return sum(
+            v for (s, e), v in counters.items()
+            if s.startswith(scope_prefix) and e.startswith(event_prefix)
+        )
 
     jobs = congestion_ab_jobs("fft", ops=2000)
     campaign = api.run_many(jobs, parallel=False, cache=False, retries=0)
     assert all(record.ok for record in campaign.jobs)
-    verdicts = {}
+    verdicts, verdict_lines, retries = {}, {}, {}
     for record, result in zip(campaign.jobs, campaign.results):
-        diagnosis = result.final.queues.fabric_diagnosis()
+        report = result.final.queues
+        diagnosis = report.fabric_diagnosis()
         assert diagnosis is not None
         verdicts[record.tag] = diagnosis
+        verdict_lines[record.tag] = [
+            line for line in render_fabric(report).splitlines()
+            if line.startswith(f"verdict: {diagnosis.verdict} ")
+        ]
+        # Switch ports forwarded flits and the neighbour host injected.
+        counters = api.counters(result)
+        assert total(counters, "cxlsw.", "unc_cxlsw_fwd.") > 0
+        assert total(counters, "fabric", "host_injected.") > 0
+        retries[record.tag] = total(counters, "cxlsw.", "unc_cxlsw_retry.")
     assert verdicts["fabric-congested"].verdict == "fabric-congested"
     assert verdicts["fabric-congested"].congested_port.switch == "sw0"
     assert verdicts["device-bound"].verdict == "device-bound"
+    # The saturated switch throttled, and the report names its port.
+    assert retries["fabric-congested"] > 0
+    assert len(verdict_lines["device-bound"]) == 1
+    (congested_line,) = verdict_lines["fabric-congested"]
+    assert " at sw0:" in congested_line
 
 
 def test_run_options_fabric_plumbs_through():
