@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench figures docs campaign-smoke trace-smoke serve-smoke fleet-smoke durable-smoke live-smoke sweeps clean
+.PHONY: install test bench figures docs sweeps clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -18,24 +18,6 @@ figures:
 
 docs:
 	$(PYTHON) scripts/gen_counter_docs.py
-
-campaign-smoke:
-	$(PYTHON) scripts/campaign_smoke.py --workers 4
-
-trace-smoke:
-	$(PYTHON) scripts/trace_smoke.py
-
-serve-smoke:
-	$(PYTHON) scripts/serve_smoke.py
-
-fleet-smoke:
-	$(PYTHON) scripts/fleet_smoke.py
-
-durable-smoke:
-	$(PYTHON) scripts/durable_smoke.py
-
-live-smoke:
-	$(PYTHON) scripts/live_smoke.py
 
 sweeps:
 	$(PYTHON) scripts/sweep_local_vs_cxl.py

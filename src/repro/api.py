@@ -31,12 +31,7 @@ from .core.diff import SessionDiff, compare_sessions
 from .core.profiler import PathFinder, ProfileResult
 from .core.spec import ProfileSpec
 from .exec.cache import ResultCache, coerce_cache
-from .exec.runner import (
-    CampaignJob,
-    CampaignResult,
-    expand_duplicates,
-    run_campaign,
-)
+from .exec.runner import CampaignJob, CampaignResult, run_campaign
 from .options import UNSET, RunOptions, apply_trace, resolve_options
 from .sim.fabric import apply_fabric
 from .sim.machine import Machine
@@ -290,7 +285,7 @@ def run_many(
                   "shared_cache": None, "fidelity": "exact"},
     )
     jobs = _collect_jobs(specs, config, tags, opts)
-    campaign = run_campaign(
+    return run_campaign(
         jobs,
         workers=workers,
         parallel=parallel,
@@ -298,8 +293,6 @@ def run_many(
         timeout=opts["timeout"],
         retries=opts["retries"],
     )
-    expand_duplicates(campaign)
-    return campaign
 
 
 def fleet_run_many(

@@ -567,7 +567,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def _main() -> None:
         await daemon.start()
-        # Machine-readable (smoke scripts resolve --port 0 from this).
+        # Machine-readable: tests/test_durable_serve.py resolves --port 0
+        # from this line.
         print(f"listening on http://{daemon.host}:{daemon.port}",
               flush=True)
         await daemon.serve_forever()

@@ -154,8 +154,14 @@ def result_from_document(document: Dict) -> ProfileResult:
     Counter deltas, flows and total cycles are exactly the stored values;
     the derived per-epoch analyses (path map, stall breakdown, queue
     report) are recomputed by re-running the techniques on the stored
-    snapshots, which is what makes content-addressed cache hits
-    indistinguishable from fresh runs.
+    snapshots.  A campaign run (``api.run`` without a machine,
+    ``run_many``) returns its fresh result through this function too, so
+    its cache hits are indistinguishable from fresh runs.  An in-process
+    result (``api.run(machine=...)``, live runs, ``pathfinder run``) is
+    not: the document drops zero-valued counter deltas, so the rebuilt
+    analyses lose zero-valued rows - the ``cxl_traffic`` row of a
+    local-bound session, and idle switch ports such as a pooled fabric's
+    ``host1``.
     """
     from .analyzer import PFAnalyzer
     from .builder import PFBuilder

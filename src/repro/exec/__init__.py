@@ -37,7 +37,6 @@ from .runner import (
     CampaignJob,
     CampaignResult,
     JobRecord,
-    expand_duplicates,
     run_campaign,
 )
 from .scenarios import congestion_ab_jobs, fabric_matrix_jobs
@@ -58,7 +57,6 @@ __all__ = [
     "congestion_ab_jobs",
     "cxl_node_id",
     "default_cache",
-    "expand_duplicates",
     "fabric_matrix_jobs",
     "job_key",
     "local_node_id",

@@ -24,7 +24,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from ..core.persistence import result_from_document, result_to_document
+from ..core.persistence import result_from_document
 from ..core.profiler import ProfileResult
 
 logger = logging.getLogger(__name__)
@@ -74,8 +74,15 @@ class ResultCache:
     def get(self, key: str) -> Optional[ProfileResult]:
         """Return the cached result, or None on miss/corruption."""
         entry = self.get_entry(key)
-        if entry is None:
-            return None
+        return None if entry is None else self.decode(key, entry)
+
+    def decode(self, key: str,
+               entry: Dict[str, Any]) -> Optional[ProfileResult]:
+        """The result in ``key``'s :meth:`get_entry` entry, or None.
+
+        An entry whose session will not rebuild is dropped and recounted
+        as a miss, so the caller recomputes it.
+        """
         try:
             return result_from_document(entry["session"])
         except Exception as exc:  # corrupt entry: recompute, don't crash
@@ -124,14 +131,6 @@ class ResultCache:
         self._touch(path)
         return entry
 
-    def meta(self, key: str) -> Optional[Dict[str, Any]]:
-        """The metadata stored next to an entry (tag, timings, ...)."""
-        path = self._path(key)
-        try:
-            return json.loads(path.read_text()).get("meta", {})
-        except Exception:
-            return None
-
     @staticmethod
     def _touch(path: Path) -> None:
         """Refresh an entry's mtime (LRU recency for :meth:`prune`)."""
@@ -142,22 +141,13 @@ class ResultCache:
 
     # -- write -----------------------------------------------------------
 
-    def put(
-        self,
-        key: str,
-        result: ProfileResult,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> Path:
-        """Store ``result`` under ``key`` atomically; first writer wins."""
-        return self.put_document(key, result_to_document(result), meta)
-
     def put_document(
         self,
         key: str,
         session_document: Dict[str, Any],
         meta: Optional[Dict[str, Any]] = None,
     ) -> Path:
-        """Store an already-digested session (what workers ship back).
+        """Store a session document under ``key``; first writer wins.
 
         Writes go to a temp file that is hard-linked into place, which is
         atomic *and* exclusive: when two writers race on one key, exactly

@@ -346,15 +346,17 @@ def run_campaign(
     pending: deque = deque()
     resolved_keys: Dict[str, int] = {}
     for i, (job, record) in enumerate(zip(jobs, records)):
-        cached = (
-            cache_obj.get(record.key)
+        entry = (
+            cache_obj.get_entry(record.key)
             if cache_obj is not None and job.cacheable
             else None
         )
+        cached = (None if entry is None
+                  else cache_obj.decode(record.key, entry))
         if cached is not None:
             results[i] = cached
             record.status = "cache_hit"
-            meta = cache_obj.meta(record.key) or {}
+            meta = entry.get("meta", {})
             record.events_executed = int(meta.get("events_executed", 0))
             record.total_cycles = float(meta.get("total_cycles",
                                                  cached.total_cycles))
@@ -392,9 +394,9 @@ def run_campaign(
         record.num_epochs = int(outcome.get("num_epochs", 0))
         if cache_obj is not None and job.cacheable:
             try:
-                cache_obj.put(
+                cache_obj.put_document(
                     record.key,
-                    results[i],
+                    outcome["document"],
                     meta={
                         "tag": record.tag,
                         "wall_time": record.wall_time,
@@ -411,7 +413,8 @@ def run_campaign(
     )
     spawn_failures = recycled = 0
     if not use_pool:
-        _drain(jobs, records, pending, _run_inline, settle, backoff, lanes=1)
+        _drain(jobs, records, results, pending, _run_inline, settle, backoff,
+               lanes=1)
     else:
         own_pool = pool is None
         if own_pool:
@@ -425,8 +428,8 @@ def run_campaign(
             )
 
         try:
-            _drain(jobs, records, pending, on_pool, settle, backoff,
-                   lanes=min(workers, len(pending)))
+            _drain(jobs, records, results, pending, on_pool, settle,
+                   backoff, lanes=min(workers, len(pending)))
         finally:
             spawn_failures, recycled = pool.spawn_failures, pool.recycled
             if own_pool:
@@ -447,15 +450,17 @@ def run_campaign(
     )
 
 
-def _drain(jobs, records, pending, start, settle, backoff, lanes) -> None:
+def _drain(jobs, records, results, pending, start, settle, backoff,
+           lanes) -> None:
     """Drive every pending job to a terminal state.
 
     The campaign's one scheduling loop.  ``start(job)`` runs one attempt
-    and returns its outcome dict; ``settle(i, outcome)`` records it and
-    says whether the job retries.  A duplicate waits for its twin and a
-    retry waits out its backoff while other ready jobs start.  With one
-    lane the loop runs on the calling thread; otherwise ``lanes``
-    threads share the queue, each blocking in ``start``.
+    and returns its outcome dict; ``settle(i, outcome)`` records it (and
+    its result) and says whether the job retries.  A duplicate waits for
+    its twin and shares its result, and a retry waits out its backoff
+    while other ready jobs start.  With one lane the loop runs on the
+    calling thread; otherwise ``lanes`` threads share the queue, each
+    blocking in ``start``.
     """
     cv = threading.Condition()
     not_before: Dict[int, float] = {}
@@ -471,7 +476,7 @@ def _drain(jobs, records, pending, start, settle, backoff, lanes) -> None:
                 entry = pending.popleft()
                 kind, i, twin = entry
                 if kind == "dup" and records[twin].status != "pending":
-                    _resolve_duplicate(records, pending, i, twin)
+                    _resolve_duplicate(records, results, pending, i, twin)
                 elif kind == "dup":
                     deferred.append(entry)  # twin in flight or retrying
                 elif not_before.get(i, 0.0) > time.monotonic():
@@ -525,15 +530,15 @@ def _drain(jobs, records, pending, start, settle, backoff, lanes) -> None:
         threads.shutdown(wait=False)
 
 
-def _resolve_duplicate(records, pending, i: int, twin: int) -> None:
+def _resolve_duplicate(records, results, pending, i: int, twin: int) -> None:
     """Share a finished twin job's outcome with a duplicate-spec job.
 
-    A successful twin is shared as a free ``cache_hit``.  A twin that
-    *failed* promotes the duplicate to run on its own attempt budget - a
-    transient failure (timeout, crashed worker) must not cascade through
-    every duplicate - and re-points any later duplicates of the same key
-    at the promoted job, so at most one execution is in flight per key
-    at a time.
+    A successful twin is shared as a free ``cache_hit``, result and all.
+    A twin that *failed* promotes the duplicate to run on its own attempt
+    budget - a transient failure (timeout, crashed worker) must not
+    cascade through every duplicate - and re-points any later duplicates
+    of the same key at the promoted job, so at most one execution is in
+    flight per key at a time.
     """
     twin_record = records[twin]
     record = records[i]
@@ -542,7 +547,7 @@ def _resolve_duplicate(records, pending, i: int, twin: int) -> None:
         record.events_executed = twin_record.events_executed
         record.total_cycles = twin_record.total_cycles
         record.num_epochs = twin_record.num_epochs
-        # The result object is shared via the results list by the caller.
+        results[i] = results[twin]
     else:
         for idx, entry in enumerate(pending):
             if entry[0] == "dup" and entry[2] == twin:
@@ -554,13 +559,3 @@ def _resolve_duplicate(records, pending, i: int, twin: int) -> None:
         )
         pending.append(("run", i, 0))
 
-
-def expand_duplicates(campaign: CampaignResult) -> None:
-    """Fill duplicate jobs' result slots from their computed twin."""
-    by_key: Dict[str, ProfileResult] = {}
-    for record, result in zip(campaign.jobs, campaign.results):
-        if result is not None:
-            by_key.setdefault(record.key, result)
-    for idx, record in enumerate(campaign.jobs):
-        if campaign.results[idx] is None and record.ok:
-            campaign.results[idx] = by_key.get(record.key)

@@ -9,7 +9,7 @@ job lists over the members, merges their NDJSON progress streams
 (:mod:`~repro.fleet.stream`), and reroutes a dead member's in-flight
 jobs to its ring successors with bounded retries.  ``LocalFleet``
 (:mod:`~repro.fleet.harness`) boots a real N-daemon fleet in-process for
-tests and smoke runs.
+tests and ``pathfinder fleet run --local N``.
 """
 
 from .coordinator import (

@@ -6,8 +6,9 @@ production where members do not share storage (that separation is what
 makes cache-affinity routing observable: a hit can only come from the
 member that computed the entry) - and wires a
 :class:`~repro.fleet.coordinator.FleetCoordinator` over them.  Used by
-the fleet tests, ``scripts/fleet_smoke.py`` and ``pathfinder fleet run
---local N``.
+``tests/test_fleet.py`` (mid-campaign kill, resubmission locality,
+metrics rollup, counter parity), ``tests/test_durable_serve.py`` and
+``pathfinder fleet run --local N``.
 
 :meth:`LocalFleet.kill` force-stops a member (sockets torn down
 mid-request, no drain), which is the failure the coordinator's

@@ -227,7 +227,8 @@ class ServeDaemon:
             metrics_hook=lambda event: self.metrics.inc(f"pool_{event}"),
         )
         self.executor = JobExecutor(self.cache, self.metrics, retries=retries,
-                                    pool=self.worker_pool)
+                                    pool=self.worker_pool,
+                                    tenants=self.tenants)
         self._seq = itertools.count()
         self._campaigns = itertools.count(1)
         self._queue: Optional[WeightedFairQueue] = None
@@ -337,8 +338,6 @@ class ServeDaemon:
                 )
             finally:
                 self._in_flight -= 1
-                self.tenants.on_finish(record.tenant,
-                                       ok=record.state == DONE)
                 # Only journal genuinely terminal outcomes: a cancelled
                 # worker (force stop) leaves the record non-terminal and
                 # the journal replays it on restart.

@@ -22,6 +22,7 @@ import logging
 import time
 from typing import Optional
 
+from ..durable.tenants import TenantRegistry
 from ..exec.cache import ResultCache
 from ..exec.pool import WorkerPool
 from .jobs import DONE, FAILED, RUNNING, ServeJob, counters_from_session
@@ -39,6 +40,7 @@ class JobExecutor:
         metrics: ServeMetrics,
         *,
         pool: WorkerPool,
+        tenants: TenantRegistry,
         retries: int = 0,
         backoff: float = 0.25,
     ) -> None:
@@ -48,6 +50,9 @@ class JobExecutor:
         self.backoff = backoff
         #: The warm worker pool every job attempt runs on.
         self.pool = pool
+        #: Per-tenant counters; a job's finish is counted before its
+        #: terminal event, so a client woken by ``done`` reads it.
+        self.tenants = tenants
 
     def execute(self, record: ServeJob) -> None:
         """Drive one job to a terminal state (never raises)."""
@@ -140,6 +145,7 @@ class JobExecutor:
         record.finished_at = time.time()
         self.metrics.inc("jobs_completed")
         self.metrics.observe_job(record.wall_time, tenant=record.tenant)
+        self.tenants.on_finish(record.tenant, ok=True)
         record.publish(
             "done",
             cache_hit=cache_hit,
@@ -156,5 +162,6 @@ class JobExecutor:
         record.state = FAILED
         record.finished_at = time.time()
         self.metrics.inc("jobs_failed")
+        self.tenants.on_finish(record.tenant, ok=False)
         record.publish("failed", failure=kind, error=error,
                        attempts=record.attempts)

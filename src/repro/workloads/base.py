@@ -105,7 +105,11 @@ class Workload:
     # -- op stream ---------------------------------------------------------
 
     def ops(self) -> Iterator[MemOp]:
-        """Yield the operation stream.  Subclasses implement this."""
+        """Yield the operation stream.
+
+        Subclasses implement this, or derive from :class:`ChunkedWorkload`
+        and implement :meth:`ops_chunks` instead.
+        """
         raise NotImplementedError
 
     def ops_chunks(self) -> Iterator[List[MemOp]]:
@@ -114,8 +118,8 @@ class Workload:
         Consumers iterating a workload pull from these chunks, so the
         per-op cost is a C-level list-iterator step rather than a
         generator resume.  The default implementation slices :meth:`ops`;
-        generators with precomputable address vectors override this to
-        build each chunk in one pass.
+        generators with precomputable address vectors derive from
+        :class:`ChunkedWorkload` and build each chunk in one pass.
         """
         ops = self.ops()
         while True:
@@ -134,3 +138,17 @@ class Workload:
     def reseed(self) -> None:
         """Reset the RNG so the stream replays identically."""
         self.rng = np.random.default_rng(self.seed)
+
+
+class ChunkedWorkload(Workload):
+    """A workload whose stream is written once, as :meth:`ops_chunks`.
+
+    :meth:`ops` flattens the chunks, so op-by-op consumers (composites,
+    tests, trace recording) read exactly what the simulator runs.
+    """
+
+    def ops(self) -> Iterator[MemOp]:
+        return itertools.chain.from_iterable(self.ops_chunks())
+
+    def ops_chunks(self) -> Iterator[List[MemOp]]:
+        raise NotImplementedError

@@ -15,7 +15,7 @@ from typing import Iterator, List, Sequence
 import numpy as np
 
 from ..sim.request import CACHELINE, MemOp
-from .base import Workload
+from .base import ChunkedWorkload, Workload
 
 _BATCH = 4096
 
@@ -23,7 +23,7 @@ _BATCH = 4096
 #   MemOp(address, is_store, gap, dependent, software_prefetch)
 
 
-class SequentialStream(Workload):
+class SequentialStream(ChunkedWorkload):
     """Linear sweep over the working set - prefetcher heaven (MBW, lbm)."""
 
     def __init__(
@@ -52,24 +52,6 @@ class SequentialStream(Workload):
         # 64B line); values > 1 reproduce that intra-line L1 locality.
         self.accesses_per_line = accesses_per_line
 
-    def ops(self) -> Iterator[MemOp]:
-        self.reseed()
-        offset = 0
-        emitted = 0
-        while emitted < self.num_ops:
-            n = min(_BATCH, self.num_ops - emitted)
-            stores = self.rng.random(n) >= self.read_ratio
-            for i in range(n):
-                k = emitted + i
-                yield MemOp(
-                    address=self._addr(offset + (k % self.accesses_per_line) * 8),
-                    is_store=bool(stores[i]),
-                    gap=self.gap,
-                )
-                if (k + 1) % self.accesses_per_line == 0:
-                    offset += self.stride
-            emitted += n
-
     def ops_chunks(self) -> Iterator[List[MemOp]]:
         # Op k reads offset stride*(k//apl) + (k%apl)*8, so the whole
         # address vector of a chunk is one closed-form numpy expression.
@@ -97,7 +79,7 @@ class StridedStream(SequentialStream):
         super().__init__(name=name, stride=stride, **kwargs)
 
 
-class RandomAccess(Workload):
+class RandomAccess(ChunkedWorkload):
     """Uniform random cacheline access - GUPS / pointer-free mcf phases."""
 
     def __init__(
@@ -115,23 +97,6 @@ class RandomAccess(Workload):
         self.read_ratio = read_ratio
         self.gap = gap
         self.dependent = dependent
-
-    def ops(self) -> Iterator[MemOp]:
-        self.reseed()
-        lines = max(1, self.working_set_bytes // CACHELINE)
-        emitted = 0
-        while emitted < self.num_ops:
-            n = min(_BATCH, self.num_ops - emitted)
-            offsets = self.rng.integers(0, lines, n) * CACHELINE
-            stores = self.rng.random(n) >= self.read_ratio
-            for i in range(n):
-                yield MemOp(
-                    address=self._addr(int(offsets[i])),
-                    is_store=bool(stores[i]),
-                    gap=self.gap,
-                    dependent=self.dependent and not stores[i],
-                )
-            emitted += n
 
     def ops_chunks(self) -> Iterator[List[MemOp]]:
         self.reseed()
@@ -164,7 +129,7 @@ class PointerChase(RandomAccess):
         super().__init__(name=name, dependent=True, **kwargs)
 
 
-class ZipfAccess(Workload):
+class ZipfAccess(ChunkedWorkload):
     """Zipf-skewed accesses over cachelines (YCSB-C on Redis)."""
 
     def __init__(
@@ -197,22 +162,6 @@ class ZipfAccess(Workload):
         # hot lines are not physically adjacent (realistic key hashing).
         return (hot_ranks * 2654435761) % lines
 
-    def ops(self) -> Iterator[MemOp]:
-        self.reseed()
-        lines = max(1, self.working_set_bytes // CACHELINE)
-        emitted = 0
-        while emitted < self.num_ops:
-            n = min(_BATCH, self.num_ops - emitted)
-            chosen = self._zipf_lines(n, lines)
-            stores = self.rng.random(n) >= self.read_ratio
-            for i in range(n):
-                yield MemOp(
-                    address=self._addr(int(chosen[i]) * CACHELINE),
-                    is_store=bool(stores[i]),
-                    gap=self.gap,
-                )
-            emitted += n
-
     def ops_chunks(self) -> Iterator[List[MemOp]]:
         self.reseed()
         base = self.base_address
@@ -229,7 +178,7 @@ class ZipfAccess(Workload):
             emitted += n
 
 
-class HotColdAccess(Workload):
+class HotColdAccess(ChunkedWorkload):
     """Hot-set/cold-set mix: the paper's TPP GUPS configuration.
 
     ``hot_fraction`` of the working set absorbs ``hot_probability`` of the
@@ -257,26 +206,6 @@ class HotColdAccess(Workload):
         self.read_ratio = read_ratio
         self.gap = gap
 
-    def ops(self) -> Iterator[MemOp]:
-        self.reseed()
-        lines = max(1, self.working_set_bytes // CACHELINE)
-        hot_lines = max(1, int(lines * self.hot_fraction))
-        emitted = 0
-        while emitted < self.num_ops:
-            n = min(_BATCH, self.num_ops - emitted)
-            hot = self.rng.random(n) < self.hot_probability
-            hot_offsets = self.rng.integers(0, hot_lines, n)
-            cold_offsets = self.rng.integers(hot_lines, max(lines, hot_lines + 1), n)
-            stores = self.rng.random(n) >= self.read_ratio
-            for i in range(n):
-                line = int(hot_offsets[i]) if hot[i] else int(cold_offsets[i])
-                yield MemOp(
-                    address=self._addr(line * CACHELINE),
-                    is_store=bool(stores[i]),
-                    gap=self.gap,
-                )
-            emitted += n
-
     def ops_chunks(self) -> Iterator[List[MemOp]]:
         self.reseed()
         base = self.base_address
@@ -297,7 +226,7 @@ class HotColdAccess(Workload):
             emitted += n
 
 
-class SoftwarePrefetchStream(Workload):
+class SoftwarePrefetchStream(ChunkedWorkload):
     """Irregular traversal with explicit SW prefetch ahead of each load.
 
     Models the prefetch-annotated graph kernels (GAP BFS/SSSP) that
@@ -317,20 +246,6 @@ class SoftwarePrefetchStream(Workload):
         super().__init__(name, working_set_bytes, num_ops, seed, **kwargs)
         self.prefetch_distance_ops = prefetch_distance_ops
         self.gap = gap
-
-    def ops(self) -> Iterator[MemOp]:
-        self.reseed()
-        lines = max(1, self.working_set_bytes // CACHELINE)
-        sequence = self.rng.integers(0, lines, self.num_ops)
-        for i in range(self.num_ops):
-            ahead = i + self.prefetch_distance_ops
-            if ahead < self.num_ops:
-                yield MemOp(
-                    address=self._addr(int(sequence[ahead]) * CACHELINE),
-                    software_prefetch=True,
-                    gap=0.0,
-                )
-            yield MemOp(address=self._addr(int(sequence[i]) * CACHELINE), gap=self.gap)
 
     def ops_chunks(self) -> Iterator[List[MemOp]]:
         self.reseed()

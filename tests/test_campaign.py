@@ -15,13 +15,7 @@ import pytest
 import repro
 from repro import api
 from repro.core import AppSpec, ProfileSpec
-from repro.exec import (
-    CampaignJob,
-    cxl_node_id,
-    expand_duplicates,
-    local_node_id,
-    run_campaign,
-)
+from repro.exec import CampaignJob, cxl_node_id, local_node_id, run_campaign
 from repro.exec.runner import JobRecord, _drain
 from repro.sim import Machine, spr_config
 from repro.workloads import SequentialStream, build_app
@@ -136,7 +130,6 @@ def test_duplicate_jobs_share_one_execution(tmp_path):
     campaign = run_campaign(
         jobs, parallel=False, cache=tmp_path / "cache", retries=0
     )
-    expand_duplicates(campaign)
     assert all(record.ok for record in campaign.jobs)
     assert campaign.results[0] is not None
     assert campaign.results[1] is not None
@@ -218,7 +211,6 @@ def test_pending_twin_defers_duplicate_instead_of_promoting(tmp_path):
     assert by_tag["a"].attempts == 2
     assert by_tag["b"].status == "cache_hit"
     assert by_tag["b"].attempts == 0       # never executed
-    expand_duplicates(campaign)
     assert campaign.results[1] is not None
 
 
@@ -232,7 +224,6 @@ def test_promotion_repoints_later_duplicates(tmp_path):
     assert by_tag["a"].status == "failed"
     assert by_tag["b"].status == "ok"
     assert by_tag["c"].status == "cache_hit"
-    expand_duplicates(campaign)
     assert campaign.results[2] is not None
 
 
@@ -298,7 +289,8 @@ def test_drain_lanes_lose_no_update_under_contention():
     try:
         drain = threading.Thread(
             target=_drain, daemon=True,
-            args=(jobs, records, pending, start, settle, 0.0, 8),
+            args=(jobs, records, [None] * len(jobs), pending, start, settle,
+                  0.0, 8),
         )
         drain.start()
         drain.join(timeout=60)
@@ -322,7 +314,7 @@ def test_drain_reraises_a_lane_failure():
         raise RuntimeError("lane died")
 
     with pytest.raises(RuntimeError, match="lane died"):
-        _drain(list(range(4)), records, pending, start,
+        _drain(list(range(4)), records, [None] * 4, pending, start,
                lambda i, outcome: False, 0.0, 2)
 
 

@@ -1,5 +1,7 @@
 """Tests for the pathfinder CLI."""
 
+import json
+
 import pytest
 
 from repro.core.cli import main
@@ -161,3 +163,15 @@ def test_trace_verb_prints_stage_table(capsys, tmp_path):
 def test_trace_unknown_app(capsys):
     rc = main(["trace", "--app", "nope"])
     assert rc == 2
+
+
+def test_live_verb_prints_json_epoch_digests(capsys):
+    rc = main(["live", "--app", "541.leela_r", "--ops", "600",
+               "--epoch", "2000", "--json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    digests = [json.loads(line) for line in out.splitlines()
+               if line.startswith("{")]
+    epochs = [d for d in digests if d["event"] == "epoch"]
+    assert epochs
+    assert all("rolling" in d for d in epochs)

@@ -6,16 +6,24 @@ completes every admitted job exactly once; two backlogged tenants
 complete work in proportion to their weights; quota breaches surface as
 429 + Retry-After; a worker-less drain hands queued jobs off through
 the journal; and a fresh member rewarms from the shared store instead
-of recomputing.
+of recomputing.  One test boots ``pathfinder serve`` as a process,
+because the daemon installs its SIGTERM handler only on a main thread.
 """
 
+import os
+import re
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from repro import api
 from repro.core import AppSpec, ProfileSpec
 from repro.durable import JobJournal
-from repro.exec import cxl_node_id
+from repro.exec import CampaignJob, cxl_node_id
 from repro.fleet import LocalFleet
 from repro.serve import BackgroundServer, ServeClient, ServeError
 from repro.sim import spr_config
@@ -115,6 +123,88 @@ def test_workerless_drain_hands_queued_jobs_to_the_journal(tmp_path):
     successor.stop(force=True)
 
 
+# -- a real process under real signals ----------------------------------
+
+
+ROOT = Path(__file__).resolve().parent.parent
+LISTENING = re.compile(r"listening on http://[\d.]+:(\d+)")
+
+
+def boot_serve(log_path, *flags):
+    """Start ``pathfinder serve --port 0 --workers 1 FLAGS``; (proc, port)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    with open(log_path, "w") as log:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.core.cli", "serve", "--port", "0",
+             "--workers", "1", *flags],
+            stdout=log, stderr=subprocess.STDOUT, env=env, cwd=str(ROOT),
+        )
+    wait_for(lambda: proc.poll() is not None
+             or LISTENING.search(log_path.read_text()), timeout=120)
+    match = LISTENING.search(log_path.read_text())
+    if match is None:
+        kill(proc)
+        pytest.fail(f"daemon did not start:\n{log_path.read_text()}")
+    return proc, int(match.group(1))
+
+
+def kill(proc):
+    if proc.poll() is None:
+        proc.kill()
+    proc.wait(timeout=60)
+
+
+def test_serve_process_replays_after_sigkill_and_drains_on_sigterm(tmp_path):
+    flags = ["--cache-dir", str(tmp_path / "cache"),
+             "--journal-dir", str(tmp_path / "journal"),
+             "--shared-cache", str(tmp_path / "shared"),
+             "--tenant", "A:3", "--tenant", "B:1"]
+    proc, port = boot_serve(tmp_path / "first.log", *flags)
+    try:
+        client = ServeClient(port=port, tenant="A")
+        ids = [client.submit_run(make_spec(seed=70 + i, num_ops=2000))
+               ["job_id"] for i in range(3)]
+        assert wait_for(
+            lambda: client.metrics()["queue"]["in_flight"] >= 1
+        ), "no job ever started"
+    finally:
+        kill(proc)  # SIGKILL: no drain, nothing sealed in the journal
+
+    proc, port = boot_serve(tmp_path / "second.log", *flags)
+    try:
+        client = ServeClient(port=port, tenant="A")
+        recovered = client.metrics()["counters"]["jobs_recovered"]
+        assert recovered >= 2  # at least the two queued jobs were owed
+        finished_here = 0
+        for job_id in ids:
+            try:
+                final = client.wait(job_id, timeout=600)
+            except ServeError as exc:
+                # Journaled terminal before the kill.
+                assert exc.status == 404
+                continue
+            assert final["state"] == "done", final
+            finished_here += 1
+        counters = client.metrics()["counters"]
+        assert finished_here == recovered == counters["jobs_completed"]
+        assert client.tenants()["A"]["policy"]["weight"] == 3.0
+
+        # SIGTERM drains the running and the queued job into the cache,
+        # then exits 0.
+        specs = [make_spec(seed=77), make_spec(seed=78)]
+        for spec in specs:
+            client.submit_run(spec)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=300) == 0
+        for spec in specs:
+            key = CampaignJob(spec=spec, config=api.config_for(spec)).key()
+            assert (tmp_path / "cache" / f"{key}.json").exists()
+    finally:
+        kill(proc)
+
+
 # -- tenancy -------------------------------------------------------------
 
 
@@ -122,6 +212,20 @@ def test_two_tenant_contention_completes_in_weight_proportion(tmp_path):
     with BackgroundServer(workers=1, queue_depth=64,
                           cache=str(tmp_path / "cache"),
                           tenants=["A:3", "B:1"]) as server:
+        # Every terminal event goes out with its finish already counted,
+        # so a client woken by ``done`` reads up-to-date tenant counters.
+        bus_publish = server.daemon.live_bus.publish
+        counted_at_done = []
+
+        def publish(event):
+            if event["event"] == "done":
+                rows = server.daemon.tenants.snapshot().values()
+                counted_at_done.append(
+                    (sum(row["counters"].get("completed", 0) for row in rows),
+                     sum(row["in_flight"] for row in rows)))
+            bus_publish(event)
+
+        server.daemon.live_bus.publish = publish
         sacrificial = ServeClient(port=server.port)
         client_a = ServeClient(port=server.port, tenant="A")
         client_b = ServeClient(port=server.port, tenant="B")
@@ -156,6 +260,7 @@ def test_two_tenant_contention_completes_in_weight_proportion(tmp_path):
         assert snapshot["B"]["counters"]["completed"] == 8
         rollup = sacrificial.metrics()
         assert rollup["tenants"]["A"]["in_flight"] == 0
+        assert counted_at_done == [(n, 0) for n in range(1, 18)]
 
 
 def test_tenant_quota_breach_gets_429_with_retry_after():

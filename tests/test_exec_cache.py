@@ -182,7 +182,7 @@ def test_cache_rejects_malformed_keys(tmp_path):
 
 def test_cache_meta_records_job_stats(tmp_path):
     cache, job, campaign = _run_one(tmp_path, tag="meta-probe")
-    meta = cache.meta(job.key())
+    meta = cache.get_entry(job.key())["meta"]
     assert meta["tag"] == "meta-probe"
     assert meta["events_executed"] == campaign.jobs[0].events_executed
     assert meta["total_cycles"] == campaign.jobs[0].total_cycles
@@ -199,6 +199,22 @@ def test_second_campaign_hits_cache_with_identical_counters(tmp_path):
     assert _totals(rerun.results[0]) == _totals(first.results[0])
     # Hit records still report the recorded execution stats.
     assert rerun.jobs[0].events_executed == first.jobs[0].events_executed
+
+
+def test_pool_computed_campaign_is_served_from_cache(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+
+    def jobs():
+        return [CampaignJob(spec=make_spec(seed=seed), config=spr_config())
+                for seed in (3, 4)]
+
+    cold = run_campaign(jobs(), workers=2, cache=cache, retries=0)
+    assert cold.workers == 2  # computed on the warm pool, not inline
+    assert not cold.failed and cold.hit_rate == 0.0
+    warm = run_campaign(jobs(), workers=2, cache=cache, retries=0)
+    assert warm.hit_rate == 1.0
+    for fresh, cached in zip(cold.results, warm.results):
+        assert _totals(cached) == _totals(fresh)
 
 
 def test_non_cacheable_job_skips_the_cache(tmp_path):

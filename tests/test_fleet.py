@@ -102,6 +102,9 @@ def test_member_killed_mid_campaign_loses_no_jobs(fleet):
     assert again.summary()["failed"] == 0
     assert again.locality >= 0.9
     assert dead not in {r.member_id for r in again.jobs}
+    # Coordinator counters outlive the dead member and cover both runs.
+    routing = fleet.coordinator.metrics()["routing"]
+    assert routing["jobs_completed"] >= 2 * len(jobs)
 
 
 def test_all_members_dead_fails_jobs_with_context(fleet):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.core import AppSpec, ProfileSpec
 from repro.core.materializer import PATH_SET
 from repro.core.profiler import PathFinder
@@ -293,17 +294,18 @@ def live_run():
         digests.append(digest)
         materializer = holder["pf"].materializer
         for pid in materializer.tracked_pids():
-            series = (
-                materializer.db.from_(PATH_SET)
-                .where(pid=str(pid), path="DRd", dst="LLC")
-                .values("hits")
-            )
-            if not series:
-                continue
-            want = moving_average(series, WINDOW)[-1]
-            got = materializer.rolling_locality(pid)["mean"]
-            if got != pytest.approx(want, rel=1e-9, abs=1e-9):
-                mismatches.append((digest["epoch"], pid, got, want))
+            for dst in ("LLC", "CXL"):
+                series = (
+                    materializer.db.from_(PATH_SET)
+                    .where(pid=str(pid), path="DRd", dst=dst)
+                    .values("hits")
+                )
+                if not series:
+                    continue
+                want = moving_average(series, WINDOW)[-1]
+                got = materializer.rolling_locality(pid, dst=dst)["mean"]
+                if got != pytest.approx(want, rel=1e-9, abs=1e-9):
+                    mismatches.append((digest["epoch"], pid, dst, got, want))
 
     pf = PathFinder(machine, spec, live=LiveSpec(window=WINDOW),
                     on_epoch=on_epoch)
@@ -367,6 +369,22 @@ def test_live_batch_workflows_still_run_on_live_db(live_run):
     pf, _, _, _ = live_run
     report = pf.materializer.locality(pf.materializer.tracked_pids()[0])
     assert report.hits_series
+
+
+def test_api_live_run_delivers_one_digest_per_epoch():
+    # No explicit machine: api.run builds one and streams in-process.
+    workload = build_app("541.leela_r", num_ops=600, seed=11)
+    spec = ProfileSpec(
+        apps=[AppSpec(workload=workload, core=0,
+                      membind=cxl_node_id(spr_config()))],
+        epoch_cycles=2_000.0,
+    )
+    digests = []
+    result = api.run(spec, live=True, on_epoch=digests.append)
+    assert len(digests) == result.num_epochs > 1
+    for digest in digests:
+        json.dumps(digest)
+        assert digest["event"] == "epoch"
 
 
 # -- serving: /v1/live over HTTP ---------------------------------------------

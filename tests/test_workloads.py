@@ -1,5 +1,7 @@
 """Unit tests for workload generators and the suite catalog."""
 
+import hashlib
+
 import pytest
 
 from repro.sim import CACHELINE, Machine, spr_config
@@ -24,6 +26,70 @@ from repro.workloads import (
 
 def addresses(workload):
     return [op.address for op in workload.ops()]
+
+
+# sha256 of each generator's op stream at fixed inputs: address, flags
+# and gap of every op together with their Python types.  num_ops of 4100
+# and 5000 cross a 4096-op batch; the first input repeats each line three
+# times and wraps its working set.
+VPN = 1 << 20
+PINNED_STREAMS = {
+    "seq-apl3-wrap": (
+        lambda: SequentialStream(
+            num_ops=5000, working_set_bytes=1 << 16, read_ratio=0.7,
+            gap=1.5, accesses_per_line=3, seed=4, vpn_base=VPN),
+        5000, "e2dfdc797d34f3a94d3a66f4dd4c2f62083c020a96752bdbfa3eb7c66b2675b0"),
+    "seq-stride": (
+        lambda: SequentialStream(num_ops=37, stride=256, read_ratio=0.5,
+                                 seed=2, vpn_base=VPN),
+        37, "80415179dda7930a3065db38f43f9b46b6612071e633bf7d3218555e3cdebb49"),
+    "random": (
+        lambda: RandomAccess(num_ops=5000, working_set_bytes=1 << 20,
+                             read_ratio=0.8, seed=7, vpn_base=VPN),
+        5000, "4bf0dbb12f27a6f888417e80ca946d0b07a0646c29a231340d711b54a22f3d4a"),
+    "random-dependent": (
+        lambda: RandomAccess(num_ops=4100, working_set_bytes=1 << 18,
+                             read_ratio=0.6, dependent=True, seed=9,
+                             vpn_base=VPN),
+        4100, "4244fa65bc85eb76e36da8d1fd6a9cd4697bbd675a479e0dc38d5a70827affba"),
+    "chase": (
+        lambda: PointerChase(num_ops=300, working_set_bytes=1 << 18, seed=3,
+                             vpn_base=VPN),
+        300, "e6fb2645d73bf962b446b14b9a4c758787a193127dc7ee7f3705b1a3ce4c7f42"),
+    "zipf": (
+        lambda: ZipfAccess(num_ops=5000, working_set_bytes=1 << 20,
+                           theta=0.8, read_ratio=0.9, seed=5, vpn_base=VPN),
+        5000, "0b793b3b1c495d99696d7a515e62d41e97f0c5919ecd43d475f9f36f2f05b8c6"),
+    "hotcold": (
+        lambda: HotColdAccess(num_ops=4100, working_set_bytes=3 << 16,
+                              seed=6, vpn_base=VPN),
+        4100, "8d35e66f159d5599534a5961dd8159a141ea4ae6f183ee4b779f125edd34c124"),
+    "swpf": (
+        lambda: SoftwarePrefetchStream(
+            num_ops=5000, working_set_bytes=1 << 20, prefetch_distance_ops=8,
+            seed=8, vpn_base=VPN),
+        9992, "6764a12841691266be069820d850039adeb4c0637be960985ea10f60f9aeb1f1"),
+}
+
+
+def op_stream_digest(ops):
+    digest = hashlib.sha256()
+    count = 0
+    for op in ops:
+        fields = (op.address, op.is_store, op.gap, op.dependent,
+                  op.software_prefetch)
+        digest.update(repr([(type(v).__name__, v) for v in fields]).encode())
+        count += 1
+    return count, digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+def test_op_stream_is_pinned(name):
+    make, count, sha = PINNED_STREAMS[name]
+    workload = make()
+    assert op_stream_digest(workload.ops()) == (count, sha)
+    # What the simulator runs: the same ops, replayed from a reseed.
+    assert op_stream_digest(iter(workload)) == (count, sha)
 
 
 def test_streams_are_deterministic():
