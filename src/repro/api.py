@@ -362,12 +362,8 @@ def compare(
 def counters(result: ProfileResult) -> Dict[Tuple[str, str], float]:
     """Total ``(scope, event) -> value`` deltas across the whole session.
 
-    Continuous-mode sessions sum their epoch deltas; aggregated-mode
-    sessions fall back to the final cumulative epoch.
+    A continuous session sums its epoch deltas.  An aggregated session's
+    final epoch already holds that sum, taken the same way while it ran,
+    so both modes of one spec read the same totals.
     """
-    epochs = result.epochs or ([result.final] if result.final else [])
-    totals: Dict[Tuple[str, str], float] = {}
-    for epoch in epochs:
-        for key, value in epoch.snapshot.delta.items():
-            totals[key] = totals.get(key, 0.0) + value
-    return totals
+    return result.counter_totals()

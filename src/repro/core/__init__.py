@@ -23,7 +23,6 @@ from .estimator import PFEstimator, StallBreakdown
 from .materializer import LocalityReport, PFMaterializer
 from .mflow import MFlow, MFlowRegistry
 from .persistence import (
-    LoadedSession,
     config_from_document,
     config_to_document,
     load_session,
@@ -42,7 +41,7 @@ from .report import (
     render_trace,
 )
 from .snapshot import Snapshot, SnapshotTaker
-from .spec import AppSpec, ProfileSpec, ProfilingMode, ReportSpec, TraceSpec
+from .spec import AppSpec, ProfileSpec, ProfilingMode, TraceSpec
 
 __all__ = [
     "ANALYZER_COMPONENTS",
@@ -53,7 +52,6 @@ __all__ = [
     "FAMILIES",
     "FabricDiagnosis",
     "FabricPortEstimate",
-    "LoadedSession",
     "LocalityReport",
     "MFlow",
     "MetricDelta",
@@ -68,7 +66,6 @@ __all__ = [
     "ProfileSpec",
     "ProfilingMode",
     "QueueEstimate",
-    "ReportSpec",
     "STALL_COMPONENTS",
     "SessionDiff",
     "TraceSpec",

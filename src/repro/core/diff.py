@@ -19,14 +19,6 @@ from .profiler import ProfileResult
 _SERVE_TIERS = ("l3_hit", "snc_cache", "local_dram", "remote_dram", "cxl_dram")
 
 
-def _totals(result: ProfileResult) -> Dict[Tuple[str, str], float]:
-    totals: Dict[Tuple[str, str], float] = {}
-    for epoch in result.epochs:
-        for key, value in epoch.snapshot.delta.items():
-            totals[key] = totals.get(key, 0.0) + value
-    return totals
-
-
 @dataclass
 class MetricDelta:
     """One compared metric: baseline, treatment, and the ratio."""
@@ -80,8 +72,8 @@ def compare_sessions(
     families: Tuple[str, ...] = ("DRd", "RFO", "HWPF"),
 ) -> SessionDiff:
     """Line up two sessions of the same workload under different policies."""
-    base_totals = _totals(baseline)
-    treat_totals = _totals(treatment)
+    base_totals = baseline.counter_totals()
+    treat_totals = treatment.counter_totals()
     diff = SessionDiff(
         runtime=MetricDelta(
             "runtime_cycles", baseline.total_cycles, treatment.total_cycles

@@ -3,9 +3,10 @@
 The paper layers a time-series database over the profiler so sessions can
 be analysed offline and across runs.  This module provides the file
 format: a compact JSON digest of a :class:`ProfileResult` - per-epoch
-counter deltas (sparse), flow metadata and session parameters - plus a
-loader that reconstitutes snapshots so every technique (PFBuilder,
-PFEstimator, PFAnalyzer, PFMaterializer) can re-run on saved data.
+counter deltas, flow metadata and session parameters - plus a loader
+that rebuilds the very :class:`ProfileResult` the digest was written
+from, re-running PFBuilder, PFEstimator and PFAnalyzer on each stored
+snapshot.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from .mflow import MFlow
-from .profiler import ProfileResult
+from .profiler import ProfileResult, analyze_epoch
 from .snapshot import Snapshot
-from .spec import AppSpec, ProfileSpec, ProfilingMode, ReportSpec, TraceSpec
+from .spec import AppSpec, ProfileSpec, ProfilingMode, TraceSpec
 
 FORMAT_VERSION = 1
 
@@ -59,31 +60,29 @@ def _flow_from_dict(data: Dict) -> MFlow:
 def result_to_document(result: ProfileResult) -> Dict:
     """Digest a :class:`ProfileResult` into a JSON-able document.
 
-    Aggregated-mode sessions keep no epoch list but do carry a final
-    cumulative epoch; it is stored with ``aggregated_only`` set so
+    Each epoch stores its snapshot: the counter delta as
+    ``[scope, event, value]`` rows (the delta is sparse already), its
+    time span and the ids of its flows.  An aggregated-mode session
+    keeps no epoch list; its ``final`` epoch covers the whole session
+    and is stored alone with ``aggregated_only`` set, so
     :func:`result_from_document` can round-trip either mode.
     """
-    epoch_results = list(result.epochs)
-    aggregated_only = False
-    if not epoch_results and result.final is not None:
-        epoch_results = [result.final]
-        aggregated_only = True
-    flows_by_id = {}
+    aggregated_only = not result.epochs and result.final is not None
+    epoch_results = [result.final] if aggregated_only else result.epochs
+    flows_by_id = {flow.flow_id: flow for flow in result.flows}
     epochs = []
     for epoch in epoch_results:
         snapshot = epoch.snapshot
-        delta = [
-            [scope, event, value]
-            for (scope, event), value in snapshot.delta.items()
-            if value
-        ]
         entry = {
             "epoch": epoch.epoch,
             "snapshot_id": snapshot.snapshot_id,
             "t_start": snapshot.t_start,
             "t_end": snapshot.t_end,
             "flow_ids": [f.flow_id for f in snapshot.flows],
-            "delta": delta,
+            "delta": [
+                [scope, event, value]
+                for (scope, event), value in snapshot.delta.items()
+            ],
         }
         if snapshot.warped:
             # Only present when true: exact sessions round-trip
@@ -91,9 +90,7 @@ def result_to_document(result: ProfileResult) -> Dict:
             entry["warped"] = True
         epochs.append(entry)
         for flow in snapshot.flows:
-            flows_by_id[flow.flow_id] = flow
-    for flow in result.flows:
-        flows_by_id[flow.flow_id] = flow
+            flows_by_id.setdefault(flow.flow_id, flow)
     document = {
         "format_version": FORMAT_VERSION,
         "aggregated_only": aggregated_only,
@@ -113,8 +110,20 @@ def save_session(result: ProfileResult, path: Union[str, Path]) -> None:
     Path(path).write_text(json.dumps(result_to_document(result)))
 
 
-def session_from_document(document: Dict) -> "LoadedSession":
-    """Reconstitute a digest document into analysis-ready snapshots."""
+def load_session(path: Union[str, Path]) -> ProfileResult:
+    """Read a digest written by :func:`save_session` back into a result."""
+    return result_from_document(json.loads(Path(path).read_text()))
+
+
+def result_from_document(document: Dict) -> ProfileResult:
+    """Rebuild the :class:`ProfileResult` a digest document was made from.
+
+    ``result_from_document(result_to_document(r)) == r`` for every
+    session, in-process or not: the counter deltas, flows, trace and
+    warp report are the stored values, and each epoch's path map, stall
+    breakdown and queue report are recomputed from its snapshot by
+    :func:`~repro.core.profiler.analyze_epoch`, as the profiler did.
+    """
     version = document.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported session format version: {version}")
@@ -122,72 +131,24 @@ def session_from_document(document: Dict) -> "LoadedSession":
         data["flow_id"]: _flow_from_dict(data)
         for data in document.get("flows", [])
     }
-    snapshots: List[Snapshot] = []
-    for epoch in document["epochs"]:
-        delta = {
-            (scope, event): value for scope, event, value in epoch["delta"]
-        }
-        snapshot = Snapshot(
-            t_start=epoch["t_start"],
-            t_end=epoch["t_end"],
-            delta=delta,
-            flows=[flows[fid] for fid in epoch["flow_ids"] if fid in flows],
-            warped=bool(epoch.get("warped", False)),
-        )
-        snapshot.snapshot_id = epoch["snapshot_id"]
-        snapshots.append(snapshot)
-    return LoadedSession(
-        snapshots=snapshots,
-        flows=list(flows.values()),
-        total_cycles=document.get("total_cycles", 0.0),
-    )
-
-
-def load_session(path: Union[str, Path]) -> "LoadedSession":
-    """Read a digest back; snapshots are fully reusable by the analyses."""
-    return session_from_document(json.loads(Path(path).read_text()))
-
-
-def result_from_document(document: Dict) -> ProfileResult:
-    """Rebuild a full :class:`ProfileResult` from a digest document.
-
-    Counter deltas, flows and total cycles are exactly the stored values;
-    the derived per-epoch analyses (path map, stall breakdown, queue
-    report) are recomputed by re-running the techniques on the stored
-    snapshots.  A campaign run (``api.run`` without a machine,
-    ``run_many``) returns its fresh result through this function too, so
-    its cache hits are indistinguishable from fresh runs.  An in-process
-    result (``api.run(machine=...)``, live runs, ``pathfinder run``) is
-    not: the document drops zero-valued counter deltas, so the rebuilt
-    analyses lose zero-valued rows - the ``cxl_traffic`` row of a
-    local-bound session, and idle switch ports such as a pooled fabric's
-    ``host1``.
-    """
-    from .analyzer import PFAnalyzer
-    from .builder import PFBuilder
-    from .estimator import PFEstimator
-    from .profiler import EpochResult
-
-    session = session_from_document(document)
-    builder, estimator, analyzer = PFBuilder(), PFEstimator(), PFAnalyzer()
-    epoch_numbers = [e.get("epoch", i + 1)
-                     for i, e in enumerate(document["epochs"])]
     epochs = []
-    for number, snapshot in zip(epoch_numbers, session.snapshots):
-        epochs.append(
-            EpochResult(
-                epoch=number,
-                snapshot=snapshot,
-                path_map=builder.build(snapshot),
-                stalls=estimator.breakdown(snapshot),
-                queues=analyzer.analyze(snapshot),
-            )
+    for i, entry in enumerate(document["epochs"]):
+        snapshot = Snapshot(
+            t_start=entry["t_start"],
+            t_end=entry["t_end"],
+            delta={
+                (scope, event): value for scope, event, value in entry["delta"]
+            },
+            flows=[flows[fid] for fid in entry["flow_ids"] if fid in flows],
+            snapshot_id=entry["snapshot_id"],
+            warped=bool(entry.get("warped", False)),
         )
+        epochs.append(analyze_epoch(entry.get("epoch", i + 1), snapshot))
     result = ProfileResult(
         epochs=[] if document.get("aggregated_only") else epochs,
         final=epochs[-1] if epochs else None,
-        flows=session.flows,
-        total_cycles=session.total_cycles,
+        flows=list(flows.values()),
+        total_cycles=document.get("total_cycles", 0.0),
     )
     if document.get("trace") is not None:
         from ..obs import TraceReport
@@ -232,7 +193,6 @@ def spec_to_document(spec: ProfileSpec) -> Dict:
         "epoch_cycles": spec.epoch_cycles,
         "mode": spec.mode.value,
         "max_epochs": spec.max_epochs,
-        "report": dataclasses.asdict(spec.report),
         "trace": dataclasses.asdict(spec.trace) if spec.trace else None,
     }
 
@@ -260,14 +220,12 @@ def spec_from_document(document: Dict) -> ProfileSpec:
                 start_at=float(app.get("start_at", 0.0)),
             )
         )
-    report = document.get("report")
     trace = document.get("trace")
     return ProfileSpec(
         apps=apps,
         epoch_cycles=float(document.get("epoch_cycles", 50_000.0)),
         mode=ProfilingMode(document.get("mode", "continuous")),
         max_epochs=int(document.get("max_epochs", 10_000)),
-        report=ReportSpec(**report) if report else ReportSpec(),
         trace=TraceSpec(**trace) if trace else None,
     )
 
@@ -299,34 +257,3 @@ def config_from_document(document: Optional[Dict]):
 
         data["fabric"] = FabricSpec.from_document(data["fabric"])
     return MachineConfig(**data)
-
-
-class LoadedSession:
-    """A reconstituted session: snapshots + flows, analysis-ready."""
-
-    def __init__(
-        self, snapshots: List[Snapshot], flows: List[MFlow], total_cycles: float
-    ) -> None:
-        self.snapshots = snapshots
-        self.flows = flows
-        self.total_cycles = total_cycles
-
-    def reanalyze(self):
-        """Re-run the four techniques offline; returns EpochResult-like
-        tuples of (snapshot, path_map, stalls, queues)."""
-        from .analyzer import PFAnalyzer
-        from .builder import PFBuilder
-        from .estimator import PFEstimator
-
-        builder, estimator, analyzer = PFBuilder(), PFEstimator(), PFAnalyzer()
-        out = []
-        for snapshot in self.snapshots:
-            out.append(
-                (
-                    snapshot,
-                    builder.build(snapshot),
-                    estimator.breakdown(snapshot),
-                    analyzer.analyze(snapshot),
-                )
-            )
-        return out

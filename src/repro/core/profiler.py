@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 logger = logging.getLogger(__name__)
 
@@ -25,7 +25,7 @@ from .builder import PFBuilder, PathMap
 from .estimator import PFEstimator, StallBreakdown
 from .materializer import PFMaterializer
 from .mflow import MFlow, MFlowRegistry
-from .snapshot import Snapshot, SnapshotTaker
+from .snapshot import CounterKey, Snapshot, SnapshotTaker
 from .spec import AppSpec, ProfileSpec, ProfilingMode
 
 
@@ -44,9 +44,39 @@ class EpochResult:
         return self.snapshot.t_end
 
 
+def analyze_epoch(epoch: int, snapshot: Snapshot) -> EpochResult:
+    """PFBuilder, PFEstimator and PFAnalyzer over one snapshot.
+
+    The one way an :class:`EpochResult` is made: a profiled epoch, an
+    aggregated session's cumulative epoch and an epoch decoded from a
+    session document all go through here, so equal snapshots always
+    yield equal analyses.
+    """
+    return EpochResult(
+        epoch=epoch,
+        snapshot=snapshot,
+        path_map=PFBuilder().build(snapshot),
+        stalls=PFEstimator().breakdown(snapshot),
+        queues=PFAnalyzer().analyze(snapshot),
+    )
+
+
+def _accumulate(
+    totals: Dict[CounterKey, float], delta: Mapping[CounterKey, float]
+) -> None:
+    """Add one epoch's counter delta into ``totals`` (in place)."""
+    for key, value in delta.items():
+        totals[key] = totals.get(key, 0.0) + value
+
+
 @dataclass
 class ProfileResult:
-    """A full profiling session: epoch series + final aggregate."""
+    """A full profiling session: epoch series + final aggregate.
+
+    A continuous session keeps every epoch and ``final`` is the last of
+    them; an aggregated session keeps no epochs and ``final`` covers the
+    whole session, its delta the sum of every epoch's.
+    """
 
     epochs: List[EpochResult] = field(default_factory=list)
     final: Optional[EpochResult] = None
@@ -65,6 +95,13 @@ class ProfileResult:
     def series(self, fn) -> List[float]:
         """Map an extractor over the epoch results."""
         return [fn(e) for e in self.epochs]
+
+    def counter_totals(self) -> Dict[CounterKey, float]:
+        """Total ``(scope, event) -> value`` deltas over the whole session."""
+        totals: Dict[CounterKey, float] = {}
+        for epoch in self.epochs or ([self.final] if self.final else []):
+            _accumulate(totals, epoch.snapshot.delta)
+        return totals
 
 
 class PathFinder:
@@ -92,9 +129,6 @@ class PathFinder:
         self.warp: Optional[WarpController] = None
         if warp_spec is not None:
             self.warp = WarpController(machine, warp_spec, spec.epoch_cycles)
-        self.builder = PFBuilder()
-        self.estimator = PFEstimator()
-        self.analyzer = PFAnalyzer()
         self.live = None
         self.live_bus = None
         self._on_epoch = on_epoch
@@ -127,6 +161,9 @@ class PathFinder:
         self._taker = SnapshotTaker(machine.pmu)
         self._running_apps: Dict[int, AppSpec] = {}
         self._pending_starts = 0
+        # Aggregated mode: the running sum of every epoch's delta.
+        self._totals: Dict[CounterKey, float] = {}
+        self._warped = False
 
     # -- setup -----------------------------------------------------------
 
@@ -222,21 +259,12 @@ class PathFinder:
             epoch_start = self.machine.now
             self.machine.run(until=self.machine.now + self.spec.epoch_cycles)
             epoch += 1
-            # A flow belongs to the epoch if it was alive at any point in it.
-            live = [
-                f
-                for f in self.flows.flows_of()
-                if f.alive or (f.ended_at is not None and f.ended_at > epoch_start)
-            ]
             if self.recorder is not None:
                 self.recorder.epoch_mark(self.machine.now)
-            snapshot = self._taker.take(self.machine.now, flows=live)
-            epoch_result = self._process(epoch, snapshot)
-            if self.live is not None:
-                self._publish_epoch(epoch_result)
-            if self.spec.mode is ProfilingMode.CONTINUOUS:
-                result.epochs.append(epoch_result)
-            result.final = epoch_result
+            snapshot = self._taker.take(
+                self.machine.now, flows=self._flows_since(epoch_start)
+            )
+            self._record(result, self._process(epoch, snapshot))
             if self.warp is not None:
                 # Exact epochs feed the steady-state detector (and judge
                 # the verification epoch after a warp); once armed, skip
@@ -245,6 +273,16 @@ class PathFinder:
                 epoch = self._maybe_warp(epoch, result)
         result.flows = self.flows.flows_of()
         result.total_cycles = self.machine.now
+        if self.spec.mode is ProfilingMode.AGGREGATED and epoch:
+            # One cumulative report: the whole session as one snapshot,
+            # analysed like any epoch but not ingested a second time.
+            result.final = analyze_epoch(epoch, Snapshot(
+                t_start=0.0,
+                t_end=self.machine.now,
+                delta=self._totals,
+                flows=list(result.flows),
+                warped=self._warped,
+            ))
         if self.warp is not None and self.warp.report.events:
             result.warp = self.warp.report
         if self.recorder is not None:
@@ -281,22 +319,33 @@ class PathFinder:
         now = self.machine.now
         epoch += max(1, int(round(scale)))
         event.epoch = epoch
-        live = [
-            f
-            for f in self.flows.flows_of()
-            if f.alive or (f.ended_at is not None and f.ended_at > event.t_start)
-        ]
         if self.recorder is not None:
             self.recorder.epoch_mark(now)
             self.recorder.warp_mark(event.t_start, now)
-        snapshot = self._taker.take_extrapolated(now, steady, scale, flows=live)
-        epoch_result = self._process(epoch, snapshot)
+        snapshot = self._taker.take_extrapolated(
+            now, steady, scale, flows=self._flows_since(event.t_start)
+        )
+        self._record(result, self._process(epoch, snapshot))
+        return epoch
+
+    def _flows_since(self, start: float) -> List[MFlow]:
+        """Flows alive at any point since ``start`` (one epoch's flows)."""
+        return [
+            f
+            for f in self.flows.flows_of()
+            if f.alive or (f.ended_at is not None and f.ended_at > start)
+        ]
+
+    def _record(self, result: ProfileResult, epoch_result: EpochResult) -> None:
+        """Stream one epoch, then keep it (continuous) or sum it (aggregated)."""
         if self.live is not None:
             self._publish_epoch(epoch_result)
         if self.spec.mode is ProfilingMode.CONTINUOUS:
             result.epochs.append(epoch_result)
-        result.final = epoch_result
-        return epoch
+            result.final = epoch_result
+        else:
+            _accumulate(self._totals, epoch_result.snapshot.delta)
+            self._warped = self._warped or epoch_result.snapshot.warped
 
     def _publish_epoch(self, epoch_result: EpochResult) -> None:
         """Stream one epoch's digest to live consumers (bus + callback)."""
@@ -314,22 +363,15 @@ class PathFinder:
             self._on_epoch(digest)
 
     def _process(self, epoch: int, snapshot: Snapshot) -> EpochResult:
-        path_map = self.builder.build(snapshot)
-        stalls = self.estimator.breakdown(snapshot)
-        queues = self.analyzer.analyze(snapshot)
-        self.materializer.ingest(snapshot, path_map)
+        epoch_result = analyze_epoch(epoch, snapshot)
+        self.materializer.ingest(snapshot, epoch_result.path_map)
         if logger.isEnabledFor(logging.DEBUG):
-            culprit = queues.culprit()
+            culprit = epoch_result.queues.culprit()
             logger.debug(
                 "epoch %d [%0.0f..%0.0f]: cxl_hits=%0.0f culprit=%s",
-                epoch, snapshot.t_start, snapshot.t_end, path_map.cxl_hits(),
+                epoch, snapshot.t_start, snapshot.t_end,
+                epoch_result.path_map.cxl_hits(),
                 f"{culprit.path}@{culprit.component}" if culprit else "-",
             )
-        return EpochResult(
-            epoch=epoch,
-            snapshot=snapshot,
-            path_map=path_map,
-            stalls=stalls,
-            queues=queues,
-        )
+        return epoch_result
 

@@ -97,14 +97,13 @@ class SnapshotTaker:
         exact (verification) epoch diffs cleanly.
         """
         current = self._registry.snapshot(now)
-        natural = counter_delta(current, self._previous)
         merged: Dict[CounterKey, float] = {}
         for key, value in steady.items():
             scaled = value * scale
             if scaled != 0.0:
                 merged[key] = scaled
-        for key, value in natural.items():
-            if value != 0.0 and key[1] in _EXACT_OVER_WARP:
+        for key, value in counter_delta(current, self._previous).items():
+            if key[1] in _EXACT_OVER_WARP:
                 merged[key] = value
         snapshot = Snapshot(
             t_start=self._previous_time,

@@ -1,9 +1,10 @@
 """Profiling task specification (paper Figure 5-a).
 
 PathFinder's inputs: the applications (single or multi-tenant), their
-running environment (pinned cores, bound memory nodes), the profiler
-specification (mode, tracing granularity, resource cap) and the report
-specification (which execution statistics to surface).
+running environment (pinned cores, bound memory nodes) and the profiler
+specification (mode, tracing granularity, resource cap).  Every result
+carries every analysis - path map, stall breakdown, queue report - so
+there is nothing to select per report.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ _pids = itertools.count(1000)
 
 class ProfilingMode(enum.Enum):
     CONTINUOUS = "continuous"   # per-epoch reports over the app lifetime
-    AGGREGATED = "aggregated"   # one cumulative report at exit
+    # One cumulative report at exit: the result keeps no epoch list, and
+    # its final epoch sums every epoch's counters over the whole session.
+    AGGREGATED = "aggregated"
 
 
 @dataclass
@@ -77,17 +80,6 @@ class TraceSpec:
 
 
 @dataclass
-class ReportSpec:
-    """Which statistics to include in the epoch reports."""
-
-    path_map: bool = True
-    stall_breakdown: bool = True
-    queue_analysis: bool = True
-    locality: bool = False
-    top_n_paths: int = 4
-
-
-@dataclass
 class ProfileSpec:
     """The full profiling task."""
 
@@ -95,7 +87,6 @@ class ProfileSpec:
     epoch_cycles: float = 50_000.0
     mode: ProfilingMode = ProfilingMode.CONTINUOUS
     max_epochs: int = 10_000
-    report: ReportSpec = field(default_factory=ReportSpec)
     # Request-path tracing; None (the default) records nothing.
     trace: Optional[TraceSpec] = None
 

@@ -74,27 +74,28 @@ class ResultCache:
     def get(self, key: str) -> Optional[ProfileResult]:
         """Return the cached result, or None on miss/corruption."""
         entry = self.get_entry(key)
-        return None if entry is None else self.decode(key, entry)
-
-    def decode(self, key: str,
-               entry: Dict[str, Any]) -> Optional[ProfileResult]:
-        """The result in ``key``'s :meth:`get_entry` entry, or None.
-
-        An entry whose session will not rebuild is dropped and recounted
-        as a miss, so the caller recomputes it.
-        """
+        if entry is None:
+            return None
         try:
             return result_from_document(entry["session"])
         except Exception as exc:  # corrupt entry: recompute, don't crash
-            path = self._path(key)
-            logger.warning("dropping corrupt cache entry %s: %s", path, exc)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            self.hits -= 1
-            self.misses += 1
+            self.discard(key, exc)
             return None
+
+    def discard(self, key: str, error: Exception) -> None:
+        """Drop a hit whose session will not rebuild; it counts as a miss.
+
+        The caller recomputes the job, and its result takes the place
+        of the deleted entry.
+        """
+        path = self._path(key)
+        logger.warning("dropping corrupt cache entry %s: %s", path, error)
+        try:
+            path.unlink()
+        except OSError:
+            pass
+        self.hits -= 1
+        self.misses += 1
 
     def get_entry(self, key: str) -> Optional[Dict[str, Any]]:
         """The verified raw entry (``session`` digest + ``meta``) or None.

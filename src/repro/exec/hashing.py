@@ -126,7 +126,6 @@ def canonical_spec(spec: ProfileSpec) -> Dict[str, Any]:
         "epoch_cycles": spec.epoch_cycles,
         "mode": spec.mode.value,
         "max_epochs": spec.max_epochs,
-        "report": _canon(spec.report),
         # Tracing changes what a session records (trace artifacts live in
         # the cached document), so traced and untraced runs cache apart.
         "trace": _canon(spec.trace),

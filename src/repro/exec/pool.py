@@ -107,6 +107,9 @@ def _pool_worker_main(conn, max_jobs: Optional[int]) -> None:
             progress=progress,
             fidelity=message.get("fidelity"),
         )
+        # The session document is the only transport: the parent decodes
+        # it, so the in-memory result is never pickled.
+        outcome.pop("result", None)
         try:
             _send_frame(conn, outcome)
         except (OSError, ValueError):

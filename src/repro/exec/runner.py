@@ -13,9 +13,10 @@ batch of them with:
 * **one scheduling loop, two ways to start a job** - inline on the
   calling thread (``parallel=False``, or nothing to overlap and no
   wall-clock limit), or on the warm :class:`~repro.exec.pool.WorkerPool`
-  via ``workers`` threads each blocking in ``run_job``; results travel
-  back as JSON session digests, so a worker crash can never poison the
-  parent;
+  via ``workers`` threads each blocking in ``run_job``; a pool job's
+  result travels back as its JSON session digest, so a worker crash can
+  never poison the parent, while an inline job keeps the result it
+  computed;
 * **robustness** - per-job wall-clock timeout (enforced by killing the
   worker, so a timed job always runs on the pool and ``parallel=False``
   with a timeout is a ``ValueError``), bounded retry with exponential
@@ -209,11 +210,15 @@ def _execute_job(
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
     fidelity: Any = None,
 ) -> Dict[str, Any]:
-    """Run one profiling session; returns a transportable outcome dict.
+    """Run one profiling session; returns its outcome dict.
 
-    With ``live`` set, the profiler streams per-epoch digests to
-    ``progress`` while the simulation runs (the serve daemon's
-    ``/v1/live`` feed); the outcome dict is unchanged either way.
+    The outcome carries the session both as ``document`` (what the
+    cache stores and a pool worker sends back) and as the in-memory
+    ``result``, which an inline campaign keeps and a pool worker drops
+    before it replies.  With ``live`` set, the profiler streams
+    per-epoch digests to ``progress`` while the simulation runs (the
+    serve daemon's ``/v1/live`` feed); the outcome dict is unchanged
+    either way.
     """
     machine = Machine(config)
     for app in spec.apps:
@@ -233,6 +238,7 @@ def _execute_job(
     return {
         "ok": True,
         "document": result_to_document(result),
+        "result": result,
         "events_executed": machine.engine.events_executed,
         "total_cycles": result.total_cycles,
         "num_epochs": result.num_epochs,
@@ -351,8 +357,12 @@ def run_campaign(
             if cache_obj is not None and job.cacheable
             else None
         )
-        cached = (None if entry is None
-                  else cache_obj.decode(record.key, entry))
+        cached = None
+        if entry is not None:
+            try:
+                cached = result_from_document(entry["session"])
+            except Exception as exc:  # noqa: BLE001 - recompute it instead
+                cache_obj.discard(record.key, exc)
         if cached is not None:
             results[i] = cached
             record.status = "cache_hit"
@@ -388,7 +398,11 @@ def run_campaign(
             if not retryable:
                 record.status = "failed"
             return retryable
-        results[i] = result_from_document(outcome["document"])
+        # An inline job hands over the result it computed; a pool job's
+        # crossed the pipe as its document.
+        result = outcome.get("result")
+        results[i] = (result if result is not None
+                      else result_from_document(outcome["document"]))
         record.status = "ok"
         record.failure = record.error = None
         record.num_epochs = int(outcome.get("num_epochs", 0))

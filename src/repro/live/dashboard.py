@@ -24,8 +24,7 @@ def epoch_digest(
     snapshot = epoch_result.snapshot
     culprit = epoch_result.queues.culprit()
     top = sorted(
-        ((scope, event, delta) for (scope, event), delta in snapshot.delta.items()
-         if delta),
+        ((scope, event, delta) for (scope, event), delta in snapshot.delta.items()),
         key=lambda item: abs(item[2]),
         reverse=True,
     )[:top_k]

@@ -48,6 +48,11 @@ class LogHistogram:
         bucket = self._bucket_of(value)
         self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LogHistogram):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

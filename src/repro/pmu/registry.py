@@ -195,6 +195,14 @@ class CounterRegistry:
 def delta(
     after: Dict[CounterKey, float], before: Dict[CounterKey, float]
 ) -> Dict[CounterKey, float]:
-    """Per-counter difference between two snapshots (an epoch's activity)."""
-    keys = set(after) | set(before)
-    return {k: after.get(k, 0.0) - before.get(k, 0.0) for k in keys}
+    """Per-counter difference between two snapshots (an epoch's activity).
+
+    Sparse: a counter that did not move is absent, so every consumer -
+    the analyses, the session document, the live digest - sees one shape.
+    """
+    out = {}
+    for key in set(after) | set(before):
+        value = after.get(key, 0.0) - before.get(key, 0.0)
+        if value:
+            out[key] = value
+    return out

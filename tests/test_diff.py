@@ -73,3 +73,31 @@ def test_diff_metrics_enumeration(tpp_diff):
     names = [m.name for m in tpp_diff.metrics()]
     assert "runtime_cycles" in names
     assert any(name.startswith("DRd.") for name in names)
+
+
+def test_aggregated_twins_diff_like_continuous_twins():
+    """compare_sessions reads an aggregated session's cumulative epoch."""
+    from repro import api
+    from repro.core import ProfilingMode
+    from repro.exec import cxl_node_id, local_node_id
+    from repro.workloads import build_app
+
+    config = spr_config()
+
+    def session(mode, node):
+        app = AppSpec(workload=build_app("519.lbm_r", num_ops=1500, seed=1),
+                      core=0, membind=node)
+        return api.run(ProfileSpec(apps=[app], epoch_cycles=5_000.0,
+                                   mode=mode))
+
+    diffs = {
+        mode: compare_sessions(session(mode, local_node_id(config)),
+                               session(mode, cxl_node_id(config)))
+        for mode in ProfilingMode
+    }
+    continuous = diffs[ProfilingMode.CONTINUOUS]
+    aggregated = diffs[ProfilingMode.AGGREGATED]
+    assert continuous.cxl_traffic.treatment > 0
+    assert continuous.serve_shift["HWPF"]["cxl_dram"].treatment > 0
+    assert aggregated.serve_shift == continuous.serve_shift
+    assert aggregated.cxl_traffic == continuous.cxl_traffic

@@ -74,12 +74,15 @@ def test_path_map_reports_per_dimm_traffic():
     )
     node_ids = [n.node_id for n in machine.address_space.cxl_nodes]
     workload.install_striped(machine, node_ids)
-    app = AppSpec(workload=workload, core=0, membind=node_ids[0])
+    # The pages are placed already: membind would re-install the whole
+    # working set on one DIMM.
+    app = AppSpec(workload=workload, core=0, preinstalled=node_ids)
     result = PathFinder(
         machine, ProfileSpec(apps=[app], epoch_cycles=50_000.0)
     ).run()
     traffic = result.final.path_map.cxl_traffic
     assert set(traffic) == set(node_ids)
+    assert all(traffic[node]["loads"] > 0 for node in node_ids)
 
 
 # -- flit modes ---------------------------------------------------------------

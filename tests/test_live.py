@@ -38,7 +38,7 @@ from repro.tsdb import (
     moving_average,
     pearsonr,
 )
-from repro.workloads import build_app
+from repro.workloads import SequentialStream, build_app
 
 # Dyadic rationals: exactly representable, so parity assertions measure
 # algorithmic agreement rather than accumulated float noise.
@@ -329,24 +329,49 @@ def test_live_forecast_matches_batch_over_stored_series(live_run):
     pf, _, _, _ = live_run
     materializer = pf.materializer
     for pid in materializer.tracked_pids():
+        # Both apps are CXL-bound: their DRd->LLC series are all zero,
+        # so the forecast is checked on the DRd->CXL hits.
+        series = (
+            materializer.db.from_(PATH_SET)
+            .where(pid=str(pid), path="DRd", dst="CXL")
+            .values("hits")
+        )
+        assert any(series)
+        got = materializer.rolling_locality(pid, dst="CXL")["forecast"]
+        want = holt_winters(series, horizon=1)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-7)
+
+
+def test_live_correlation_matches_batch():
+    # Streaming Pearson pairs the apps' DRd->LLC hits, so both apps need
+    # LLC hits that vary from epoch to epoch: two CXL-bound streams over
+    # a 1 MiB working set each.
+    machine = Machine(spr_config(num_cores=2))
+    node = machine.cxl_node.node_id
+    apps = [
+        AppSpec(workload=SequentialStream(name=f"stream{core}", num_ops=ops,
+                                          working_set_bytes=1 << 20),
+                core=core, membind=node)
+        for core, ops in enumerate((4000, 5000))
+    ]
+    pf = PathFinder(machine, ProfileSpec(apps=apps, epoch_cycles=10_000.0),
+                    live=LiveSpec(window=WINDOW))
+    pf.run()
+    materializer = pf.materializer
+    pids = materializer.tracked_pids()
+    assert len(pids) == 2
+    for pid in pids:
         series = (
             materializer.db.from_(PATH_SET)
             .where(pid=str(pid), path="DRd", dst="LLC")
             .values("hits")
         )
-        got = materializer.rolling_locality(pid)["forecast"]
-        want = holt_winters(series, horizon=1)
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-7)
-
-
-def test_live_correlation_matches_batch(live_run):
-    pf, _, _, _ = live_run
-    materializer = pf.materializer
-    pids = materializer.tracked_pids()
-    assert len(pids) == 2
+        assert len(set(series)) > 1 and any(series)
     a, b = pids
+    batch = materializer.correlate(a, b)
+    assert batch != 0.0
     assert materializer.rolling_correlate(a, b) == pytest.approx(
-        materializer.correlate(a, b), rel=1e-6, abs=1e-6
+        batch, rel=1e-6, abs=1e-6
     )
 
 

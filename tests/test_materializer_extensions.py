@@ -41,19 +41,17 @@ def test_session_roundtrip(cxl_session, tmp_path):
     path = tmp_path / "session.json"
     save_session(result, path)
     loaded = load_session(path)
-    assert len(loaded.snapshots) == result.num_epochs
+    assert loaded.num_epochs == result.num_epochs
     assert loaded.total_cycles == result.total_cycles
     assert {f.flow_id for f in loaded.flows} >= {
         f.flow_id for f in result.flows
     }
-    # Counter deltas survive exactly (non-zero entries).
+    # Counter deltas survive exactly.
     original = result.epochs[0].snapshot
-    restored = loaded.snapshots[0]
+    restored = loaded.epochs[0].snapshot
     assert restored.t_start == original.t_start
     assert restored.t_end == original.t_end
-    for key, value in original.delta.items():
-        if value:
-            assert restored.delta[key] == value
+    assert restored.delta == original.delta
 
 
 def test_loaded_session_reanalyzes(cxl_session, tmp_path):
@@ -61,17 +59,12 @@ def test_loaded_session_reanalyzes(cxl_session, tmp_path):
     path = tmp_path / "session.json"
     save_session(result, path)
     loaded = load_session(path)
-    analyses = loaded.reanalyze()
-    assert len(analyses) == result.num_epochs
-    snapshot, path_map, stalls, queues = analyses[-1]
-    # Offline re-analysis matches the live run's conclusions.
-    live = result.epochs[-1]
-    assert path_map.cxl_hits() == live.path_map.cxl_hits()
-    live_culprit = live.queues.culprit()
-    offline_culprit = queues.culprit()
-    if live_culprit is not None:
-        assert offline_culprit is not None
-        assert offline_culprit.component == live_culprit.component
+    assert len(loaded.epochs) == result.num_epochs
+    # Offline re-analysis reaches the live run's conclusions exactly.
+    offline, live = loaded.epochs[-1], result.epochs[-1]
+    assert offline.path_map == live.path_map
+    assert offline.stalls == live.stalls
+    assert offline.queues == live.queues
 
 
 def test_load_rejects_unknown_version(tmp_path):

@@ -241,3 +241,50 @@ def test_render_functions_produce_text(cxl_session):
     assert "Path map" in epoch_text
     assert "stall breakdown" in epoch_text
     assert "culprit" in epoch_text
+
+
+# -- aggregated mode ------------------------------------------------------------
+
+
+def _lbm_spec(mode, node, num_ops=3000):
+    from repro.core import AppSpec, ProfileSpec
+    from repro.workloads import build_app
+
+    return ProfileSpec(
+        apps=[AppSpec(workload=build_app("519.lbm_r", num_ops=num_ops, seed=1),
+                      core=0, membind=node)],
+        epoch_cycles=5_000.0, mode=mode,
+    )
+
+
+@pytest.mark.parametrize("fidelity", ["exact", "adaptive"])
+def test_aggregated_totals_equal_continuous_totals(fidelity):
+    """One cumulative report covers the whole session, warps included."""
+    from repro import RunOptions, api
+    from repro.core import ProfilingMode
+    from repro.exec import cxl_node_id
+    from repro.sim import Machine, spr_config
+
+    config = spr_config()
+    results = {
+        mode: api.run(_lbm_spec(mode, cxl_node_id(config)),
+                      machine=Machine(config),
+                      options=RunOptions(fidelity=fidelity))
+        for mode in ProfilingMode
+    }
+    continuous = results[ProfilingMode.CONTINUOUS]
+    aggregated = results[ProfilingMode.AGGREGATED]
+    assert continuous.num_epochs > 1 and not aggregated.epochs
+    totals = api.counters(aggregated)
+    assert totals == api.counters(continuous)
+    assert sum(value for (_, event), value in totals.items()
+               if event == "app.ops_completed") == 3000
+    final = aggregated.final.snapshot
+    assert (final.t_start, final.t_end) == (0.0, aggregated.total_cycles)
+    assert {f.flow_id for f in final.flows} == \
+        {f.flow_id for f in aggregated.flows}
+    # The cumulative epoch is analysed like any other.
+    assert aggregated.final.path_map.cxl_hits() == sum(
+        e.path_map.cxl_hits() for e in continuous.epochs)
+    if fidelity == "adaptive":
+        assert aggregated.warp is not None and final.warped

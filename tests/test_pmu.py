@@ -294,3 +294,20 @@ def test_sync_hooks_run_once_per_timestamp_and_state():
     assert calls == [100.0, 100.0, 200.0]
     assert reg.get("m2p", "occupancy_integral") == 22.0
     assert len(fired) == 2
+
+
+def test_counter_docs_match_event_catalog():
+    """docs/COUNTERS.md is what scripts/gen_counter_docs.py renders."""
+    import importlib.util
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "gen_counter_docs", root / "scripts" / "gen_counter_docs.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    committed = (root / "docs" / "COUNTERS.md").read_text()
+    assert script.render() == committed, (
+        "docs/COUNTERS.md is stale: run python scripts/gen_counter_docs.py"
+    )

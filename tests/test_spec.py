@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import AppSpec, ProfileSpec, ProfilingMode, ReportSpec
+from repro.core import AppSpec, ProfileSpec, ProfilingMode
 from repro.workloads import SequentialStream
 
 
@@ -43,14 +43,7 @@ def test_profilespec_defaults():
     app = AppSpec(workload=_workload(), core=0, membind=0)
     spec = ProfileSpec(apps=[app])
     assert spec.mode is ProfilingMode.CONTINUOUS
-    assert spec.report.path_map
     assert spec.max_epochs > 0
-
-
-def test_reportspec_fields():
-    report = ReportSpec(locality=True, top_n_paths=2)
-    assert report.locality
-    assert report.top_n_paths == 2
 
 
 def test_appspec_preinstalled_nodes():

@@ -13,7 +13,6 @@ from repro import api
 from repro.core import (
     AppSpec,
     ProfileSpec,
-    ReportSpec,
     TraceSpec,
     config_from_document,
     config_to_document,
@@ -103,16 +102,21 @@ def test_spec_round_trip_keeps_mode_report_and_trace():
     spec = _spec(
         mode=ProfilingMode.AGGREGATED,
         max_epochs=7,
-        report=ReportSpec(locality=True, top_n_paths=2),
         trace=TraceSpec(sample_every=16, max_requests=500),
     )
-    rebuilt = spec_from_document(spec_to_document(spec))
-    assert rebuilt.mode is ProfilingMode.AGGREGATED
-    assert rebuilt.max_epochs == 7
-    assert rebuilt.report.locality is True
-    assert rebuilt.report.top_n_paths == 2
-    assert rebuilt.trace.sample_every == 16
-    assert rebuilt.trace.max_requests == 500
+    document = spec_to_document(spec)
+    assert "report" not in document
+    # A document from before the report selection was dropped (a
+    # journaled submission) still carries it; the key is ignored.
+    journaled = dict(document, report={"path_map": True, "locality": True,
+                                       "top_n_paths": 2})
+    for doc in (document, journaled):
+        rebuilt = spec_from_document(doc)
+        assert rebuilt.mode is ProfilingMode.AGGREGATED
+        assert rebuilt.max_epochs == 7
+        assert rebuilt.trace.sample_every == 16
+        assert rebuilt.trace.max_requests == 500
+        assert job_key(rebuilt, spr_config()) == job_key(spec, spr_config())
 
 
 def test_spec_round_trip_keeps_bindings():
