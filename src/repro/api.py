@@ -302,21 +302,21 @@ def fleet_run_many(
     options: Optional[RunOptions] = None,
     config: Optional[MachineConfig] = None,
     tags: Optional[Sequence[str]] = None,
-    monitor_interval_s: Optional[float] = 2.0,
     on_event: Optional[Any] = None,
     **shard_options: Any,
 ) -> "FleetResult":
     """Execute a campaign across a fleet of ``repro.serve`` daemons.
 
     The sharded twin of :func:`run_many`: each job is routed by
-    consistent hashing on its cache key to one of ``members``
+    rendezvous hashing on its cache key to one of ``members``
     (``"host:port"`` strings or ``(host, port)`` tuples), so repeated
     and overlapping sweeps resolve as member-local cache hits, and a
-    member that dies mid-campaign has its jobs rerouted to ring
-    successors.  Jobs must be declarative (no ``setup`` hooks - they
-    cannot travel over HTTP).  Execution knobs travel in ``options``
-    (:class:`repro.RunOptions`): ``max_events``/``trace`` fold into the
-    shipped jobs, ``timeout`` becomes the per-member ``job_timeout``;
+    member that dies mid-campaign has its jobs rerouted to the next
+    member in each key's ranking.  Jobs must be declarative (no
+    ``setup`` hooks - they cannot travel over HTTP).  Execution knobs
+    travel in ``options`` (:class:`repro.RunOptions`):
+    ``max_events``/``trace`` fold into the shipped jobs, ``timeout``
+    becomes the per-member ``job_timeout``;
     ``cache`` and ``retries`` do not apply here (members cache locally,
     failover replaces retry).  Extra ``shard_options`` are forwarded to
     :meth:`repro.fleet.FleetCoordinator.shard_campaign`; ``on_event``
@@ -343,13 +343,9 @@ def fleet_run_many(
             )
         shard_options["job_timeout"] = opts["timeout"]
     jobs = _collect_jobs(specs, config, tags, opts)
-    coordinator = FleetCoordinator(members)
-    if monitor_interval_s is not None:
-        coordinator.start_monitor(interval_s=monitor_interval_s)
-    try:
-        return coordinator.run_many(jobs, on_event=on_event, **shard_options)
-    finally:
-        coordinator.stop_monitor()
+    return FleetCoordinator(members).run_many(
+        jobs, on_event=on_event, **shard_options
+    )
 
 
 def compare(

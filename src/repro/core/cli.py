@@ -681,15 +681,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     jobs = _fleet_jobs(args)
 
     def _run(coordinator) -> int:
-        coordinator.start_monitor()
-        try:
-            campaign = coordinator.shard_campaign(jobs)
-            if args.stream:
-                for event in campaign.events():
-                    print(json.dumps(event), flush=True)
-            result = campaign.wait()
-        finally:
-            coordinator.stop_monitor()
+        campaign = coordinator.shard_campaign(jobs)
+        if args.stream:
+            for event in campaign.events():
+                print(json.dumps(event), flush=True)
+        result = campaign.wait()
         print(render_fleet(result))
         return 1 if (not result.jobs or result.failed) else 0
 

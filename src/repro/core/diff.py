@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..pmu.views import CorePMUView, M2PCIeView, core_ids, cxl_node_ids
-from .profiler import ProfileResult
+from .profiler import EpochResult, ProfileResult
 
 _SERVE_TIERS = ("l3_hit", "snc_cache", "local_dram", "remote_dram", "cxl_dram")
 
@@ -115,31 +115,33 @@ def compare_sessions(
             "cxl_dimm_traffic", base_traffic, treat_traffic
         )
     # Stall shape: the uncore fraction of attributed DRd stall.
-    if baseline.epochs and treatment.epochs:
+    base_epochs = baseline.session_epochs()
+    treat_epochs = treatment.session_epochs()
+    if base_epochs and treat_epochs:
         diff.stall_uncore_fraction = MetricDelta(
             "drd_stall_uncore_fraction",
-            _mean_uncore_fraction(baseline),
-            _mean_uncore_fraction(treatment),
+            _mean_uncore_fraction(base_epochs),
+            _mean_uncore_fraction(treat_epochs),
         )
         diff.culprit_queue = MetricDelta(
             "late_culprit_queue",
-            _late_culprit(baseline),
-            _late_culprit(treatment),
+            _late_culprit(base_epochs),
+            _late_culprit(treat_epochs),
         )
     return diff
 
 
-def _mean_uncore_fraction(result: ProfileResult) -> float:
+def _mean_uncore_fraction(epochs: List[EpochResult]) -> float:
     fractions = [
         e.stalls.uncore_fraction("DRd")
-        for e in result.epochs
+        for e in epochs
         if sum(e.stalls.aggregate("DRd").values()) > 0
     ]
     return sum(fractions) / len(fractions) if fractions else 0.0
 
 
-def _late_culprit(result: ProfileResult) -> float:
-    tail = result.epochs[-max(1, len(result.epochs) // 3):]
+def _late_culprit(epochs: List[EpochResult]) -> float:
+    tail = epochs[-max(1, len(epochs) // 3):]
     queues = [
         e.queues.culprit().queue_length
         for e in tail

@@ -96,10 +96,16 @@ class ProfileResult:
         """Map an extractor over the epoch results."""
         return [fn(e) for e in self.epochs]
 
+    def session_epochs(self) -> List[EpochResult]:
+        """The epochs that together cover the whole session: every epoch
+        of a continuous session, the one final epoch of an aggregated
+        one."""
+        return self.epochs or ([self.final] if self.final else [])
+
     def counter_totals(self) -> Dict[CounterKey, float]:
         """Total ``(scope, event) -> value`` deltas over the whole session."""
         totals: Dict[CounterKey, float] = {}
-        for epoch in self.epochs or ([self.final] if self.final else []):
+        for epoch in self.session_epochs():
             _accumulate(totals, epoch.snapshot.delta)
         return totals
 

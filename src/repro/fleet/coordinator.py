@@ -1,27 +1,31 @@
 """The fleet coordinator: N ``repro.serve`` daemons as one profiler.
 
 :class:`FleetCoordinator` holds the member table (one
-:class:`FleetMember` per daemon: a reusable :class:`ServeClient`, a
-:class:`CircuitBreaker`, a coordinator-side submit-latency
+:class:`FleetMember` per daemon: a reusable :class:`ServeClient`, a down
+mark, a coordinator-side submit-latency
 :class:`~repro.obs.histogram.LogHistogram`) and routes every campaign
-job by consistent hashing on its exec-layer cache key - the member that
-computed a result holds it warm, so resubmitted and overlapping sweeps
-resolve as member-local cache hits instead of recomputes.
+job by rendezvous (highest-random-weight) hashing on its exec-layer
+cache key - the member that computed a result holds it warm, so
+resubmitted and overlapping sweeps resolve as member-local cache hits
+instead of recomputes.
 
 :meth:`FleetCoordinator.shard_campaign` fans a ``run_many``-style job
 list out over the members and returns a :class:`FleetCampaign` handle:
 one driver thread per job submits, streams NDJSON progress into a
 merged :class:`~repro.fleet.stream.EventMux`, and on member death or a
-5xx answer reroutes to the next ring node with bounded retries - a
-daemon killed mid-campaign loses no jobs, its share is recomputed (or
-cache-hit) on its ring successors.  The completed campaign is a
-:class:`FleetResult`, a :class:`~repro.exec.runner.CampaignResult`
-subclass, so every existing campaign consumer (``render_campaign``,
-``summary()``, ``result_for``) works unchanged.
+5xx answer marks the member down and reroutes to the next member in the
+key's ranking, once per other member - a daemon killed mid-campaign
+loses no jobs, its share is recomputed (or cache-hit) elsewhere.  That
+in-band outcome is the only failure detector: there is no prober.  The
+completed campaign is a :class:`FleetResult`, a
+:class:`~repro.exec.runner.CampaignResult` subclass, so every existing
+campaign consumer (``render_campaign``, ``summary()``, ``result_for``)
+works unchanged.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import threading
 import time
@@ -43,8 +47,6 @@ from ..core.persistence import result_from_document
 from ..exec.runner import CampaignJob, CampaignResult, JobRecord
 from ..obs.histogram import LogHistogram
 from ..serve.client import ServeClient, ServeError
-from .health import CircuitBreaker, HealthMonitor
-from .ring import DEFAULT_REPLICAS, HashRing
 from .stream import EventMux
 
 logger = logging.getLogger(__name__)
@@ -54,6 +56,19 @@ MemberAddress = Union[str, Tuple[str, int], "FleetMember"]
 
 #: Errors that mean "this member, not this job, is the problem".
 _MEMBER_ERRORS = (ConnectionError, OSError, TimeoutError)
+
+#: Seconds a member stays out of routing after a failed submit, stream
+#: or result fetch (a success clears the mark sooner).
+DOWN_S = 30.0
+
+#: How long a submit waits out a busy (429) member before failing over.
+_BUSY_WAIT_S = 300.0
+
+
+def _weight(member_id: str, key: str) -> int:
+    """Rendezvous weight of a member for a key (not security-sensitive)."""
+    digest = hashlib.sha1(f"{member_id}#{key}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 class NoMemberAvailable(RuntimeError):
@@ -68,26 +83,37 @@ class FleetMember:
     host: str
     port: int
     client: ServeClient = field(repr=False, default=None)  # type: ignore[assignment]
-    breaker: CircuitBreaker = field(repr=False, default=None)  # type: ignore[assignment]
     #: Coordinator-side submit latency (milliseconds, log2 buckets).
     submit_latency_ms: LogHistogram = field(
         repr=False, default_factory=LogHistogram
     )
+    #: ``time.monotonic()`` until which routing skips this member.
+    down_until: float = field(repr=False, default=0.0)
 
     @property
     def address(self) -> str:
         return f"{self.host}:{self.port}"
+
+    @property
+    def down(self) -> bool:
+        return time.monotonic() < self.down_until
+
+    def mark_down(self) -> None:
+        self.down_until = time.monotonic() + DOWN_S
+
+    def mark_up(self) -> None:
+        self.down_until = 0.0
 
 
 @dataclass
 class FleetJobRecord(JobRecord):
     """A :class:`JobRecord` plus where the fleet ran it."""
 
-    #: Ring-primary member the job was first routed to.
+    #: Member the job was first routed to (its primary unless down).
     routed_to: Optional[str] = None
     #: Member that actually completed (or terminally failed) the job.
     member_id: Optional[str] = None
-    #: Times the job was rerouted to a ring successor.
+    #: Times the job was rerouted to the next member in its ranking.
     failovers: int = 0
     #: The job id on the completing member.
     remote_job_id: Optional[str] = None
@@ -115,10 +141,11 @@ class FleetResult(CampaignResult):
 
     @property
     def locality(self) -> float:
-        """Fraction of jobs served as a cache hit by the member the
-        ring routed them to - the resubmission affinity the consistent
-        hashing exists to maximise (a hit can only come from the member
-        that cached the entry)."""
+        """Fraction of jobs served as a cache hit, from the member's own
+        cache or, over a shared store, as a ``remote_hits`` pull.  With
+        private caches a hit can only come from the member that computed
+        the entry, so this is the resubmission affinity the rendezvous
+        routing exists to maximise."""
         if not self.jobs:
             return 0.0
         return sum(1 for j in self.jobs if j.cache_hit) / len(self.jobs)
@@ -151,30 +178,21 @@ class FleetResult(CampaignResult):
 
 
 class FleetCoordinator:
-    """Routes campaign jobs across a health-checked daemon fleet."""
+    """Routes campaign jobs across a daemon fleet."""
 
     def __init__(
         self,
         members: Sequence[MemberAddress] = (),
         *,
-        replicas: int = DEFAULT_REPLICAS,
-        failure_threshold: int = 2,
-        cooldown_s: float = 30.0,
-        client_timeout: float = 30.0,
         tenant: Optional[str] = None,
     ) -> None:
-        self.failure_threshold = failure_threshold
-        self.cooldown_s = cooldown_s
-        self.client_timeout = client_timeout
         #: Tenant identity stamped on every member client this
         #: coordinator builds (prebuilt FleetMember clients are kept
         #: as-is).
         self.tenant = tenant
-        self.ring = HashRing(replicas=replicas)
         self._members: Dict[str, FleetMember] = {}
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
-        self._monitor: Optional[HealthMonitor] = None
         for member in members:
             self.add_member(member)
 
@@ -182,7 +200,7 @@ class FleetCoordinator:
 
     def add_member(self, member: MemberAddress) -> FleetMember:
         """Add one daemon (``"host:port"``, ``(host, port)`` or a
-        prebuilt :class:`FleetMember`) to the table and the ring."""
+        prebuilt :class:`FleetMember`) to the table."""
         if isinstance(member, FleetMember):
             record = member
         else:
@@ -199,24 +217,9 @@ class FleetCoordinator:
                                  host=host, port=int(port))
         if record.client is None:
             record.client = ServeClient(host=record.host, port=record.port,
-                                        timeout=self.client_timeout,
                                         tenant=self.tenant)
-        if record.breaker is None:
-            record.breaker = CircuitBreaker(
-                failure_threshold=self.failure_threshold,
-                cooldown_s=self.cooldown_s,
-            )
         with self._lock:
-            if record.member_id in self._members:
-                return self._members[record.member_id]
-            self._members[record.member_id] = record
-        self.ring.add(record.member_id)
-        return record
-
-    def remove_member(self, member_id: str) -> None:
-        self.ring.remove(member_id)
-        with self._lock:
-            self._members.pop(member_id, None)
+            return self._members.setdefault(record.member_id, record)
 
     def members(self) -> List[FleetMember]:
         with self._lock:
@@ -242,61 +245,19 @@ class FleetCoordinator:
               exclude: Sequence[str] = ()) -> Optional[FleetMember]:
         """The member that should run ``key`` right now.
 
-        Walks the ring from the key's primary, skipping excluded members
-        and open circuits.  If *every* non-excluded member is
-        circuit-open, the first one is returned anyway (trying a
-        probably-dead member beats failing a job outright and doubles as
-        the half-open trial).
+        Ranks the members not in ``exclude`` by rendezvous weight for
+        ``key`` - the first is the key's primary, the rest its failover
+        order - and returns the first that is not marked down.  Adding
+        or removing a member moves only the keys it ranks first for.
+        If *every* candidate is down, the first one is returned anyway
+        (trying a probably-dead member beats failing a job outright).
         """
-        excluded = set(exclude)
-        fallback: Optional[FleetMember] = None
-        for member_id in self.ring.successors(key):
-            if member_id in excluded:
-                continue
-            with self._lock:
-                member = self._members.get(member_id)
-            if member is None:
-                continue
-            if fallback is None:
-                fallback = member
-            if member.breaker.allow():
+        candidates = [m for m in self.members() if m.member_id not in exclude]
+        candidates.sort(key=lambda m: _weight(m.member_id, key), reverse=True)
+        for member in candidates:
+            if not member.down:
                 return member
-        return fallback
-
-    # -- health ----------------------------------------------------------
-
-    def check_health(self) -> Dict[str, Dict[str, Any]]:
-        """Probe every member's ``/readyz`` once; feed the breakers."""
-        report: Dict[str, Dict[str, Any]] = {}
-        for member in self.members():
-            ready = False
-            error: Optional[str] = None
-            try:
-                ready = member.client.ready()
-            except Exception as exc:  # noqa: BLE001 - any probe failure
-                error = f"{type(exc).__name__}: {exc}"
-            if ready:
-                member.breaker.record_success()
-            else:
-                member.breaker.record_failure()
-            report[member.member_id] = {
-                "ready": ready,
-                "error": error,
-                "breaker": member.breaker.snapshot(),
-            }
-        return report
-
-    def start_monitor(self, interval_s: float = 2.0) -> HealthMonitor:
-        """Start (or return) the background ``/readyz`` prober."""
-        if self._monitor is None or not self._monitor.is_alive():
-            self._monitor = HealthMonitor(self, interval_s=interval_s)
-            self._monitor.start()
-        return self._monitor
-
-    def stop_monitor(self) -> None:
-        if self._monitor is not None:
-            self._monitor.stop()
-            self._monitor = None
+        return candidates[0] if candidates else None
 
     # -- campaigns -------------------------------------------------------
 
@@ -305,18 +266,15 @@ class FleetCoordinator:
         jobs: Sequence[CampaignJob],
         *,
         priority: int = 10,
-        max_failovers: Optional[int] = None,
-        concurrency: Optional[int] = None,
-        admission_wait: float = 300.0,
         job_timeout: float = 600.0,
     ) -> "FleetCampaign":
         """Fan ``jobs`` out over the fleet; returns a live campaign handle.
 
-        ``max_failovers`` bounds reroutes per job (default: every other
-        member once).  ``concurrency`` bounds driver threads (default:
-        4 per member).  Jobs must be declarative - a ``setup`` hook or
-        ``key_extra`` cannot travel over HTTP and would desynchronise
-        the routing key from the member's cache key.
+        A job fails over to every other member once at most, and at most
+        4 jobs per member are in flight at a time.  Jobs must be
+        declarative - a ``setup`` hook or ``key_extra`` cannot travel
+        over HTTP and would desynchronise the routing key from the
+        member's cache key.
         """
         if not len(self):
             raise NoMemberAvailable("fleet has no members")
@@ -328,14 +286,8 @@ class FleetCoordinator:
                     "a setup hook / key_extra, which cannot travel over "
                     "HTTP)"
                 )
-        return FleetCampaign(
-            self, jobs,
-            priority=priority,
-            max_failovers=max_failovers,
-            concurrency=concurrency,
-            admission_wait=admission_wait,
-            job_timeout=job_timeout,
-        )
+        return FleetCampaign(self, jobs, priority=priority,
+                             job_timeout=job_timeout)
 
     def run_many(
         self,
@@ -430,7 +382,7 @@ class FleetCoordinator:
                 members_doc[member.member_id] = {
                     "reachable": False,
                     "error": f"{type(exc).__name__}: {exc}",
-                    "breaker": member.breaker.snapshot(),
+                    "down": member.down,
                 }
                 continue
             reachable += 1
@@ -460,7 +412,7 @@ class FleetCoordinator:
             hist = member.submit_latency_ms
             members_doc[member.member_id] = {
                 "reachable": True,
-                "breaker": member.breaker.snapshot(),
+                "down": member.down,
                 "queue": queue_doc,
                 "jobs_by_state": doc.get("jobs_by_state", {}),
                 "counters": counters,
@@ -513,20 +465,12 @@ class FleetCampaign:
         jobs: List[CampaignJob],
         *,
         priority: int,
-        max_failovers: Optional[int],
-        concurrency: Optional[int],
-        admission_wait: float,
         job_timeout: float,
     ) -> None:
         self.coordinator = coordinator
         self.jobs = jobs
         self.priority = priority
-        self.admission_wait = admission_wait
         self.job_timeout = job_timeout
-        self.max_failovers = (
-            max_failovers if max_failovers is not None
-            else max(0, len(coordinator) - 1)
-        )
         self.records: List[FleetJobRecord] = [
             FleetJobRecord(index=i, tag=job.tag or f"job{i}", key=job.key())
             for i, job in enumerate(jobs)
@@ -534,9 +478,8 @@ class FleetCampaign:
         self.results: List[Optional[Any]] = [None] * len(jobs)
         self._mux = EventMux()
         self._started = time.monotonic()
-        workers = concurrency or max(2, 4 * len(coordinator))
         self._pool = ThreadPoolExecutor(
-            max_workers=max(1, min(workers, max(1, len(jobs)))),
+            max_workers=max(1, min(4 * len(coordinator), len(jobs))),
             thread_name_prefix="fleet-job",
         )
         for _ in jobs:
@@ -627,13 +570,13 @@ class FleetCampaign:
 
             def reroute(reason: str) -> bool:
                 """Mark the member bad; True if another may be tried."""
-                member.breaker.record_failure()
+                member.mark_down()
                 tried.append(member.member_id)
                 record.failovers = len(tried)
                 coordinator._inc("jobs_failed_over")
                 self._publish(i, member, "member_failed", reason=reason,
                               failovers=record.failovers)
-                if len(tried) > self.max_failovers:
+                if len(tried) >= len(coordinator):  # every member once
                     self._fail(
                         i, member, "member_lost",
                         f"gave up after {len(tried)} members: {reason}",
@@ -652,7 +595,7 @@ class FleetCampaign:
                     max_events=job.max_events,
                     cacheable=job.cacheable,
                     retry_on_busy=True,
-                    max_wait=self.admission_wait,
+                    max_wait=_BUSY_WAIT_S,
                 )
             except ServeError as exc:
                 if exc.status >= 500 or exc.status == 429:
@@ -666,7 +609,7 @@ class FleetCampaign:
                 if reroute(f"submit failed: {type(exc).__name__}: {exc}"):
                     continue
                 return
-            member.breaker.record_success()
+            member.mark_up()
             member.submit_latency_ms.add(
                 max(0.0, (time.monotonic() - began) * 1e3)
             )

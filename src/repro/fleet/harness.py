@@ -5,19 +5,24 @@ instances - each with its *own* result-cache directory, mirroring
 production where members do not share storage (that separation is what
 makes cache-affinity routing observable: a hit can only come from the
 member that computed the entry) - and wires a
-:class:`~repro.fleet.coordinator.FleetCoordinator` over them.  Used by
-``tests/test_fleet.py`` (mid-campaign kill, resubmission locality,
-metrics rollup, counter parity), ``tests/test_durable_serve.py`` and
-``pathfinder fleet run --local N``.
+:class:`~repro.fleet.coordinator.FleetCoordinator` over them.
+``shared_cache_root`` puts every member's cache over one pull-through
+store instead, and ``journal_root`` gives each member a journal that
+:meth:`LocalFleet.restart` replays.  Used by ``tests/test_fleet.py``
+(mid-campaign kill, resubmission locality, metrics rollup, counter
+parity), ``tests/test_durable_serve.py`` and ``pathfinder fleet run
+--local N``.
 
 :meth:`LocalFleet.kill` force-stops a member (sockets torn down
 mid-request, no drain), which is the failure the coordinator's
-failover path exists for.
+failover path exists for: the first request that fails on the dead
+member marks it down for ``DOWN_S`` seconds.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
 from typing import Any, List, Optional
 
@@ -47,8 +52,6 @@ class LocalFleet:
         journal_root: Optional[str] = None,
         shared_cache_root: Optional[str] = None,
         tenants: Any = None,
-        failure_threshold: int = 2,
-        cooldown_s: float = 60.0,
         **daemon_kwargs: Any,
     ) -> None:
         if size < 1:
@@ -68,13 +71,7 @@ class LocalFleet:
         self.shared_cache_root = shared_cache_root
         self.tenants = tenants
         self.servers: List[Optional[BackgroundServer]] = [None] * size
-        # A long default cooldown: once a killed member's breaker opens,
-        # tests want it to STAY out of routing (no half-open probe
-        # stealing a resubmitted job from its failover home).
-        self.coordinator = FleetCoordinator(
-            failure_threshold=failure_threshold,
-            cooldown_s=cooldown_s,
-        )
+        self.coordinator = FleetCoordinator()
         self._started = False
 
     # -- lifecycle -------------------------------------------------------
@@ -110,7 +107,6 @@ class LocalFleet:
         return self
 
     def stop(self) -> None:
-        self.coordinator.stop_monitor()
         for index, server in enumerate(self.servers):
             if server is not None:
                 try:
@@ -118,6 +114,8 @@ class LocalFleet:
                 except Exception:  # noqa: BLE001 - teardown best-effort
                     pass
                 self.servers[index] = None
+        if self._own_root:
+            shutil.rmtree(self.cache_root, ignore_errors=True)
 
     def __enter__(self) -> "LocalFleet":
         return self.start()
@@ -136,9 +134,9 @@ class LocalFleet:
     def kill(self, index: int) -> str:
         """Force-stop member ``index`` (abrupt death, no drain).
 
-        The member stays in the coordinator's table and ring - exactly
-        like a production crash, it is the breaker's job to take it out
-        of routing.  Returns the dead member's id.
+        The member stays in the coordinator's table - exactly like a
+        production crash, the first request that fails on it marks it
+        down and takes it out of routing.  Returns the dead member's id.
         """
         member_id = self.member_id(index)
         server = self.servers[index]
@@ -154,7 +152,7 @@ class LocalFleet:
         fleet has a ``journal_root``) its journal dir, so the daemon's
         recovery replay re-enqueues whatever the killed member still
         owed.  It binds a fresh port, hence joins the coordinator as a
-        new member id; the dead id's breaker keeps it out of routing.
+        new member id; the dead id's down mark keeps it out of routing.
         Returns the new member's id.
         """
         if self.servers[index] is not None:

@@ -2,15 +2,15 @@
 
 Turns post-hoc batch analysis into continuous profiling: counter records
 append to a retention-tiered TSDB as epochs complete, PFMaterializer
-workflows update in O(1) per record via incremental operators, and an
-ingestion bus fans per-epoch digests out to live dashboards
-(``GET /v1/live`` on serve, fleet-merged streams, the ``pathfinder
-live`` CLI verb).  See docs/OBSERVABILITY.md ("Live profiling").
+workflows update in O(1) per record via the online operators of
+``repro.tsdb``, and an ingestion bus fans per-epoch digests out to live
+dashboards (``GET /v1/live`` on serve, fleet-merged streams, the
+``pathfinder live`` CLI verb).  See docs/OBSERVABILITY.md ("Live
+profiling").
 """
 
 from .bus import IngestionBus, LiveSubscription
 from .dashboard import epoch_digest, render_live_event
-from .incremental import OnlineHoltWinters, RollingMean, StreamingPearson
 from .materializer import LiveMaterializer
 from .sampler import LIVE_QUEUES, QueueSampler
 from .spec import LiveSpec, coerce_live
@@ -21,10 +21,7 @@ __all__ = [
     "LiveMaterializer",
     "LiveSpec",
     "LiveSubscription",
-    "OnlineHoltWinters",
     "QueueSampler",
-    "RollingMean",
-    "StreamingPearson",
     "coerce_live",
     "epoch_digest",
     "render_live_event",

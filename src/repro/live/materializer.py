@@ -2,8 +2,8 @@
 
 ``LiveMaterializer`` is a drop-in :class:`~repro.core.materializer
 .PFMaterializer` whose backing TSDB carries the live retention tiers and
-which additionally maintains, per tagged series, the incremental
-operators from :mod:`repro.live.incremental`:
+which additionally maintains, per tagged series, the online operators
+of :mod:`repro.tsdb.operators`:
 
 * per ``(pid, path, dst)`` hit series - rolling mean + online
   Holt-Winters forecast (the streaming half of the section 4.6 locality
@@ -13,8 +13,9 @@ operators from :mod:`repro.live.incremental`:
   LLC-hit series (the streaming half of :meth:`correlate`).
 
 The batch workflows (``locality``, ``correlate``, ...) still run against
-the same db - within the retention window they agree with the rolling
-views, which the parity tests assert.
+the same db.  Their series functions are folds over the same operators,
+so within the retention window they agree with the rolling views, which
+``tests/test_live.py`` checks every epoch.
 """
 
 from __future__ import annotations
@@ -24,8 +25,12 @@ from typing import Dict, List, Optional, Tuple
 from ..core.builder import PathMap
 from ..core.materializer import PATH_SET, VERTEX_SET, PFMaterializer
 from ..core.snapshot import Snapshot
-from ..tsdb import TimeSeriesDB
-from .incremental import OnlineHoltWinters, RollingMean, StreamingPearson
+from ..tsdb import (
+    OnlineHoltWinters,
+    RollingMean,
+    StreamingPearson,
+    TimeSeriesDB,
+)
 from .spec import LiveSpec
 
 

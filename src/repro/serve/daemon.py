@@ -997,6 +997,9 @@ class BackgroundServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started = threading.Event()
         self._stopped = threading.Event()
+        #: Set on the loop thread once serving ended and the loop tears
+        #: itself down; a force stop arriving later has nothing to cancel.
+        self._closing = False
 
     @property
     def port(self) -> int:
@@ -1022,6 +1025,7 @@ class BackgroundServer:
             except asyncio.CancelledError:
                 pass  # force stop cancels serve_forever itself
         finally:
+            self._closing = True
             try:
                 pending = [t for t in asyncio.all_tasks(loop)
                            if not t.done()]
@@ -1042,6 +1046,9 @@ class BackgroundServer:
             return
         if force:
             def _cancel() -> None:
+                if self._closing:
+                    # Cancelling now would cancel the teardown itself.
+                    return
                 self.daemon._draining = True
                 if self.daemon._server is not None:
                     self.daemon._server.close()

@@ -3,13 +3,17 @@
 PFMaterializer (section 4.6) layers a time-series database over the
 profiler core; this package provides that substrate: measurements of
 tagged records, a chainable query pipeline, the section's named operators
-(movingAverage, holtWinters, pearsonr), phase-window clustering, and
-trend/seasonality/residual decomposition.
+(movingAverage, holtWinters, pearsonr - each a fold over its online
+operator), phase-window clustering, and trend/seasonality/residual
+decomposition.
 """
 
 from .clustering import Window, cluster_windows, dominant_window
 from .database import Measurement, Record, RecordsView, TimeSeriesDB
 from .operators import (
+    OnlineHoltWinters,
+    RollingMean,
+    StreamingPearson,
     holt_winters,
     moving_average,
     pearsonr,
@@ -24,10 +28,13 @@ from .tsa import Decomposition, decompose, detect_period
 __all__ = [
     "Decomposition",
     "Measurement",
+    "OnlineHoltWinters",
     "Query",
     "Record",
     "RecordsView",
     "RetentionPolicy",
+    "RollingMean",
+    "StreamingPearson",
     "TimeSeriesDB",
     "Window",
     "cluster_windows",

@@ -175,3 +175,40 @@ def test_live_verb_prints_json_epoch_digests(capsys):
     epochs = [d for d in digests if d["event"] == "epoch"]
     assert epochs
     assert all("rolling" in d for d in epochs)
+
+
+# -- fleet verbs ------------------------------------------------------------
+
+
+def test_fleet_run_local_exits_zero(capsys):
+    rc = main(["fleet", "run", "--local", "2", "--app", "541.leela_r",
+               "--node", "cxl", "--ops", "600"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "fleet: 2 members" in out
+
+
+@pytest.fixture()
+def two_members(tmp_path):
+    from repro.fleet import LocalFleet
+
+    with LocalFleet(size=2, workers=1, cache_root=str(tmp_path)) as fleet:
+        flags = []
+        for index in range(2):
+            flags += ["--member", fleet.member_id(index)]
+        yield flags
+
+
+def test_fleet_status_prints_the_rollup(capsys, two_members):
+    assert main(["fleet", "status", *two_members]) == 0
+    rollup = json.loads(capsys.readouterr().out)
+    assert rollup["members_total"] == rollup["members_reachable"] == 2
+    assert len(rollup["members"]) == 2
+    assert all(doc["down"] is False for doc in rollup["members"].values())
+
+
+def test_fleet_drain_exits_zero(capsys, two_members):
+    assert main(["fleet", "drain", *two_members]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report) == 2
+    assert all(doc["draining"] for doc in report.values())

@@ -7,6 +7,7 @@ from repro.core import (
     MetricDelta,
     PathFinder,
     ProfileSpec,
+    ProfilingMode,
     compare_sessions,
     render_diff,
 )
@@ -75,10 +76,10 @@ def test_diff_metrics_enumeration(tpp_diff):
     assert any(name.startswith("DRd.") for name in names)
 
 
-def test_aggregated_twins_diff_like_continuous_twins():
-    """compare_sessions reads an aggregated session's cumulative epoch."""
+@pytest.fixture(scope="module")
+def lbm_diffs():
+    """Local vs CXL 519.lbm_r (1,500 ops, seed 1) diffed in both modes."""
     from repro import api
-    from repro.core import ProfilingMode
     from repro.exec import cxl_node_id, local_node_id
     from repro.workloads import build_app
 
@@ -90,14 +91,38 @@ def test_aggregated_twins_diff_like_continuous_twins():
         return api.run(ProfileSpec(apps=[app], epoch_cycles=5_000.0,
                                    mode=mode))
 
-    diffs = {
+    return {
         mode: compare_sessions(session(mode, local_node_id(config)),
                                session(mode, cxl_node_id(config)))
         for mode in ProfilingMode
     }
-    continuous = diffs[ProfilingMode.CONTINUOUS]
-    aggregated = diffs[ProfilingMode.AGGREGATED]
+
+
+def test_aggregated_twins_diff_like_continuous_twins(lbm_diffs):
+    """compare_sessions reads an aggregated session's cumulative epoch."""
+    continuous = lbm_diffs[ProfilingMode.CONTINUOUS]
+    aggregated = lbm_diffs[ProfilingMode.AGGREGATED]
     assert continuous.cxl_traffic.treatment > 0
     assert continuous.serve_shift["HWPF"]["cxl_dram"].treatment > 0
     assert aggregated.serve_shift == continuous.serve_shift
     assert aggregated.cxl_traffic == continuous.cxl_traffic
+
+
+def test_aggregated_twins_report_stall_shape(lbm_diffs):
+    """The stall metrics read the final epoch when no epochs are kept."""
+    for mode, diff in lbm_diffs.items():
+        assert diff.stall_uncore_fraction is not None, mode
+        assert diff.culprit_queue is not None, mode
+        assert diff.stall_uncore_fraction.baseline == 0.0
+        assert diff.stall_uncore_fraction.treatment > 0.1
+        assert diff.culprit_queue.treatment > 2 * diff.culprit_queue.baseline
+    aggregated = lbm_diffs[ProfilingMode.AGGREGATED]
+    # The whole session as one epoch (recorded values).
+    assert aggregated.stall_uncore_fraction.treatment == pytest.approx(
+        0.1657, abs=1e-3)
+    assert aggregated.culprit_queue.baseline == pytest.approx(6.09, abs=0.01)
+    assert aggregated.culprit_queue.treatment == pytest.approx(26.62,
+                                                               abs=0.01)
+    text = render_diff(aggregated)
+    assert "DRd stall uncore share" in text
+    assert "late culprit queue" in text

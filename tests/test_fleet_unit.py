@@ -1,7 +1,9 @@
-"""Fleet primitives: hash ring, circuit breaker, event mux, client waiting.
+"""Fleet primitives: rendezvous routing, down marks, event mux, client waiting.
 
 Pure in-process tests - no sockets, no daemons.  The live fleet (real
-members, real kills) is exercised by ``test_fleet.py``.
+members, real kills) is exercised by ``test_fleet.py``.  The routing
+tests keep the properties of the consistent-hash ring the rendezvous
+ranking replaced, under their old names.
 """
 
 import http.client
@@ -11,111 +13,160 @@ import time
 
 import pytest
 
-from repro.fleet import CircuitBreaker, EventMux, HashRing
-from repro.fleet.health import CLOSED, HALF_OPEN, OPEN
+from repro.core import AppSpec, ProfileSpec
+from repro.exec import CampaignJob, cxl_node_id
+from repro.fleet import EventMux, FleetCoordinator, FleetMember
+from repro.fleet.coordinator import DOWN_S
 from repro.serve import ServeClient, parse_retry_after
+from repro.sim import spr_config
+from repro.workloads import build_app
+
+MEMBERS = ["m:1", "m:2", "m:3"]
+KEYS = [f"key{i}" for i in range(300)]
 
 
-# -- consistent hashing ---------------------------------------------------
+def primary(fleet, key):
+    return fleet.route(key).member_id
+
+
+def ranking(fleet, key):
+    """The failover order: route again, excluding every member tried."""
+    chain = []
+    while (member := fleet.route(key, exclude=chain)) is not None:
+        chain.append(member.member_id)
+    return chain
+
+
+# -- rendezvous routing ---------------------------------------------------
 
 
 def test_ring_routes_deterministically():
-    ring = HashRing(["m1", "m2", "m3"])
-    keys = [f"key{i}" for i in range(200)]
-    first = [ring.primary(k) for k in keys]
-    assert first == [ring.primary(k) for k in keys]
-    # With 200 keys and 64 vnodes each, every member owns some share.
-    assert set(first) == {"m1", "m2", "m3"}
+    fleet = FleetCoordinator(MEMBERS)
+    first = [primary(fleet, k) for k in KEYS]
+    assert first == [primary(fleet, k) for k in KEYS]
+    # The ranking depends on the member set, not on insertion order.
+    rebuilt = FleetCoordinator(list(reversed(MEMBERS)))
+    assert first == [primary(rebuilt, k) for k in KEYS]
+    assert set(first) == set(MEMBERS)
 
 
 def test_ring_successors_are_distinct_and_start_at_primary():
-    ring = HashRing(["m1", "m2", "m3"])
-    chain = list(ring.successors("somekey"))
-    assert chain[0] == ring.primary("somekey")
-    assert sorted(chain) == ["m1", "m2", "m3"]
+    fleet = FleetCoordinator(MEMBERS)
+    for key in KEYS[:20]:
+        chain = ranking(fleet, key)
+        assert chain[0] == primary(fleet, key)
+        assert sorted(chain) == MEMBERS
 
 
 def test_removing_a_member_only_remaps_its_own_keys():
-    ring = HashRing(["m1", "m2", "m3"])
-    keys = [f"key{i}" for i in range(300)]
-    before = {k: ring.primary(k) for k in keys}
-    ring.remove("m2")
-    for key, owner in before.items():
-        if owner != "m2":
-            # The consistent-hashing guarantee: survivors keep their keys.
-            assert ring.primary(key) == owner
+    fleet = FleetCoordinator(MEMBERS)
+    before = {k: ranking(fleet, k) for k in KEYS}
+    survivors = FleetCoordinator(["m:1", "m:3"])
+    for key, chain in before.items():
+        if chain[0] != "m:2":
+            assert primary(survivors, key) == chain[0]
         else:
-            assert ring.primary(key) in ("m1", "m3")
+            # A removed member's keys go to their failover member, which
+            # is where a failover during the outage computed them.
+            assert primary(survivors, key) == chain[1]
 
 
 def test_rejoining_member_reclaims_its_keys():
-    ring = HashRing(["m1", "m2", "m3"])
-    keys = [f"key{i}" for i in range(300)]
-    before = {k: ring.primary(k) for k in keys}
-    ring.remove("m2")
-    ring.add("m2")
-    assert {k: ring.primary(k) for k in keys} == before
+    before = {k: primary(FleetCoordinator(MEMBERS), k) for k in KEYS}
+    fleet = FleetCoordinator(["m:1", "m:3"])
+    fleet.add_member("m:2")
+    assert {k: primary(fleet, k) for k in KEYS} == before
 
 
 def test_empty_ring():
-    ring = HashRing()
-    assert list(ring.successors("x")) == []
-    with pytest.raises(LookupError):
-        ring.primary("x")
+    assert FleetCoordinator().route("x") is None
 
 
-# -- circuit breaker ------------------------------------------------------
+# -- the down mark ---------------------------------------------------------
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 100.0
-
-    def __call__(self):
-        return self.now
-
-
-def test_breaker_opens_after_consecutive_failures_only():
-    clock = FakeClock()
-    breaker = CircuitBreaker(failure_threshold=3, cooldown_s=10.0,
-                             clock=clock)
-    breaker.record_failure()
-    breaker.record_failure()
-    breaker.record_success()          # resets the consecutive count
-    breaker.record_failure()
-    breaker.record_failure()
-    assert breaker.state == CLOSED and breaker.allow()
-    breaker.record_failure()
-    assert breaker.state == OPEN and not breaker.allow()
+@pytest.fixture()
+def clock(monkeypatch):
+    now = [1000.0]
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
+    return now
 
 
-def test_breaker_half_open_single_trial_then_recovery():
-    clock = FakeClock()
-    breaker = CircuitBreaker(failure_threshold=1, cooldown_s=10.0,
-                             clock=clock)
-    breaker.record_failure()
-    assert not breaker.allow()
-    clock.now += 10.0
-    assert breaker.state == HALF_OPEN
-    assert breaker.allow()            # the one trial
-    assert not breaker.allow()        # no second concurrent trial
-    breaker.record_success()
-    assert breaker.state == CLOSED and breaker.allow()
+def test_route_skips_a_down_member_until_the_mark_lapses(clock):
+    fleet = FleetCoordinator(MEMBERS)
+    first, second, _ = ranking(fleet, "k")
+    fleet.member(first).mark_down()
+    assert fleet.member(first).down
+    assert primary(fleet, "k") == second
+    clock[0] += DOWN_S - 0.5
+    assert primary(fleet, "k") == second
+    clock[0] += 0.5
+    assert not fleet.member(first).down
+    assert primary(fleet, "k") == first
 
 
-def test_breaker_half_open_failure_reopens_and_restarts_cooldown():
-    clock = FakeClock()
-    breaker = CircuitBreaker(failure_threshold=1, cooldown_s=10.0,
-                             clock=clock)
-    breaker.record_failure()
-    clock.now += 10.0
-    assert breaker.allow()
-    breaker.record_failure()          # trial failed
-    assert breaker.state == OPEN and not breaker.allow()
-    clock.now += 9.0
-    assert not breaker.allow()        # cooldown restarted, not resumed
-    clock.now += 1.0
-    assert breaker.allow()
+def test_success_clears_the_down_mark(clock):
+    fleet = FleetCoordinator(MEMBERS)
+    first = primary(fleet, "k")
+    fleet.member(first).mark_down()
+    fleet.member(first).mark_up()
+    assert primary(fleet, "k") == first
+
+
+def test_every_member_down_falls_back_to_the_first_candidate(clock):
+    fleet = FleetCoordinator(MEMBERS)
+    first, second, _ = ranking(fleet, "k")
+    for member in fleet.members():
+        member.mark_down()
+    assert primary(fleet, "k") == first
+    assert fleet.route("k", exclude=[first]).member_id == second
+
+
+class _ScriptedClient:
+    """A member client whose submit refuses or answers a born-failed job."""
+
+    def __init__(self, refuse):
+        self.refuse = refuse
+        self.submits = 0
+
+    def submit_run(self, spec, config, **kwargs):
+        self.submits += 1
+        if self.refuse:
+            raise ConnectionRefusedError("member is dead")
+        return {"job_id": "j1", "state": "failed", "failure": "timeout",
+                "error": "job timed out", "attempts": 1}
+
+
+def test_failed_submit_marks_the_member_down_and_a_success_clears_it(clock):
+    config = spr_config()
+    spec = ProfileSpec(
+        apps=[AppSpec(workload=build_app("541.leela_r", num_ops=100, seed=1),
+                      core=0, membind=cxl_node_id(config))],
+        epoch_cycles=20_000.0,
+    )
+    job = CampaignJob(spec=spec, config=config, tag="j")
+    probe = FleetCoordinator(["m:1", "m:2"])
+    first, second = ranking(probe, job.key())
+    dead, alive = _ScriptedClient(refuse=True), _ScriptedClient(refuse=False)
+    fleet = FleetCoordinator([
+        FleetMember(member_id=first, host="m", port=0, client=dead),
+        FleetMember(member_id=second, host="m", port=0, client=alive),
+    ])
+    fleet.member(second).mark_down()     # stale mark from an old failure
+
+    record = fleet.run_many([job]).jobs[0]
+    # The dead primary was tried once, marked down, and the job failed
+    # over; the stale mark on the second member could not stop the
+    # fallback, and its successful submit cleared the mark.
+    assert dead.submits == 1 and alive.submits == 1
+    assert fleet.member(first).down
+    assert not fleet.member(second).down
+    assert record.failovers == 1 and record.member_id == second
+    # A job that fails on a healthy member is a job outcome, not a
+    # member outcome.
+    assert record.failure == "timeout"
+    clock[0] += DOWN_S
+    assert primary(fleet, job.key()) == first
 
 
 # -- event mux ------------------------------------------------------------

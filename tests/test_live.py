@@ -1,9 +1,10 @@
-"""repro.live: incremental-vs-batch parity, tiers, retention, streaming.
+"""repro.live: operator value pins, tiers, retention, streaming.
 
-The parity tests are the contract that makes live profiling trustworthy:
-each incremental operator must reproduce its batch counterpart at every
-prefix length, so a dashboard reading the rolling state mid-run sees the
-same numbers a post-hoc batch query would compute.
+The online operators and the series functions folded over them are one
+implementation, pinned to recorded values.  The live materializer tests
+check that its rolling state, read mid-run, equals a query over the
+stored series every epoch, so a dashboard sees the same numbers a
+post-hoc query would compute.
 """
 
 import json
@@ -11,8 +12,6 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import api
 from repro.core import AppSpec, ProfileSpec
@@ -24,15 +23,15 @@ from repro.live import (
     IngestionBus,
     LiveMaterializer,
     LiveSpec,
-    OnlineHoltWinters,
-    RollingMean,
-    StreamingPearson,
     coerce_live,
     render_live_event,
 )
 from repro.sim import Machine, spr_config
 from repro.tsdb import (
+    OnlineHoltWinters,
     RetentionPolicy,
+    RollingMean,
+    StreamingPearson,
     TimeSeriesDB,
     holt_winters,
     moving_average,
@@ -40,55 +39,107 @@ from repro.tsdb import (
 )
 from repro.workloads import SequentialStream, build_app
 
-# Dyadic rationals: exactly representable, so parity assertions measure
-# algorithmic agreement rather than accumulated float noise.
-values = st.integers(min_value=-8_000, max_value=8_000).map(lambda n: n / 8.0)
+# -- operator value pins -----------------------------------------------------
+#
+# Each series function in repro.tsdb is a fold over its online operator,
+# so comparing the two would compare one implementation with itself.
+# These are the values the numpy batch operators computed for the same
+# inputs before the fold replaced them; the fold and the online operator
+# must stay within a relative 1e-9 of them at every prefix.
+
+PIN_REL = 1e-9
+
+MA_SERIES = [((7 * i) % 11 - 5) / 3.0 + i / 7.0 for i in range(16)]
+MA_WINDOW_4 = [
+    -1.6666666666666667, -0.4285714285714286, -0.41269841269841273,
+    0.2142857142857143, 0.8571428571428572, 0.5833333333333334,
+    1.2261904761904763, 0.9523809523809522, 0.6785714285714284,
+    1.3214285714285712, 1.0476190476190474, 0.7738095238095237,
+    1.4166666666666667, 1.1428571428571428, 1.785714285714286,
+    2.4285714285714284,
+]
+
+HW_SERIES = [10 + 3 * ((i % 4) - 1.5) + 0.4 * i + ((5 * i) % 7) / 9.0
+             for i in range(12)]
+# forecast(horizon=2) after each prefix; the seasonal state takes over
+# at the eighth point (two full seasons of 4).
+HW_SEASON_4 = [
+    [5.5, 5.5],
+    [13.411111111111111, 17.366666666666667],
+    [16.86111111111111, 20.7],
+    [20.017499999999995, 23.698888888888884],
+    [15.735847222222217, 17.579611111111106],
+    [14.465199305555553, 15.590252777777774],
+    [15.367317673611108, 16.44092458333333],
+    [8.089708658504394, 11.72372261200716],
+    [12.481523095090415, 16.01335996373788],
+    [15.982036618595776, 19.557916911348983],
+    [19.31681533148395, 10.211161693078706],
+    [10.373565060947472, 13.974960960077823],
+]
+HW_NON_SEASONAL = HW_SEASON_4[:7] + [
+    [17.69716809548611, 19.060677354166664],
+    [13.573629203211805, 13.670896580902777],
+    [12.92970426548177, 12.855927262690972],
+    [14.598841712350044, 14.927275736403645],
+    [18.156361956709453, 19.22996972391055],
+]
+
+XS = [(3 * i % 8) / 3.0 + i / 5 for i in range(10)]
+YS = [((5 * i) % 9) / 7.0 - i / 11 for i in range(10)]
+PEARSON = [
+    0.0, 1.0, -0.05241424183609593, -0.1165474317849921,
+    -0.30806719781297515, 0.06111204438151795, 0.025616439052087284,
+    0.15391353034994265, 0.17439527887472833, -0.09068360079844259,
+]
 
 
-# -- operator parity (hypothesis) --------------------------------------------
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.lists(values, min_size=1, max_size=60), st.integers(1, 8))
-def test_rolling_mean_matches_moving_average(series, window):
-    rolling = RollingMean(window)
-    for i, value in enumerate(series):
+def test_rolling_mean_matches_moving_average():
+    assert moving_average(MA_SERIES, 4) == pytest.approx(MA_WINDOW_4,
+                                                         rel=PIN_REL)
+    rolling = RollingMean(4)
+    for value, want in zip(MA_SERIES, MA_WINDOW_4):
         got = rolling.push(value)
-        want = moving_average(series[: i + 1], window)[-1]
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert got == pytest.approx(want, rel=PIN_REL)
         assert rolling.value == got
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.lists(values, min_size=1, max_size=40),
-    st.one_of(st.none(), st.integers(2, 5)),
-    st.integers(1, 3),
-)
-def test_online_holt_winters_matches_batch(series, season, horizon):
-    online = OnlineHoltWinters(season_length=season)
-    for i, value in enumerate(series):
-        online.push(value)
-        want = holt_winters(
-            series[: i + 1], horizon=horizon, season_length=season
-        )
-        got = online.forecast(horizon)
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-7)
+def test_online_holt_winters_matches_batch():
+    for season, pins in ((4, HW_SEASON_4), (None, HW_NON_SEASONAL)):
+        online = OnlineHoltWinters(season_length=season)
+        for n, want in enumerate(pins, start=1):
+            online.push(HW_SERIES[n - 1])
+            assert online.forecast(2) == pytest.approx(want, rel=PIN_REL)
+            batch = holt_winters(HW_SERIES[:n], horizon=2,
+                                 season_length=season)
+            assert batch == pytest.approx(want, rel=PIN_REL)
+        assert online.seasonal_active == (season is not None)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.lists(st.tuples(values, values), min_size=0, max_size=60))
-def test_streaming_pearson_matches_batch(pairs):
+def test_holt_winters_season_length_zero_is_non_seasonal():
+    for n in range(1, len(HW_SERIES) + 1):
+        forecast = holt_winters(HW_SERIES[:n], horizon=2, season_length=0)
+        assert forecast == pytest.approx(HW_NON_SEASONAL[n - 1],
+                                         rel=PIN_REL)
+        assert forecast == holt_winters(HW_SERIES[:n], horizon=2)
+
+
+def test_streaming_pearson_matches_batch():
     streaming = StreamingPearson()
-    for i, (x, y) in enumerate(pairs):
-        streaming.push(x, y)
-        xs = [p[0] for p in pairs[: i + 1]]
-        ys = [p[1] for p in pairs[: i + 1]]
-        assert streaming.value == pytest.approx(
-            pearsonr(xs, ys), rel=1e-6, abs=1e-6
-        )
-    if not pairs:
-        assert streaming.value == 0.0
+    assert streaming.value == 0.0
+    for n, want in enumerate(PEARSON, start=1):
+        streaming.push(XS[n - 1], YS[n - 1])
+        assert streaming.value == pytest.approx(want, rel=PIN_REL)
+        assert pearsonr(XS[:n], YS[:n]) == pytest.approx(want, rel=PIN_REL)
+
+
+def test_pearsonr_of_a_constant_series_is_exactly_zero():
+    # 1/3 has no exact binary form, so a mean-then-deviation formula
+    # leaves residue of about 1e-17; the co-moments stay exactly zero.
+    third = [1 / 3] * 10
+    assert pearsonr(third, YS) == 0.0
+    assert pearsonr(YS, third) == 0.0
+    assert pearsonr(third, third) == 0.0
 
 
 def test_online_holt_winters_empty_forecast_before_first_point():

@@ -162,8 +162,7 @@ def test_run_many_does_not_mutate_prebuilt_jobs(tmp_path, monkeypatch):
 def test_fleet_rejects_cache_and_retries():
     for bad in (RunOptions(cache=True), RunOptions(retries=1)):
         with pytest.raises(ValueError, match="not supported"):
-            api.fleet_run_many([_spec()], ["h:1"], options=bad,
-                               monitor_interval_s=None)
+            api.fleet_run_many([_spec()], ["h:1"], options=bad)
 
 
 def test_runoptions_exported_from_package_root():

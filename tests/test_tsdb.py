@@ -156,6 +156,9 @@ def test_pearsonr_properties():
     # Degenerate (short/empty) series carry no signal: 0.0, not a raise.
     assert pearsonr([1], [1]) == 0.0
     assert pearsonr([], []) == 0.0
+    # Variances near 1e-161 must not underflow the denominator.
+    tiny = [0.0, 4.832927601867835e-81]
+    assert pearsonr(tiny, tiny) == pytest.approx(1.0)
 
 
 def test_holt_winters_empty_series_empty_forecast():
