@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro import api
+from repro import RunOptions, api
 from repro.core import AppSpec, PathFinder, ProfileResult, ProfileSpec
 from repro.exec import (
     CampaignJob,
@@ -187,7 +187,8 @@ def local_vs_cxl(
             jobs.append(CampaignJob(spec=spec, config=job_config,
                                     tag=f"{name}@{node}"))
             index.append((name, node))
-    campaign = api.run_many(jobs, cache=default_cache() or False)
+    campaign = api.run_many(
+        jobs, options=RunOptions(cache=default_cache() or False))
     out: Dict[str, Dict[str, Run]] = {}
     for (name, node), job, result in zip(index, campaign.jobs, campaign.results):
         if result is None:

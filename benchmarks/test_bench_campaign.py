@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro import api
+from repro import RunOptions, api
 from repro.core import AppSpec, ProfileSpec
 from repro.exec import CampaignJob, ResultCache, cxl_node_id, local_node_id
 from repro.sim import spr_config
@@ -59,7 +59,8 @@ def warm_cache(tmp_path_factory):
     """A cache populated by one cold serial pass over the 16-job grid."""
     cache = ResultCache(tmp_path_factory.mktemp("campaign") / "cache")
     t0 = time.perf_counter()
-    cold = api.run_many(make_grid(), parallel=False, cache=cache, retries=0)
+    cold = api.run_many(make_grid(), parallel=False,
+                        options=RunOptions(cache=cache, retries=0))
     cold_wall = time.perf_counter() - t0
     return cache, cold, cold_wall
 
@@ -81,7 +82,8 @@ def test_campaign_rerun_hits_cache_and_is_faster(warm_cache, benchmark):
     once(benchmark, lambda: None)
     cache, cold, cold_wall = warm_cache
     t0 = time.perf_counter()
-    warm = api.run_many(make_grid(), parallel=False, cache=cache, retries=0)
+    warm = api.run_many(make_grid(), parallel=False,
+                        options=RunOptions(cache=cache, retries=0))
     warm_wall = time.perf_counter() - t0
     print_table(
         "16-job campaign, warm rerun",
@@ -104,7 +106,8 @@ def test_campaign_parallel_speedup(warm_cache, benchmark):
     _cache, cold, cold_wall = warm_cache
     t0 = time.perf_counter()
     parallel = api.run_many(
-        make_grid(), parallel=True, workers=4, cache=False, retries=0
+        make_grid(), parallel=True, workers=4,
+        options=RunOptions(cache=False, retries=0),
     )
     parallel_wall = time.perf_counter() - t0
     print_table(
@@ -124,7 +127,8 @@ def test_campaign_parallel_matches_serial_counters(warm_cache, benchmark):
     _cache, cold, _cold_wall = warm_cache
     slice_jobs = make_grid()[:4]
     parallel = api.run_many(
-        slice_jobs, parallel=True, workers=2, cache=False, retries=0
+        slice_jobs, parallel=True, workers=2,
+        options=RunOptions(cache=False, retries=0),
     )
     assert not parallel.failed
     got = _tag_counters(parallel)

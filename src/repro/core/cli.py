@@ -412,12 +412,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     cache = False if args.no_cache else (args.cache_dir or True)
     campaign = api.run_many(
         jobs,
+        options=api.RunOptions(cache=cache, shared_cache=args.shared_cache,
+                               timeout=args.timeout, retries=args.retries),
         parallel=not args.serial,
         workers=args.workers,
-        cache=cache,
-        shared_cache=args.shared_cache,
-        timeout=args.timeout,
-        retries=args.retries,
     )
     print(render_campaign(campaign))
     if not campaign.jobs or campaign.failed:
@@ -529,8 +527,8 @@ def _cmd_live(args: argparse.Namespace) -> int:
     spec = ProfileSpec(apps=specs, epoch_cycles=args.epoch)
     result = api.run(
         spec,
+        options=api.RunOptions(live=LiveSpec(window=args.window)),
         machine=machine,
-        live=LiveSpec(window=args.window),
         on_epoch=emit,
     )
     print()

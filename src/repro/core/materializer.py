@@ -66,7 +66,7 @@ class PFMaterializer:
     """Snapshot digests in, time-series insights out.
 
     ``db`` defaults to a fresh unbounded :class:`TimeSeriesDB`; streaming
-    callers pass one with a retention policy.  Every record lands through
+    callers pass one with a ``max_points`` cap.  Every record lands through
     the :meth:`_insert` hook so subclasses (``repro.live``'s incremental
     materializer) can maintain rolling per-series state alongside the
     batch store without re-deriving the record layout.

@@ -115,10 +115,10 @@ class PathFinder:
 
     With ``live`` (a :class:`repro.live.LiveSpec` or ``True``), the
     materializer becomes the streaming :class:`~repro.live.LiveMaterializer`
-    (retention-tiered TSDB + O(1) rolling workflows), sim queues are
-    delta-sampled each epoch, and a per-epoch digest is published to
-    ``self.live_bus`` (and to ``on_epoch``, if given) *while the run is
-    in flight* - the ingestion path the serve daemon streams from.
+    (capped TSDB + O(1) rolling workflows), sim queues are delta-sampled
+    each epoch, and each epoch's digest goes to ``on_epoch``, if given,
+    *while the run is in flight* - the path the serve daemon streams
+    from.
     """
 
     def __init__(
@@ -136,23 +136,14 @@ class PathFinder:
         if warp_spec is not None:
             self.warp = WarpController(machine, warp_spec, spec.epoch_cycles)
         self.live = None
-        self.live_bus = None
         self._on_epoch = on_epoch
-        self._sampler = None
         if live is not None and live is not False:
             # Imported lazily: repro.live imports this module's siblings.
-            from ..live import (
-                IngestionBus,
-                LiveMaterializer,
-                QueueSampler,
-                coerce_live,
-            )
+            from ..live import LiveMaterializer, QueueSampler, coerce_live
 
             self.live = coerce_live(live)
             self.materializer = LiveMaterializer(self.live)
-            self.live_bus = IngestionBus()
-            if self.live.sample_queues:
-                self._sampler = QueueSampler(machine, self.materializer.db)
+            self._sampler = QueueSampler(machine)
         else:
             self.materializer = PFMaterializer()
         self.flows = MFlowRegistry()
@@ -296,8 +287,6 @@ class PathFinder:
             persist_trace(
                 self.materializer.db, result.trace, timestamp=self.machine.now
             )
-        if self.live_bus is not None:
-            self.live_bus.close()
         return result
 
     def _maybe_warp(self, epoch: int, result: ProfileResult) -> int:
@@ -354,17 +343,11 @@ class PathFinder:
             self._warped = self._warped or epoch_result.snapshot.warped
 
     def _publish_epoch(self, epoch_result: EpochResult) -> None:
-        """Stream one epoch's digest to live consumers (bus + callback)."""
+        """Hand one epoch's digest to ``on_epoch``."""
         from ..live import epoch_digest
 
-        queues = None
-        if self._sampler is not None:
-            samples = self._sampler.sample(self.machine.now)
-            queues = self._sampler.hottest(samples, self.live.top_k)
-        digest = epoch_digest(
-            epoch_result, self.materializer, top_k=self.live.top_k, queues=queues
-        )
-        self.live_bus.publish(digest)
+        digest = epoch_digest(epoch_result, self.materializer,
+                              queues=self._sampler.sample(self.machine.now))
         if self._on_epoch is not None:
             self._on_epoch(digest)
 

@@ -1,9 +1,9 @@
 """Incremental PFMaterializer: batch workflows plus O(1) rolling state.
 
 ``LiveMaterializer`` is a drop-in :class:`~repro.core.materializer
-.PFMaterializer` whose backing TSDB carries the live retention tiers and
-which additionally maintains, per tagged series, the online operators
-of :mod:`repro.tsdb.operators`:
+.PFMaterializer` whose backing TSDB keeps at most :data:`MAX_POINTS`
+records per measurement and which additionally maintains, per tagged
+series, the online operators of :mod:`repro.tsdb.operators`:
 
 * per ``(pid, path, dst)`` hit series - rolling mean + online
   Holt-Winters forecast (the streaming half of the section 4.6 locality
@@ -14,8 +14,8 @@ of :mod:`repro.tsdb.operators`:
 
 The batch workflows (``locality``, ``correlate``, ...) still run against
 the same db.  Their series functions are folds over the same operators,
-so within the retention window they agree with the rolling views, which
-``tests/test_live.py`` checks every epoch.
+so while no record has been dropped they agree with the rolling views,
+which ``tests/test_live.py`` checks every epoch.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from ..tsdb import (
     TimeSeriesDB,
 )
 from .spec import LiveSpec
+
+#: Records kept per measurement; the oldest go first (see TimeSeriesDB).
+MAX_POINTS = 100_000
 
 
 class _SeriesState:
@@ -55,13 +58,16 @@ class _SeriesState:
 
 
 class LiveMaterializer(PFMaterializer):
-    """PFMaterializer that keeps rolling answers warm while ingesting."""
+    """PFMaterializer that keeps rolling answers warm while ingesting.
+
+    ``spec.window`` is the rolling means' span; forecasts are one epoch
+    ahead.  The db keeps the newest :data:`MAX_POINTS` records of each
+    measurement.
+    """
 
     def __init__(self, spec: Optional[LiveSpec] = None, socket: int = 0) -> None:
         self.spec = spec if spec is not None else LiveSpec()
-        super().__init__(
-            socket=socket, db=TimeSeriesDB(retention=self.spec.retention())
-        )
+        super().__init__(socket=socket, db=TimeSeriesDB(max_points=MAX_POINTS))
         self._paths: Dict[Tuple[str, str, str], _SeriesState] = {}
         self._core_ops: Dict[str, _SeriesState] = {}
         self._pearson: Dict[Tuple[str, str], StreamingPearson] = {}
@@ -128,7 +134,7 @@ class LiveMaterializer(PFMaterializer):
                 "predictable": False,
                 "epochs": 0,
             }
-        forecast = state.forecaster.forecast(self.spec.horizon)
+        forecast = state.forecaster.forecast(1)
         scale = state.scale or 1.0
         predictable = bool(
             forecast

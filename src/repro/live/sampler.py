@@ -6,23 +6,19 @@ queue depth per epoch costs one ``sync`` + four subtractions per FIFO -
 no :class:`EngineHooks` recorder attach, which would disable the
 request freelist and slow the hot path.
 
-Samples land in the live TSDB as the ``live_queues`` measurement, one
-record per (queue, epoch) with the epoch's mean occupancy, insert count
-and not-empty fraction.
+The samples go into the epoch digest only (its ``hot_queues``); they
+are not stored in the TSDB.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-LIVE_QUEUES = "live_queues"
-
 
 class QueueSampler:
     """Delta-samples every machine FIFO at epoch boundaries."""
 
-    def __init__(self, machine: Any, db: Any) -> None:
-        self._db = db
+    def __init__(self, machine: Any) -> None:
         self._stats: List[Tuple[str, Any]] = []
         for port in machine.hook_ports():
             for queue in port.queues:
@@ -33,8 +29,8 @@ class QueueSampler:
         self._last_t = 0.0
 
     def sample(self, now: float) -> List[Dict[str, float]]:
-        """Fold the epoch's meter deltas into TSDB records; returns the
-        per-queue digests (for the epoch event)."""
+        """Each queue's inserts, mean occupancy and not-empty fraction
+        since the previous call."""
         duration = max(now - self._last_t, 1.0)
         out: List[Dict[str, float]] = []
         for name, stats in self._stats:
@@ -43,18 +39,12 @@ class QueueSampler:
             inserts = float(stats.inserts)
             occupancy = stats.occupancy_integral
             not_empty = stats.cycles_not_empty
-            fields = {
+            out.append({
+                "queue": name,
                 "inserts": inserts - prev[0],
                 "occupancy": (occupancy - prev[1]) / duration,
                 "busy": (not_empty - prev[2]) / duration,
-            }
+            })
             self._last[name] = (inserts, occupancy, not_empty)
-            self._db.insert(LIVE_QUEUES, now, tags={"queue": name}, fields=fields)
-            out.append({"queue": name, **fields})
         self._last_t = now
         return out
-
-    def hottest(self, samples: List[Dict[str, float]], k: int) -> List[Dict[str, float]]:
-        """The k busiest queues of one epoch by mean occupancy."""
-        ranked = sorted(samples, key=lambda s: s["occupancy"], reverse=True)
-        return [s for s in ranked[:k] if s["occupancy"] > 0.0]

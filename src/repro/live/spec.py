@@ -1,57 +1,26 @@
 """Configuration for streaming (live) profiling.
 
 ``LiveSpec`` is carried by :class:`repro.options.RunOptions` and by serve
-submissions (``{"live": true}``); it controls the incremental
-materializer's rolling windows, the TSDB retention tiers that keep
-long-running ingestion memory-bounded, and whether sim queue depths are
-sampled per epoch.
+submissions (``{"live": true}`` or ``{"live": {"window": 8}}``); its one
+knob is the span of the live materializer's rolling means.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
-
-from ..tsdb.tiers import RetentionPolicy
+from typing import Optional, Union
 
 
 @dataclass(frozen=True)
 class LiveSpec:
-    """How a live profiling run streams and retains its series.
-
-    ``window``/``horizon`` parameterise the rolling operators (moving
-    average span, Holt-Winters forecast length); ``top_k`` bounds the
-    per-epoch top-counter digest; the ``raw_points``/``tier_factors``/
-    ``tier_points`` trio becomes the TSDB :class:`RetentionPolicy`.
-    """
+    """How a live profiling run streams: ``window`` is the rolling
+    mean's span in epochs."""
 
     window: int = 8
-    horizon: int = 1
-    top_k: int = 5
-    raw_points: int = 100_000
-    tier_factors: Tuple[int, ...] = (10, 100)
-    tier_points: int = 100_000
-    sample_queues: bool = True
 
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        object.__setattr__(
-            self, "tier_factors", tuple(int(f) for f in self.tier_factors)
-        )
-        # Validate the tier cascade eagerly, at spec construction time.
-        self.retention()
-
-    def retention(self) -> RetentionPolicy:
-        return RetentionPolicy(
-            raw_points=self.raw_points,
-            tier_factors=self.tier_factors,
-            tier_points=self.tier_points,
-        )
 
 
 def coerce_live(value: Union[None, bool, LiveSpec]) -> Optional[LiveSpec]:

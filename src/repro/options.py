@@ -14,11 +14,9 @@ for all of them:
 
 Every field defaults to :data:`UNSET` ("not given"), so one
 ``RunOptions`` can be reused across verbs while each verb keeps its own
-historical defaults for the fields the caller left alone (``run`` caches
-off / no retries; ``run_many`` caches on / one retry).  The individual
-keyword arguments still work on their own, but a call takes its fields
-from one place: passing ``options`` together with any of those keywords
-raises ``ValueError``.
+defaults for the fields the caller left alone (``run`` caches off / no
+retries; ``run_many`` caches on / one retry).  ``options=`` is the only
+spelling: the verbs take no per-field keywords.
 
 ``trace`` accepts ``True`` (default :class:`~repro.core.spec.TraceSpec`),
 an ``int`` (sample 1-in-N requests), or a full ``TraceSpec``; it is
@@ -82,10 +80,11 @@ class RunOptions:
       misses from and publishes completions to
       (:class:`~repro.durable.PullThroughCache`); requires ``cache``.
     * ``live`` - streaming profiling: ``True`` (default
-      :class:`~repro.live.LiveSpec`) or a full ``LiveSpec``; the run
-      ingests into a retention-tiered TSDB and publishes per-epoch
-      digests while in flight (``run`` only - campaign verbs reject it;
-      submit live jobs through serve to stream ``/v1/live``).
+      :class:`~repro.live.LiveSpec`) or a ``LiveSpec`` setting the
+      rolling window; the run keeps rolling workflows warm over a capped
+      TSDB and hands per-epoch digests to ``on_epoch`` while in flight
+      (``run`` only - campaign verbs reject it; submit live jobs through
+      serve to stream ``/v1/live``).
     * ``fidelity`` - ``"exact"`` (default: every epoch fully simulated)
       or ``"adaptive"`` (steady-state epochs fast-forwarded and
       extrapolated, see :mod:`repro.sim.warp`); a
@@ -129,7 +128,7 @@ def coerce_trace(trace: Any) -> Optional[TraceSpec]:
 
 
 def _validate(field: str, value: Any) -> Any:
-    if value is None or value is UNSET:
+    if value is None:
         return value
     if field == "max_events":
         if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
@@ -179,38 +178,28 @@ def _validate(field: str, value: Any) -> Any:
 
 def resolve_options(
     options: Optional[RunOptions],
-    legacy: Dict[str, Any],
     *,
     api: str,
     defaults: Dict[str, Any],
 ) -> Dict[str, Any]:
-    """Every field's value, from ``options`` or the legacy keywords.
+    """Every field's value: from ``options``, else the verb's default.
 
-    ``legacy`` maps field name to the value the verb's keyword received
-    (:data:`UNSET` when the caller left it alone); ``defaults`` holds the
-    verb's historical defaults and also defines which fields the verb
-    supports.  Legacy keywords alongside ``options`` -> ``ValueError``:
-    a call sets its fields in one place.  Fields a verb does not support
-    (absent from ``defaults``) raise when explicitly set.
+    ``defaults`` holds the verb's defaults and also defines which fields
+    the verb supports: a field absent from it raises when set.
     """
-    if options is not None and not isinstance(options, RunOptions):
+    if options is None:
+        options = RunOptions()
+    elif not isinstance(options, RunOptions):
         raise TypeError(f"options must be a RunOptions, got {type(options).__name__}")
-    given = [f for f in _FIELDS if legacy.get(f, UNSET) is not UNSET]
-    if options is not None and given:
-        raise ValueError(
-            f"{api}: {', '.join(given)} passed as keyword argument(s) "
-            f"alongside options=; set it in one place, on RunOptions"
-        )
     resolved: Dict[str, Any] = {}
     for field in _FIELDS:
-        value = (getattr(options, field) if options is not None
-                 else legacy.get(field, UNSET))
-        if value is not UNSET and field not in defaults:
+        value = getattr(options, field)
+        if value is UNSET:
+            resolved[field] = defaults.get(field, UNSET)
+        elif field not in defaults:
             raise ValueError(f"{api}: option '{field}' is not supported here")
-        resolved[field] = _validate(field, value)
-    for field, default in defaults.items():
-        if resolved.get(field) is UNSET:
-            resolved[field] = default
+        else:
+            resolved[field] = _validate(field, value)
     return resolved
 
 

@@ -1038,6 +1038,11 @@ class BackgroundServer:
                 loop.run_until_complete(loop.shutdown_asyncgens())
             finally:
                 loop.close()
+                # A drain closed it already; a force stop did not.  Each
+                # record was flushed as it was appended, so closing adds
+                # nothing a crash would have lost.
+                if self.daemon.journal is not None:
+                    self.daemon.journal.close()
                 self._stopped.set()
 
     def stop(self, force: bool = False, timeout: float = 60.0) -> None:

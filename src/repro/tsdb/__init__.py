@@ -9,7 +9,7 @@ decomposition.
 """
 
 from .clustering import Window, cluster_windows, dominant_window
-from .database import Measurement, Record, RecordsView, TimeSeriesDB
+from .database import Measurement, Record, TimeSeriesDB
 from .operators import (
     OnlineHoltWinters,
     RollingMean,
@@ -22,7 +22,6 @@ from .operators import (
     series_min,
 )
 from .query import Query
-from .tiers import RetentionPolicy
 from .tsa import Decomposition, decompose, detect_period
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "OnlineHoltWinters",
     "Query",
     "Record",
-    "RecordsView",
-    "RetentionPolicy",
     "RollingMean",
     "StreamingPearson",
     "TimeSeriesDB",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .database import Record, RecordsView
+from .database import Record
 from .operators import (
     holt_winters,
     moving_average,
@@ -28,12 +28,7 @@ from .operators import (
 
 
 class Query:
-    """Immutable pipeline over a sequence of records.
-
-    ``TimeSeriesDB.from_`` hands it a lazy :class:`RecordsView` snapshot
-    (no copy); filtering stages materialise lists only for what they
-    keep.
-    """
+    """Immutable pipeline over a sequence of records."""
 
     def __init__(self, records: Sequence[Record]) -> None:
         self._records = records
@@ -75,16 +70,10 @@ class Query:
         return list(self._records)
 
     def timestamps(self) -> List[float]:
-        records = self._records
-        if isinstance(records, RecordsView):
-            return records.timestamps()
-        return [r.timestamp for r in records]
+        return [r.timestamp for r in self._records]
 
     def values(self, field: str) -> List[float]:
-        records = self._records
-        if isinstance(records, RecordsView):
-            return records.values(field)
-        return [r.field(field) for r in records]
+        return [r.field(field) for r in self._records]
 
     def series(self, field: str) -> List[Tuple[float, float]]:
         return [(r.timestamp, r.field(field)) for r in self._records]

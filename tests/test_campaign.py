@@ -13,7 +13,7 @@ import time
 import pytest
 
 import repro
-from repro import api
+from repro import RunOptions, api
 from repro.core import AppSpec, ProfileSpec
 from repro.exec import CampaignJob, cxl_node_id, local_node_id, run_campaign
 from repro.exec.runner import JobRecord, _drain
@@ -90,11 +90,12 @@ def test_serial_campaign_rejects_a_timeout_it_cannot_enforce():
 
 def test_api_run_enforces_its_timeout_on_a_pool_worker():
     spec = make_spec()
-    timed = api.run(spec, timeout=60.0)
+    timed = api.run(spec, options=RunOptions(timeout=60.0))
     assert api.counters(timed) == api.counters(api.run(spec))
     # ~60k ops take seconds in-process; the worker is killed at 0.5 s.
     with pytest.raises(RuntimeError, match="timeout"):
-        api.run(make_spec(num_ops=60_000, seed=13), timeout=0.5)
+        api.run(make_spec(num_ops=60_000, seed=13),
+                options=RunOptions(timeout=0.5))
 
 
 def test_worker_exception_is_reported_not_raised():
@@ -322,7 +323,7 @@ def test_drain_reraises_a_lane_failure():
 
 
 def test_api_run_returns_profile_result():
-    result = api.run(make_spec(), cache=False)
+    result = api.run(make_spec(), options=RunOptions(cache=False))
     assert result.num_epochs >= 1
     totals = api.counters(result)
     assert totals and all(isinstance(k, tuple) for k in totals)
@@ -331,12 +332,14 @@ def test_api_run_returns_profile_result():
 def test_api_run_rejects_machine_plus_cache():
     config = spr_config()
     with pytest.raises(ValueError):
-        api.run(make_spec(), machine=Machine(config), cache=True)
+        api.run(make_spec(), machine=Machine(config),
+                options=RunOptions(cache=True))
 
 
 def test_api_run_raises_on_failure():
     with pytest.raises(RuntimeError):
-        api.run(make_spec(num_ops=50_000), cache=False, max_events=100)
+        api.run(make_spec(num_ops=50_000),
+                options=RunOptions(cache=False, max_events=100))
 
 
 def test_api_run_many_maps_results_to_specs(tmp_path, monkeypatch):
@@ -375,8 +378,8 @@ def test_api_compare_smoke():
         )],
         epoch_cycles=20_000.0,
     )
-    baseline = api.run(local_spec, cache=False)
-    treatment = api.run(cxl_spec, cache=False)
+    baseline = api.run(local_spec, options=RunOptions(cache=False))
+    treatment = api.run(cxl_spec, options=RunOptions(cache=False))
     diff = api.compare(baseline, treatment)
     assert diff is not None
 

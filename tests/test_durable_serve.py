@@ -10,6 +10,7 @@ of recomputing.  One test boots ``pathfinder serve`` as a process,
 because the daemon installs its SIGTERM handler only on a main thread.
 """
 
+import logging
 import os
 import re
 import signal
@@ -22,7 +23,9 @@ import pytest
 
 from repro import api
 from repro.core import AppSpec, ProfileSpec
+from repro.core.persistence import spec_to_document
 from repro.durable import JobJournal
+from repro.durable import journal as wal
 from repro.exec import CampaignJob, cxl_node_id
 from repro.fleet import LocalFleet
 from repro.serve import BackgroundServer, ServeClient, ServeError
@@ -92,8 +95,8 @@ def test_killed_member_replays_journal_and_completes_exactly_once(tmp_path):
         assert again["state"] == "done" and again["cache_hit"] is True
 
     # Nothing is owed once the dust settles.
-    recovery = JobJournal(journal_root / "member0", fsync=False).recover()
-    assert recovery.unfinished == []
+    with JobJournal(journal_root / "member0", fsync=False) as journal:
+        assert journal.recover().unfinished == []
 
 
 def test_workerless_drain_hands_queued_jobs_to_the_journal(tmp_path):
@@ -110,7 +113,8 @@ def test_workerless_drain_hands_queued_jobs_to_the_journal(tmp_path):
         "jobs_handed_off"] == 2
 
     # The journal still owes both jobs, under their original ids ...
-    recovery = JobJournal(journal_dir, fsync=False).recover()
+    with JobJournal(journal_dir, fsync=False) as journal:
+        recovery = journal.recover()
     assert sorted(job_id for job_id, _ in recovery.unfinished) == sorted(ids)
 
     # ... and a successor daemon with workers completes them.
@@ -121,6 +125,38 @@ def test_workerless_drain_hands_queued_jobs_to_the_journal(tmp_path):
     for job_id in ids:
         assert client2.wait(job_id, timeout=600)["state"] == "done"
     successor.stop(force=True)
+
+
+def test_replay_seals_a_job_whose_live_spec_no_longer_parses(tmp_path,
+                                                                caplog):
+    # An older client or daemon can journal LiveSpec fields this
+    # version does not have (ServeClient sends dataclasses.asdict(live)).
+    # Replay seals such a job as failed instead of wedging recovery, and
+    # still runs the jobs after it.
+    journal_dir = tmp_path / "journal"
+    with JobJournal(journal_dir, fsync=False) as journal:
+        journal.append(wal.ADMITTED, "old-live", {
+            "spec": spec_to_document(make_spec(seed=91)),
+            "live": {"window": 8, "horizon": 1},
+        })
+        journal.append(wal.ADMITTED, "plain", {
+            "spec": spec_to_document(make_spec(seed=92)),
+        })
+    caplog.set_level(logging.WARNING, logger="repro.serve.daemon")
+    with BackgroundServer(workers=1, queue_depth=8,
+                          cache=str(tmp_path / "cache"),
+                          journal_dir=str(journal_dir)) as server:
+        client = ServeClient(port=server.port)
+        assert client.wait("plain", timeout=600)["state"] == "done"
+        assert client.metrics()["counters"]["jobs_recovered"] == 1
+        with pytest.raises(ServeError) as excinfo:
+            client.job("old-live")
+        assert excinfo.value.status == 404
+    sealed = [r.getMessage() for r in caplog.records
+              if "unrecoverable" in r.getMessage()]
+    assert len(sealed) == 1 and "old-live" in sealed[0]
+    with JobJournal(journal_dir, fsync=False) as journal:
+        assert journal.recover().unfinished == []
 
 
 # -- a real process under real signals ----------------------------------

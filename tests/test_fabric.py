@@ -483,7 +483,7 @@ def test_campaign_distinguishes_fabric_congestion_from_device_bound():
     """The acceptance criterion: one workload, two topologies, run
     through api.run_many - the report names the fabric in one scenario
     and the device in the other."""
-    from repro import api
+    from repro import RunOptions, api
     from repro.core.report import render_fabric
     from repro.exec import congestion_ab_jobs
 
@@ -494,7 +494,8 @@ def test_campaign_distinguishes_fabric_congestion_from_device_bound():
         )
 
     jobs = congestion_ab_jobs("fft", ops=2000)
-    campaign = api.run_many(jobs, parallel=False, cache=False, retries=0)
+    campaign = api.run_many(jobs, parallel=False,
+                            options=RunOptions(cache=False, retries=0))
     assert all(record.ok for record in campaign.jobs)
     verdicts, verdict_lines, retries = {}, {}, {}
     for record, result in zip(campaign.jobs, campaign.results):

@@ -62,7 +62,7 @@ def test_fleet_results_match_in_process_run(fleet):
     result = fleet.coordinator.run_many([job])
     assert result.summary()["failed"] == 0
     reference = api.run(make_job(seed=41).spec, config=spr_config(),
-                        cache=False)
+                        options=api.RunOptions(cache=False))
     assert api.counters(result.results[0]) == api.counters(reference)
 
 

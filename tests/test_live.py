@@ -1,4 +1,4 @@
-"""repro.live: operator value pins, tiers, retention, streaming.
+"""repro.live: operator value pins, capped storage, streaming.
 
 The online operators and the series functions folded over them are one
 implementation, pinned to recorded values.  The live materializer tests
@@ -13,13 +13,12 @@ import time
 
 import pytest
 
-from repro import api
+from repro import RunOptions, api
 from repro.core import AppSpec, ProfileSpec
 from repro.core.materializer import PATH_SET
 from repro.core.profiler import PathFinder
 from repro.exec import cxl_node_id
 from repro.live import (
-    LIVE_QUEUES,
     IngestionBus,
     LiveMaterializer,
     LiveSpec,
@@ -29,7 +28,6 @@ from repro.live import (
 from repro.sim import Machine, spr_config
 from repro.tsdb import (
     OnlineHoltWinters,
-    RetentionPolicy,
     RollingMean,
     StreamingPearson,
     TimeSeriesDB,
@@ -147,68 +145,17 @@ def test_online_holt_winters_empty_forecast_before_first_point():
     assert OnlineHoltWinters(season_length=4).forecast(1) == []
 
 
-# -- downsampling tiers -------------------------------------------------------
-
-
-def make_tiered_db(raw_points=10_000, tier_points=1_000):
-    policy = RetentionPolicy(
-        raw_points=raw_points, tier_factors=(10, 100), tier_points=tier_points
-    )
-    return TimeSeriesDB(retention=policy)
-
-
-def test_tier1_emits_block_means_at_block_end_timestamps():
-    db = make_tiered_db()
-    for i in range(250):
-        db.insert("m", float(i), tags={"k": "a"}, fields={"v": float(i)})
-    tier1 = db.from_("m", tier=1)
-    # 25 complete 10-blocks; each record carries the block mean and the
-    # block's last raw timestamp.
-    assert tier1.values("v") == [float(b * 10) + 4.5 for b in range(25)]
-    assert tier1.timestamps() == [float(b * 10) + 9.0 for b in range(25)]
-
-
-def test_tier2_cascades_from_tier1():
-    db = make_tiered_db()
-    for i in range(250):
-        db.insert("m", float(i), fields={"v": float(i)})
-    tier2 = db.from_("m", tier=2)
-    # 250 raw points = 2 complete 100-blocks (the trailing 50 stay
-    # buffered in the partial accumulator, not emitted).
-    assert tier2.values("v") == [49.5, 149.5]
-    assert tier2.timestamps() == [99.0, 199.0]
-
-
-def test_tiers_keep_tag_sets_separate():
-    db = make_tiered_db()
-    for i in range(30):
-        db.insert("m", float(i), tags={"k": "a"}, fields={"v": 1.0})
-        db.insert("m", float(i), tags={"k": "b"}, fields={"v": 3.0})
-    tier1 = db.from_("m", tier=1)
-    assert tier1.where(k="a").values("v") == [1.0, 1.0, 1.0]
-    assert tier1.where(k="b").values("v") == [3.0, 3.0, 3.0]
-
-
-def test_partial_blocks_are_not_emitted():
-    db = make_tiered_db()
-    for i in range(9):
-        db.insert("m", float(i), fields={"v": float(i)})
-    assert db.from_("m", tier=1).values("v") == []
-    db.insert("m", 9.0, fields={"v": 9.0})
-    assert db.from_("m", tier=1).values("v") == [4.5]
-
-
 # -- retention bounds ---------------------------------------------------------
 
 
 @pytest.mark.parametrize("straggle_every,num_tags", [
     pytest.param(0, 0, id="in-order"),
     # Every 20th insert lands 7.5 ticks late, spread over 4 tag sets, so
-    # the pending-buffer merge runs under the trim.
+    # out-of-order inserts land under the trim.
     pytest.param(20, 4, id="stragglers"),
 ])
 def test_raw_retention_bounds_memory_and_counts_drops(straggle_every, num_tags):
-    db = make_tiered_db(raw_points=1_000, tier_points=50)
+    db = TimeSeriesDB(max_points=1_000)
     total = 20_000
     newest = float("-inf")
     for i in range(total):
@@ -222,31 +169,25 @@ def test_raw_retention_bounds_memory_and_counts_drops(straggle_every, num_tags):
     # Amortised trim: never more than cap + slack points in memory.
     assert len(raw) <= 1_000 + max(64, 1_000 // 8)
     assert raw.dropped == total - len(raw)
-    # The newest points survive and stay queryable.
-    assert db.from_("m").timestamps()[-1] == newest
-    # Tier caps hold too, and every tier point kept or dropped comes
-    # from one full block of its factor: partial blocks stay unemitted.
-    for tier, factor in ((1, 10), (2, 100)):
-        table = db.measurement("m", tier=tier)
-        assert len(table) <= 50 + 64
-        assert 0 < len(table) + table.dropped <= total // factor
+    # The newest points survive and stay queryable, in order.
+    timestamps = db.from_("m").timestamps()
+    assert timestamps == sorted(timestamps)
+    assert timestamps[-1] == newest
     stats = db.stats()
-    assert stats["m"]["dropped"] == raw.dropped
+    assert stats["m"] == {"points": len(raw), "dropped": raw.dropped}
 
 
 def test_million_point_series_queryable_under_cap():
-    db = make_tiered_db(raw_points=10_000, tier_points=10_000)
+    db = TimeSeriesDB(max_points=10_000)
     total = 1_000_000
     for i in range(total):
         db.insert("m", float(i), fields={"v": float(i)})
     raw = db.measurement("m")
     assert len(raw) <= 10_000 + max(64, 10_000 // 8)
     assert raw.dropped + len(raw) == total
-    # Recent history at raw resolution, full history at 100x.
+    # The most recent history stays queryable, oldest first.
     assert db.from_("m").timestamps()[-1] == float(total - 1)
-    tier2 = db.from_("m", tier=2)
-    assert len(tier2.values("v")) == total // 100
-    assert tier2.values("v")[0] == 49.5
+    assert db.from_("m").values("v")[0] == float(raw.dropped)
 
 
 def test_out_of_order_stragglers_merge_on_read():
@@ -255,16 +196,17 @@ def test_out_of_order_stragglers_merge_on_read():
     db.insert("m", 20.0, fields={"v": 2.0})
     before = db.from_("m")
     assert before.timestamps() == [10.0, 20.0]
-    db.insert("m", 15.0, fields={"v": 3.0})  # straggler -> pending buffer
+    db.insert("m", 15.0, fields={"v": 3.0})  # straggler
     after = db.from_("m")
     assert after.timestamps() == [10.0, 15.0, 20.0]
-    # The snapshot taken before the merge still reads its own world.
+    # A query taken before the insert still reads the records as they
+    # were.
     assert before.timestamps() == [10.0, 20.0]
 
 
 def test_descending_inserts_end_up_sorted():
     db = TimeSeriesDB()
-    n = 2_000  # crosses the deferred-merge threshold several times
+    n = 2_000
     for i in range(n, 0, -1):
         db.insert("m", float(i), fields={"v": float(i)})
     assert db.from_("m").timestamps() == [float(i) for i in range(1, n + 1)]
@@ -316,7 +258,10 @@ def test_coerce_live():
     with pytest.raises(ValueError):
         coerce_live(42)
     with pytest.raises(ValueError):
-        LiveSpec(tier_factors=(10, 15))  # 15 not a multiple of 10
+        LiveSpec(window=0)
+    # ``window`` is the one knob.
+    with pytest.raises(TypeError):
+        LiveSpec(horizon=1)
 
 
 # -- live profiling end-to-end (in-process) -----------------------------------
@@ -436,9 +381,14 @@ def test_live_digests_are_json_safe_and_renderable(live_run):
 
 
 def test_live_run_samples_queues(live_run):
-    pf, _, digests, _ = live_run
-    assert LIVE_QUEUES in pf.materializer.db
-    assert any("hot_queues" in digest for digest in digests)
+    _, _, digests, _ = live_run
+    hot = [digest["hot_queues"] for digest in digests if "hot_queues" in digest]
+    assert hot
+    for queues in hot:
+        assert 0 < len(queues) <= 5
+        occupancy = [q["occupancy"] for q in queues]
+        assert occupancy == sorted(occupancy, reverse=True)
+        assert all(value > 0.0 for value in occupancy)
 
 
 def test_live_batch_workflows_still_run_on_live_db(live_run):
@@ -456,7 +406,8 @@ def test_api_live_run_delivers_one_digest_per_epoch():
         epoch_cycles=2_000.0,
     )
     digests = []
-    result = api.run(spec, live=True, on_epoch=digests.append)
+    result = api.run(spec, options=RunOptions(live=True),
+                     on_epoch=digests.append)
     assert len(digests) == result.num_epochs > 1
     for digest in digests:
         json.dumps(digest)
@@ -563,4 +514,8 @@ def test_malformed_live_spec_is_rejected(client):
     assert excinfo.value.status == 400
     with pytest.raises(ServeError) as excinfo:
         client.submit_run(serve_spec(), live={"bogus_knob": 1})
+    assert excinfo.value.status == 400
+    # A knob LiveSpec no longer has is rejected like any unknown one.
+    with pytest.raises(ServeError) as excinfo:
+        client.submit_run(serve_spec(), live={"horizon": 2})
     assert excinfo.value.status == 400

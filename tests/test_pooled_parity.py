@@ -90,3 +90,19 @@ def test_pooled_contention_counters_are_bit_identical(fidelity):
         assert result.warp is not None and result.warp.events
     assert (machine.engine.events_executed, counter_digest(totals)) == \
         RECORDED[fidelity]
+
+
+@pytest.mark.parametrize("fidelity", sorted(RECORDED))
+def test_live_run_reproduces_the_pinned_counters(fidelity):
+    # Live profiling only observes: its rolling state, queue samples and
+    # per-epoch digests must not move one event or one counter.
+    spec, config = pooled_session(SEED)
+    machine = Machine(config)
+    digests = []
+    result = api.run(spec, machine=machine,
+                     options=RunOptions(live=True, fidelity=fidelity),
+                     on_epoch=digests.append)
+    assert len(digests) == result.num_epochs
+    assert any("hot_queues" in digest for digest in digests)
+    assert (machine.engine.events_executed,
+            counter_digest(api.counters(result))) == RECORDED[fidelity]

@@ -66,7 +66,8 @@ SESSIONS = {
         _spec(), options=RunOptions(cache=False)),
     "traced": lambda tmp_path: api.run(
         _spec(), options=RunOptions(cache=False, trace=8)),
-    "live": lambda tmp_path: api.run(_spec(), live=True),
+    "live": lambda tmp_path: api.run(
+        _spec(), options=RunOptions(live=True)),
     "pooled-exact": lambda tmp_path: _pooled("exact"),
     "pooled-adaptive": lambda tmp_path: _pooled("adaptive"),
     "aggregated": lambda tmp_path: _on_machine(

@@ -49,6 +49,14 @@ def test_records_sorted_even_with_out_of_order_insert():
     assert [r.timestamp for r in db.measurement("m")] == [1.0, 3.0, 5.0]
 
 
+def test_equal_timestamps_keep_insert_order():
+    db = TimeSeriesDB()
+    for seq, ts in enumerate([5.0, 3.0, 5.0, 1.0, 3.0, 5.0]):
+        db.insert("m", ts, fields={"seq": float(seq)})
+    assert db.from_("m").timestamps() == [1.0, 3.0, 3.0, 5.0, 5.0, 5.0]
+    assert db.from_("m").values("seq") == [3.0, 1.0, 4.0, 0.0, 2.0, 5.0]
+
+
 def test_measurement_created_lazily():
     db = TimeSeriesDB()
     assert "x" not in db

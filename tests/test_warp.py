@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import api
+from repro import RunOptions, api
 from repro.core.persistence import result_from_document, result_to_document
 from repro.core.spec import AppSpec, ProfileSpec
 from repro.exec.runner import CampaignJob
@@ -200,6 +200,8 @@ def test_skip_ops_books_retirement():
 
 # -- end-to-end --------------------------------------------------------------
 
+ADAPTIVE = RunOptions(fidelity="adaptive")
+
 
 def _summed(result):
     return api.counters(result)
@@ -207,7 +209,7 @@ def _summed(result):
 
 def test_adaptive_within_tolerance_of_exact():
     exact = api.run(steady_spec())
-    adaptive = api.run(steady_spec(), fidelity="adaptive")
+    adaptive = api.run(steady_spec(), options=ADAPTIVE)
     assert adaptive.warp is not None and adaptive.warp.events
     assert len(adaptive.epochs) < len(exact.epochs)
     verified = [e.verified for e in adaptive.warp.events
@@ -227,7 +229,7 @@ def test_adaptive_within_tolerance_of_exact():
 
 
 def test_adaptive_never_warps_phase_changes():
-    result = api.run(phased_spec(), fidelity="adaptive")
+    result = api.run(phased_spec(), options=ADAPTIVE)
     assert result.warp is None or not result.warp.events
 
 
@@ -237,7 +239,7 @@ def test_adaptive_constant_rate_property(gap, seed):
     """Property: whatever the (constant) rate, adaptive tracks exact."""
     exact = api.run(steady_spec(num_ops=12000, gap=gap, seed=seed))
     adaptive = api.run(steady_spec(num_ops=12000, gap=gap, seed=seed),
-                       fidelity="adaptive")
+                       options=ADAPTIVE)
     se, sa = _summed(exact), _summed(adaptive)
     key = ("core0", "inst_retired.any")
     assert sa[key] == pytest.approx(se[key], rel=WarpSpec().tolerance)
@@ -252,7 +254,7 @@ def test_exact_runs_unchanged_by_default():
 
 
 def test_warp_report_round_trips_through_persistence():
-    result = api.run(steady_spec(), fidelity="adaptive")
+    result = api.run(steady_spec(), options=ADAPTIVE)
     assert result.warp is not None
     document = result_to_document(result)
     assert document["warp"]["spec"] == WarpSpec().to_dict()
@@ -274,7 +276,7 @@ def test_adaptive_respects_the_epoch_horizon():
     spec = steady_spec(num_ops=10**9)  # never exhausts; horizon-bound
     bounded = ProfileSpec(apps=spec.apps, epoch_cycles=spec.epoch_cycles,
                           max_epochs=40)
-    result = api.run(bounded, fidelity="adaptive")
+    result = api.run(bounded, options=ADAPTIVE)
     assert result.warp is not None and result.warp.events
     slack = WarpSpec().skip_epochs
     assert result.epochs[-1].epoch <= 40 + slack
