@@ -351,11 +351,18 @@ def persist_trace(db: Any, report: TraceReport, timestamp: float = 0.0) -> None:
                 "queue_length": report.measured_queue_length(stage),
             },
         )
-    for name, series in sorted(report.queue_occupancy.items()):
-        for t, mean in series:
-            db.insert(
-                "TRACE_QUEUES",
-                t,
-                tags={"queue": name},
-                fields={"mean_depth": mean},
-            )
+    samples = [
+        (t, name, mean)
+        for name, series in sorted(report.queue_occupancy.items())
+        for t, mean in series
+    ]
+    # Time-major, so each insert lands at the tail of the sorted list; the
+    # stable sort keeps queues in name order within a timestamp.
+    samples.sort(key=lambda sample: sample[0])
+    for t, name, mean in samples:
+        db.insert(
+            "TRACE_QUEUES",
+            t,
+            tags={"queue": name},
+            fields={"mean_depth": mean},
+        )
