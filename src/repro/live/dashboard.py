@@ -25,7 +25,11 @@ def epoch_digest(
     """One epoch's worth of live diagnosis, JSON-serialisable.
 
     ``queues`` are the epoch's :class:`~repro.live.QueueSampler`
-    samples; the busiest occupied ones become ``hot_queues``.
+    samples; the busiest occupied ones become ``hot_queues``.  A warped
+    epoch's digest carries no ``hot_queues``: queue meters do not move
+    during a fast-forward, so its samples would read 0 inserts at the
+    pre-warp occupancy.  The caller still samples every epoch, so the
+    next exact epoch's deltas cover only that epoch.
     """
     snapshot = epoch_result.snapshot
     culprit = epoch_result.queues.culprit()
@@ -55,6 +59,7 @@ def epoch_digest(
     }
     if getattr(snapshot, "warped", False):
         doc["warped"] = True
+        return doc
     hot = sorted(queues, key=lambda s: s["occupancy"], reverse=True)
     hot = [s for s in hot[:TOP_K] if s["occupancy"] > 0.0]
     if hot:

@@ -60,38 +60,36 @@ class CounterRegistry:
         self._counters: Dict[CounterKey, float] = defaultdict(float)
         self._sync_hooks: List[Callable[[float], None]] = []
         self._samplers: Dict[CounterKey, List[Sampler]] = {}
-        self._last_sync: Optional[Tuple[float, int]] = None
+        # The cycle of the last sync, and whether any counter moved since.
+        self._last_sync: Optional[float] = None
+        self._dirty = True
         self._in_sync = False
-        self._version = 0
 
     # -- update ----------------------------------------------------------
 
     def add(self, scope: str, event: str, value: float = 1.0) -> None:
         key = (scope, event)
         self._counters[key] += value
-        self._version += 1
+        self._dirty = True
         if self._samplers:
             for sampler in self._samplers.get(key, ()):
                 sampler.observe(self._counters[key])
 
-    def add_many(
-        self, scope: str, events: Iterable[str], value: float = 1.0
-    ) -> None:
-        """Bump several events of one scope in a single call.
+    def add_many(self, keys: Iterable[CounterKey], value: float = 1.0) -> None:
+        """Bump several ``(scope, event)`` counters in a single call.
 
         The batch analogue of :meth:`add` for hot emission sites (TOR
-        inserts, OCR scenario fan-out) that bump a precomputed tuple of
-        counters per request; equivalent to calling ``add`` per event as
-        long as the events are distinct.
+        inserts, OCR scenario fan-out, L2 outcomes) that bump a tuple of
+        keys built once per component; equivalent to calling ``add`` per
+        key, in order, as long as the keys are distinct.
         """
         counters = self._counters
-        for event in events:
-            counters[(scope, event)] += value
-        self._version += 1
+        for key in keys:
+            counters[key] += value
+        self._dirty = True
         if self._samplers:
             samplers = self._samplers
-            for event in events:
-                key = (scope, event)
+            for key in keys:
                 for sampler in samplers.get(key, ()):
                     sampler.observe(counters[key])
 
@@ -107,7 +105,7 @@ class CounterRegistry:
     def set(self, scope: str, event: str, value: float) -> None:
         key = (scope, event)
         self._counters[key] = value
-        self._version += 1
+        self._dirty = True
         # Time-integrated counters are maintained via ``set`` from sync
         # hooks; samplers armed on them must see the flushed value, else
         # threshold crossings fire late (or never) on the next eager add.
@@ -133,7 +131,7 @@ class CounterRegistry:
         """
         if self._in_sync:
             return
-        if self._last_sync == (now, self._version):
+        if not self._dirty and self._last_sync == now:
             return
         self._in_sync = True
         try:
@@ -141,7 +139,8 @@ class CounterRegistry:
                 hook(now)
         finally:
             self._in_sync = False
-            self._last_sync = (now, self._version)
+            self._last_sync = now
+            self._dirty = False
 
     # -- read --------------------------------------------------------------
 

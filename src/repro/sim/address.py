@@ -25,6 +25,9 @@ class NodeKind(enum.Enum):
     REMOTE_DDR = "remote_ddr"   # other socket's DDR5 (plain NUMA)
     CXL = "cxl"                 # CPU-less CXL Type-3 node behind FlexBus
 
+    # Identity hash: the CHA's per-request key tables are keyed on it.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class NumaNode:
@@ -71,6 +74,9 @@ class AddressSpace:
                     f"nodes {prev.node_id} and {nxt.node_id} overlap"
                 )
         self._by_id: Dict[int, NumaNode] = {n.node_id: n for n in self.nodes}
+        # (base, end, node) per node: node_of runs once or twice per LLC
+        # miss, so the bounds are plain ints, not properties.
+        self._spans = tuple((n.base, n.end, n) for n in self.nodes)
         if len(self._by_id) != len(self.nodes):
             raise ValueError("duplicate node ids")
         # virtual page number -> physical frame base address
@@ -82,8 +88,8 @@ class AddressSpace:
 
     def node_of(self, address: int) -> NumaNode:
         """Return the NUMA node owning physical ``address``."""
-        for node in self.nodes:
-            if node.contains(address):
+        for base, end, node in self._spans:
+            if base <= address < end:
                 return node
         raise KeyError(f"address {address:#x} outside all NUMA nodes")
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from .request import CACHELINE
 
@@ -30,47 +29,53 @@ class MESIF(enum.Enum):
     INVALID = "I"
     FORWARD = "F"
 
+    __hash__ = object.__hash__  # identity: members are singletons
 
-@dataclass(slots=True)
+
+# Enum member lookups are attribute calls on CPython 3.11; the hot
+# paths compare against these module-level aliases instead.
+_INVALID = MESIF.INVALID
+_MODIFIED = MESIF.MODIFIED
+
+
 class CacheLine:
-    tag: int
-    state: MESIF = MESIF.EXCLUSIVE
-    dirty: bool = False
-    # S3-FIFO metadata
-    freq: int = 0
-    in_main: bool = False
+    """One resident line: tag, MESIF state, dirty bit, S3-FIFO metadata."""
+
+    __slots__ = ("tag", "state", "dirty", "freq", "in_main")
+
+    def __init__(
+        self, tag: int, state: MESIF = MESIF.EXCLUSIVE, dirty: bool = False
+    ) -> None:
+        self.tag = tag
+        self.state = state
+        self.dirty = dirty
+        self.freq = 0
+        self.in_main = False
 
 
-@dataclass(slots=True)
 class EvictedLine:
     """What fell out of a set on fill: address plus write-back need."""
 
-    address: int
-    dirty: bool
-    state: MESIF
+    __slots__ = ("address", "dirty", "state")
+
+    def __init__(self, address: int, dirty: bool, state: MESIF) -> None:
+        self.address = address
+        self.dirty = dirty
+        self.state = state
 
 
 class ReplacementPolicy:
-    """Interface: pick a victim way index within one set."""
+    """Interface of a non-LRU policy: pick a victim way within one set.
+
+    LRU, the default, is the cache's own recency list (``policy`` None),
+    kept inline in :meth:`Cache.lookup` and :meth:`Cache.fill`.
+    """
 
     def touch(self, cache_set: "CacheSet", way: int) -> None:
         raise NotImplementedError
 
     def victim(self, cache_set: "CacheSet") -> int:
         raise NotImplementedError
-
-
-class LRUPolicy(ReplacementPolicy):
-    """Classic least-recently-used over the set's recency list."""
-
-    def touch(self, cache_set: "CacheSet", way: int) -> None:
-        order = cache_set.recency
-        if order[-1] != way:
-            order.remove(way)
-            order.append(way)
-
-    def victim(self, cache_set: "CacheSet") -> int:
-        return cache_set.recency[0]
 
 
 class S3FIFOPolicy(ReplacementPolicy):
@@ -117,16 +122,20 @@ class S3FIFOPolicy(ReplacementPolicy):
 
 
 class CacheSet:
-    """One set: way->line store plus a tag->way index kept in lockstep."""
+    """One set: way->line store plus a tag->way index kept in lockstep.
+
+    Only an S3-FIFO cache's sets carry the two FIFOs; an LRU set's are
+    empty tuples (a deque is ~600 bytes, and an LLC slice has 10k sets).
+    """
 
     __slots__ = ("lines", "tags", "recency", "small_fifo", "main_fifo")
 
-    def __init__(self) -> None:
+    def __init__(self, fifos: bool = False) -> None:
         self.lines: Dict[int, CacheLine] = {}   # way -> line
         self.tags: Dict[int, int] = {}          # tag -> way (any state)
         self.recency: List[int] = []            # LRU order
-        self.small_fifo: Deque[int] = deque()   # S3-FIFO
-        self.main_fifo: Deque[int] = deque()
+        self.small_fifo: Deque[int] = deque() if fifos else ()   # S3-FIFO
+        self.main_fifo: Deque[int] = deque() if fifos else ()
 
 
 class Cache:
@@ -139,7 +148,6 @@ class Cache:
         "num_sets",
         "sets",
         "policy",
-        "_policy_name",
         "hits",
         "misses",
         "observer",
@@ -161,53 +169,48 @@ class Cache:
         if self.num_sets < 1:
             raise ValueError(f"{name}: zero sets")
         self.sets: Dict[int, CacheSet] = {}
+        # None is LRU over each set's recency list.
+        self.policy: Optional[ReplacementPolicy]
         if policy == "lru":
-            self.policy: ReplacementPolicy = LRUPolicy()
+            self.policy = None
         elif policy == "s3fifo":
             self.policy = S3FIFOPolicy()
         else:
             raise ValueError(f"unknown replacement policy: {policy}")
-        self._policy_name = policy
         self.hits = 0
         self.misses = 0
         # Optional flight-recorder hook (``on_cache_lookup(name, hit)``);
         # None unless a traced profiling session attached a recorder.
         self.observer = None
 
-    # -- indexing ----------------------------------------------------------
-
-    def _index(self, address: int) -> Tuple[int, int]:
-        line = address // self.line_size
-        return line % self.num_sets, line // self.num_sets  # (set, tag)
-
-    def _set(self, set_index: int) -> CacheSet:
-        cache_set = self.sets.get(set_index)
-        if cache_set is None:
-            cache_set = CacheSet()
-            self.sets[set_index] = cache_set
-        return cache_set
-
     # -- operations ---------------------------------------------------------
 
     def lookup(self, address: int, touch: bool = True) -> Optional[CacheLine]:
         """Probe the tag array.  Counts a hit/miss; updates recency on hit."""
         line_no = address // self.line_size
-        set_index = line_no % self.num_sets
+        num_sets = self.num_sets
+        set_index = line_no % num_sets
         cache_set = self.sets.get(set_index)
         if cache_set is None:
-            cache_set = CacheSet()
-            self.sets[set_index] = cache_set
+            cache_set = self.sets[set_index] = CacheSet(self.policy is not None)
             way = None
         else:
-            way = cache_set.tags.get(line_no // self.num_sets)
+            way = cache_set.tags.get(line_no // num_sets)
         if way is not None:
             line = cache_set.lines[way]
-            if line.state is not MESIF.INVALID:
+            if line.state is not _INVALID:
                 self.hits += 1
                 if self.observer is not None:
                     self.observer.on_cache_lookup(self.name, True)
                 if touch:
-                    self.policy.touch(cache_set, way)
+                    policy = self.policy
+                    if policy is None:
+                        order = cache_set.recency
+                        if order[-1] != way:
+                            order.remove(way)
+                            order.append(way)
+                    else:
+                        policy.touch(cache_set, way)
                 return line
         self.misses += 1
         if self.observer is not None:
@@ -216,75 +219,89 @@ class Cache:
 
     def probe(self, address: int) -> Optional[CacheLine]:
         """Tag check with no side effects (used by snoops and tests)."""
-        set_index, tag = self._index(address)
-        cache_set = self.sets.get(set_index)
+        line_no = address // self.line_size
+        cache_set = self.sets.get(line_no % self.num_sets)
         if cache_set is None:
             return None
-        way = cache_set.tags.get(tag)
+        way = cache_set.tags.get(line_no // self.num_sets)
         if way is None:
             return None
         line = cache_set.lines[way]
-        return line if line.state is not MESIF.INVALID else None
+        return line if line.state is not _INVALID else None
 
     def fill(
         self, address: int, state: MESIF = MESIF.EXCLUSIVE, dirty: bool = False
     ) -> Optional[EvictedLine]:
         """Install a line, returning whatever got evicted (if anything)."""
-        set_index, tag = self._index(address)
-        cache_set = self._set(set_index)
+        line_no = address // self.line_size
+        num_sets = self.num_sets
+        set_index = line_no % num_sets
+        tag = line_no // num_sets
+        cache_set = self.sets.get(set_index)
+        if cache_set is None:
+            cache_set = self.sets[set_index] = CacheSet(self.policy is not None)
+        tags = cache_set.tags
         # Refill of an already-present line just updates state.
-        way = cache_set.tags.get(tag)
+        way = tags.get(tag)
+        lines = cache_set.lines
         if way is not None:
-            line = cache_set.lines[way]
+            line = lines[way]
             line.state = state
             line.dirty = line.dirty or dirty
             return None
-        evicted: Optional[EvictedLine] = None
-        if len(cache_set.lines) >= self.ways:
-            victim_way = self.policy.victim(cache_set)
-            victim = cache_set.lines.pop(victim_way)
-            del cache_set.tags[victim.tag]
-            if victim_way in cache_set.recency:
-                cache_set.recency.remove(victim_way)
-            if victim_way in cache_set.small_fifo:
-                cache_set.small_fifo.remove(victim_way)
-            if victim_way in cache_set.main_fifo:
-                cache_set.main_fifo.remove(victim_way)
-            if victim.state is not MESIF.INVALID:
+        recency = cache_set.recency
+        policy = self.policy
+        if len(lines) >= self.ways:
+            if policy is None:
+                way = recency.pop(0)
+            else:
+                way = policy.victim(cache_set)
+                _discard(recency, way)
+                _discard(cache_set.small_fifo, way)
+                _discard(cache_set.main_fifo, way)
+            victim = lines[way]
+            del tags[victim.tag]
+            evicted: Optional[EvictedLine] = None
+            if victim.state is not _INVALID:
                 evicted = EvictedLine(
-                    address=self._reconstruct(set_index, victim.tag),
-                    dirty=victim.dirty or victim.state is MESIF.MODIFIED,
-                    state=victim.state,
+                    (victim.tag * num_sets + set_index) * self.line_size,
+                    victim.dirty or victim.state is _MODIFIED,
+                    victim.state,
                 )
-            way = victim_way
+            # The victim's line object takes the new line: nothing holds
+            # a line across a fill of its set.
+            victim.tag = tag
+            victim.state = state
+            victim.dirty = dirty
+            victim.freq = 0
+            victim.in_main = False
         else:
-            way = len(cache_set.lines)
-            while way in cache_set.lines:
+            evicted = None
+            way = len(lines)
+            while way in lines:
                 way += 1
-        cache_set.lines[way] = CacheLine(tag=tag, state=state, dirty=dirty)
-        cache_set.tags[tag] = way
-        cache_set.recency.append(way)
-        if self._policy_name == "s3fifo":
+            lines[way] = CacheLine(tag, state, dirty)
+        tags[tag] = way
+        recency.append(way)
+        if policy is not None:
             cache_set.small_fifo.append(way)
         return evicted
 
     def invalidate(self, address: int) -> Optional[CacheLine]:
         """Drop a line (snoop invalidation).  Returns the old line."""
-        set_index, tag = self._index(address)
-        cache_set = self.sets.get(set_index)
+        line_no = address // self.line_size
+        cache_set = self.sets.get(line_no % self.num_sets)
         if cache_set is None:
             return None
+        tag = line_no // self.num_sets
         way = cache_set.tags.get(tag)
         if way is None:
             return None
         line = cache_set.lines.pop(way)
         del cache_set.tags[tag]
-        if way in cache_set.recency:
-            cache_set.recency.remove(way)
-        if way in cache_set.small_fifo:
-            cache_set.small_fifo.remove(way)
-        if way in cache_set.main_fifo:
-            cache_set.main_fifo.remove(way)
+        _discard(cache_set.recency, way)
+        _discard(cache_set.small_fifo, way)
+        _discard(cache_set.main_fifo, way)
         return line
 
     def set_state(self, address: int, state: MESIF) -> bool:
@@ -293,9 +310,6 @@ class Cache:
             return False
         line.state = state
         return True
-
-    def _reconstruct(self, set_index: int, tag: int) -> int:
-        return (tag * self.num_sets + set_index) * self.line_size
 
     # -- introspection ---------------------------------------------------
 
@@ -309,9 +323,15 @@ class Cache:
             1
             for cache_set in self.sets.values()
             for line in cache_set.lines.values()
-            if line.state is not MESIF.INVALID
+            if line.state is not _INVALID
         )
 
     def reset_stats(self) -> None:
         self.hits = 0
         self.misses = 0
+
+
+def _discard(ways, way: int) -> None:
+    """Remove ``way`` from a recency list or FIFO if it is there."""
+    if way in ways:
+        ways.remove(way)

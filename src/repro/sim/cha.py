@@ -12,10 +12,12 @@ response counters (Table 2).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import functools
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..pmu.registry import CounterRegistry
-from .address import AddressSpace, NodeKind
+from .address import AddressSpace, NodeKind, NumaNode
 from .cache import Cache, MESIF
 from .coherence import Directory
 from .engine import Engine
@@ -116,16 +118,33 @@ def _build_ocr_table():
 _TOR_INSERT_KEYS, _TOR_OCC_KEYS = _build_tor_tables()
 _OCR_KEYS = _build_ocr_table()
 
-# Memoized "core{N}" scope strings (f-string formatting is measurable on
-# the per-request OCR emission path).
-_CORE_SCOPES: Dict[int, str] = {}
+@functools.lru_cache(maxsize=None)
+def _tor_insert_keys(scope: str) -> Dict[tuple, tuple]:
+    """``_TOR_INSERT_KEYS`` as ``(scope, event)`` keys, once per scope."""
+    return {
+        outcome: tuple((scope, event) for event in events)
+        for outcome, events in _TOR_INSERT_KEYS.items()
+    }
 
 
-def _core_scope(core_id: int) -> str:
-    scope = _CORE_SCOPES.get(core_id)
-    if scope is None:
-        scope = _CORE_SCOPES[core_id] = f"core{core_id}"
-    return scope
+#: Memory a miss is served from, by the kind of node that owns the line.
+_MEMORY_LOCATION = {
+    NodeKind.LOCAL_DDR: ServeLocation.LOCAL_DRAM,
+    NodeKind.REMOTE_DDR: ServeLocation.REMOTE_DRAM,
+    NodeKind.CXL: ServeLocation.CXL_DRAM,
+}
+
+_RFO_PATHS = (Path.RFO, Path.L2_HWPF_RFO)
+# Enum member lookups are attribute calls on CPython 3.11; the hot
+# paths use these module-level aliases instead.
+_RFO = Path.RFO
+_DWR = Path.DWR
+_CXL = NodeKind.CXL
+_REMOTE_DDR = NodeKind.REMOTE_DDR
+_EXCLUSIVE = MESIF.EXCLUSIVE
+_FORWARD = MESIF.FORWARD
+_LOCAL_LLC = ServeLocation.LOCAL_LLC
+_SNC_LLC = ServeLocation.SNC_LLC
 
 
 class _CategoryOccupancy:
@@ -133,37 +152,38 @@ class _CategoryOccupancy:
 
     Implements the ``unc_cha_tor_occupancy.*`` family: for each cycle,
     accumulate the number of valid TOR entries of that category.  State is
-    flat: category keys are interned to slots in parallel ``array``s so
-    the per-request enter/exit loops touch no per-key dict entries.
+    flat: category keys are interned to slots of parallel lists, and a
+    TOR entry carries the tuple of its categories' slots, so the
+    per-request enter/exit loops touch no per-key dict entries.
     """
 
     __slots__ = ("_index", "_keys", "_depth", "_integral", "_last")
 
     def __init__(self) -> None:
-        from array import array
-
         self._index: Dict[str, int] = {}
         self._keys: List[str] = []
-        self._depth = array("q")
-        self._integral = array("d")
-        self._last = array("d")
+        self._depth: List[int] = []
+        self._integral: List[float] = []
+        self._last: List[float] = []
 
-    def _slot(self, key: str, now: float) -> int:
-        idx = len(self._keys)
-        self._index[key] = idx
-        self._keys.append(key)
-        self._depth.append(0)
-        self._integral.append(0.0)
-        self._last.append(now)
-        return idx
-
-    def enter_many(self, keys, now: float) -> None:
+    def slots(self, keys, now: float) -> Tuple[int, ...]:
+        """The slots of ``keys``, interning new ones as of ``now``."""
         index = self._index
-        depth, integral, last = self._depth, self._integral, self._last
+        out = []
         for key in keys:
             idx = index.get(key)
             if idx is None:
-                idx = self._slot(key, now)
+                idx = index[key] = len(self._keys)
+                self._keys.append(key)
+                self._depth.append(0)
+                self._integral.append(0.0)
+                self._last.append(now)
+            out.append(idx)
+        return tuple(out)
+
+    def enter(self, slots: Tuple[int, ...], now: float) -> None:
+        depth, integral, last = self._depth, self._integral, self._last
+        for idx in slots:
             d = depth[idx]
             dt = now - last[idx]
             if dt:
@@ -171,23 +191,15 @@ class _CategoryOccupancy:
                 last[idx] = now
             depth[idx] = d + 1
 
-    def exit_many(self, keys, now: float) -> None:
-        index = self._index
+    def exit(self, slots: Tuple[int, ...], now: float) -> None:
         depth, integral, last = self._depth, self._integral, self._last
-        for key in keys:
-            idx = index[key]
+        for idx in slots:
             d = depth[idx]
             dt = now - last[idx]
             if dt:
                 integral[idx] += d * dt
                 last[idx] = now
             depth[idx] = d - 1
-
-    def enter(self, key: str, now: float) -> None:
-        self.enter_many((key,), now)
-
-    def exit(self, key: str, now: float) -> None:
-        self.exit_many((key,), now)
 
     def sync(self, now: float) -> Dict[str, float]:
         depth, integral, last = self._depth, self._integral, self._last
@@ -266,6 +278,12 @@ class CHA:
         # Flight recorder; None unless the profiling spec asked for tracing.
         self.recorder = None
         self.scope = f"cha{socket}"
+        # Per-request key tables for this CHA's scope: TOR insert keys by
+        # (path, outcome); occupancy slots and OCR keys by (core, path,
+        # serve location), filled as first seen.
+        self._tor_keys = _tor_insert_keys(self.scope)
+        self._tor_slots: Dict[tuple, Tuple[int, ...]] = {}
+        self._ocr_keys: Dict[tuple, tuple] = {}
         pmu.on_sync(self._sync)
         # Dirty LLC evictions become memory write-backs; the machine wires
         # this to the core-independent write-back issuer.
@@ -281,29 +299,19 @@ class CHA:
 
     def _classify_hit(self, core_id: int, cha_slice: CHASlice) -> ServeLocation:
         if cha_slice.cluster == self.cluster_of_core(core_id):
-            return ServeLocation.LOCAL_LLC
-        return ServeLocation.SNC_LLC
-
-    def _memory_location(self, kind: NodeKind) -> ServeLocation:
-        if kind is NodeKind.LOCAL_DDR:
-            return ServeLocation.LOCAL_DRAM
-        if kind is NodeKind.REMOTE_DDR:
-            return ServeLocation.REMOTE_DRAM
-        return ServeLocation.CXL_DRAM
+            return _LOCAL_LLC
+        return _SNC_LLC
 
     # -- counter emission ------------------------------------------------
 
-    def _tor_insert_counters(
-        self, request: MemRequest, outcome: str, target: Optional[NodeKind]
-    ) -> List[str]:
-        """Expand one TOR insert into its scenario counter keys."""
-        key = (request.path, None if outcome == "hit" else target)
-        return list(_TOR_INSERT_KEYS[key])
-
-    def _emit_ocr(self, request: MemRequest, location: ServeLocation) -> None:
-        self.pmu.add_many(
-            _core_scope(request.core_id), _OCR_KEYS[(request.path, location)]
+    def _new_ocr_keys(self, key: tuple) -> tuple:
+        """Expand and remember one (core, path, location)'s OCR keys."""
+        core_id, path, location = key
+        scope = f"core{core_id}"
+        keys = self._ocr_keys[key] = tuple(
+            (scope, event) for event in _OCR_KEYS[(path, location)]
         )
+        return keys
 
     # -- main entry ---------------------------------------------------------
 
@@ -314,7 +322,7 @@ class CHA:
         cha_slice = self.slice_for(request.address)
         same_cluster = cha_slice.cluster == self.cluster_of_core(request.core_id)
         hop = self.mesh.core_to_cha_latency(same_cluster)
-        self.mesh.send(hop, lambda: self._at_slice(request, cha_slice, on_response))
+        self.mesh.send(hop, partial(self._at_slice, request, cha_slice, on_response))
 
     def _at_slice(
         self,
@@ -323,7 +331,7 @@ class CHA:
         on_response: Callable[[MemRequest], None],
     ) -> None:
         now = self.engine.now
-        request.stamp(cha_slice.stamp_name, now)
+        request.hops.append((cha_slice.stamp_name, now))
         if self.recorder is not None:
             self.recorder.hop(request, "LLC", "enq")
         node = self.address_space.node_of(request.address)
@@ -332,38 +340,51 @@ class CHA:
         # TOR bookkeeping: insert counters + occupancy from now to response.
         # (path, None) keys the hit expansion, (path, kind) the miss one.
         table_key = (request.path, None if line is not None else node.kind)
-        self.pmu.add_many(self.scope, _TOR_INSERT_KEYS[table_key])
-        occ_keys = _TOR_OCC_KEYS[table_key]
-        self._occupancy.enter_many(occ_keys, now)
+        self.pmu.add_many(self._tor_keys[table_key])
+        slots = self._tor_slots.get(table_key)
+        if slots is None:
+            slots = self._tor_slots[table_key] = self._occupancy.slots(
+                _TOR_OCC_KEYS[table_key], now
+            )
+        self._occupancy.enter(slots, now)
         cha_slice.tor_inflight += 1
-
-        def respond(req: MemRequest, location: ServeLocation) -> None:
-            end = self.engine.now
-            self._occupancy.exit_many(occ_keys, end)
-            cha_slice.tor_inflight -= 1
-            req.complete(location, end)
-            if self.recorder is not None:
-                self.recorder.hop(req, "LLC", "deq")
-                self.recorder.complete(req)
-            self._emit_ocr(req, location)
-            on_response(req)
+        respond = partial(self._respond, slots, cha_slice, on_response)
 
         if line is not None:
             location = self._classify_hit(request.core_id, cha_slice)
-            if request.path is Path.RFO or (
-                request.path is Path.DWR and request.is_store
+            if request.path is _RFO or (
+                request.path is _DWR and request.is_store
             ):
                 # Ownership transfer: invalidate other sharers.
                 self.directory.read_for_ownership(request.line, request.core_id)
-                line.state = MESIF.EXCLUSIVE
-            self.engine.after(
-                self.llc_hit_latency, lambda: respond(request, location)
-            )
+                line.state = _EXCLUSIVE
+            self.engine.after(self.llc_hit_latency, partial(respond, request, location))
             return
         request.missed_llc = True
         if request.on_llc_miss is not None:
             request.on_llc_miss()
-        self._resolve_miss(request, cha_slice, respond)
+        self._resolve_miss(request, cha_slice, node, respond)
+
+    def _respond(
+        self,
+        slots: Tuple[int, ...],
+        cha_slice: CHASlice,
+        on_response: Callable[[MemRequest], None],
+        req: MemRequest,
+        location: ServeLocation,
+    ) -> None:
+        """The request's data is back at its slice: free the TOR entry."""
+        end = self.engine.now
+        self._occupancy.exit(slots, end)
+        cha_slice.tor_inflight -= 1
+        req.serve_location = location
+        req.completion_time = end
+        if self.recorder is not None:
+            self.recorder.hop(req, "LLC", "deq")
+            self.recorder.complete(req)
+        key = (req.core_id, req.path, location)
+        self.pmu.add_many(self._ocr_keys.get(key) or self._new_ocr_keys(key))
+        on_response(req)
 
     def llc_lookup(self, address: int, cha_slice: Optional[CHASlice] = None):
         if cha_slice is None:
@@ -376,10 +397,11 @@ class CHA:
         self,
         request: MemRequest,
         cha_slice: CHASlice,
+        node: NumaNode,
         respond: Callable[[MemRequest, ServeLocation], None],
     ) -> None:
         # 1. Snoop filter: can another core's private cache forward the line?
-        if request.path in (Path.RFO, Path.L2_HWPF_RFO):
+        if request.path in _RFO_PATHS:
             snoop = self.directory.read_for_ownership(request.line, request.core_id)
         else:
             snoop = self.directory.read(request.line, request.core_id)
@@ -391,10 +413,10 @@ class CHA:
             forwarder_cluster = self.cluster_of_core(snoop.served_by_core)
             requester_cluster = self.cluster_of_core(request.core_id)
             if forwarder_cluster == requester_cluster:
-                location = ServeLocation.LOCAL_LLC
+                location = _LOCAL_LLC
                 delay = self.snoop_latency
             else:
-                location = ServeLocation.SNC_LLC
+                location = _SNC_LLC
                 delay = self.snoop_latency + self.mesh.snc_penalty
             if snoop.had_modified:
                 self.pmu.add(self.scope, "unc_cha_snoop.hitm")
@@ -402,56 +424,61 @@ class CHA:
                 self.pmu.add(self.scope, "unc_cha_snoop.hit")
             self.engine.after(
                 delay,
-                lambda: self._fill_and_respond(request, cha_slice, location, respond),
+                partial(self._fill_and_respond, cha_slice, location, respond,
+                        request),
             )
             return
-        # 2. Route to the owning memory.
-        node = self.address_space.node_of(request.address)
-        location = self._memory_location(node.kind)
-        if node.kind is NodeKind.CXL:
-            m2pcie = self.m2pcie_by_node[node.node_id]
-            hop = self.mesh.cha_to_flexbus_latency()
+        # 2. Route to the owning memory (the node _at_slice looked up).
+        on_done = partial(self._fill_and_respond, cha_slice,
+                          _MEMORY_LOCATION[node.kind], respond)
+        self._to_memory(request, node, on_done)
 
-            def to_flexbus() -> None:
-                accepted = m2pcie.submit(
-                    request,
-                    lambda req: self._fill_and_respond(
-                        req, cha_slice, location, respond
-                    ),
-                )
-                if not accepted:
-                    m2pcie.wait_for_slot(to_flexbus)
-
-            self.mesh.send(hop, to_flexbus)
+    def _to_memory(
+        self,
+        request: MemRequest,
+        node: NumaNode,
+        on_done: Callable[[MemRequest], None],
+    ) -> None:
+        """Cross the mesh to the IMC or to the node's M2PCIe port."""
+        mesh = self.mesh
+        if node.kind is _CXL:
+            mesh.send(
+                mesh.cha_to_flexbus_latency(),
+                partial(self._to_flexbus, self.m2pcie_by_node[node.node_id],
+                        request, on_done),
+            )
         else:
-            cross = node.kind is NodeKind.REMOTE_DDR
-            hop = self.mesh.cha_to_memory_latency(cross_socket=cross)
+            hop = mesh.cha_to_memory_latency(node.kind is _REMOTE_DDR)
+            mesh.send(hop, partial(self._to_imc, request, on_done))
 
-            def to_imc() -> None:
-                accepted = self.imc.submit(
-                    request,
-                    lambda req: self._fill_and_respond(
-                        req, cha_slice, location, respond
-                    ),
-                )
-                if not accepted:
-                    self.imc.wait_for_slot(request, to_imc)
+    def _to_flexbus(
+        self,
+        m2pcie: M2PCIe,
+        request: MemRequest,
+        on_done: Callable[[MemRequest], None],
+    ) -> None:
+        if not m2pcie.submit(request, on_done):
+            m2pcie.wait_for_slot(
+                partial(self._to_flexbus, m2pcie, request, on_done)
+            )
 
-            self.mesh.send(hop, to_imc)
+    def _to_imc(
+        self, request: MemRequest, on_done: Callable[[MemRequest], None]
+    ) -> None:
+        if not self.imc.submit(request, on_done):
+            self.imc.wait_for_slot(request, partial(self._to_imc, request, on_done))
 
     def _fill_and_respond(
         self,
-        request: MemRequest,
         cha_slice: CHASlice,
         location: ServeLocation,
         respond: Callable[[MemRequest, ServeLocation], None],
+        request: MemRequest,
     ) -> None:
         """Data (or completion) arrived: install in LLC, return to core."""
-        if request.path is not Path.DWR:
-            state = MESIF.EXCLUSIVE if request.path in (
-                Path.RFO, Path.L2_HWPF_RFO
-            ) else MESIF.FORWARD
-            evicted = cha_slice.llc.fill(request.address, state=state)
+        if request.path is not _DWR:
+            state = _EXCLUSIVE if request.path in _RFO_PATHS else _FORWARD
+            evicted = cha_slice.llc.fill(request.address, state)
             if evicted is not None and evicted.dirty and self.writeback_sink:
                 self.writeback_sink(evicted.address)
         respond(request, location)
@@ -469,49 +496,34 @@ class CHA:
         """
         request = MemRequest(
             address=address,
-            path=Path.DWR,
+            path=_DWR,
             core_id=core_id,
             issue_time=self.engine.now,
             is_store=True,
         )
         cha_slice = self.slice_for(address)
         node = self.address_space.node_of(address)
-        event = TOR_EVENT_BY_PATH[Path.DWR]
+        event = TOR_EVENT_BY_PATH[_DWR]
         self.pmu.add(self.scope, f"{event}.total")
         self.directory.drop(request.line, core_id)
         if self.recorder is not None:
             self.recorder.maybe_trace(request)
 
         def done(req: MemRequest) -> None:
-            req.complete(self._memory_location(node.kind), self.engine.now)
+            req.complete(_MEMORY_LOCATION[node.kind], self.engine.now)
             if self.recorder is not None:
                 self.recorder.complete(req)
-            self._emit_ocr(req, req.serve_location)
+            key = (req.core_id, req.path, req.serve_location)
+            self.pmu.add_many(self._ocr_keys.get(key) or self._new_ocr_keys(key))
             if on_done is not None:
                 on_done(req)
 
-        if node.kind is NodeKind.CXL:
+        if node.kind is _CXL:
             self.pmu.add(self.scope, f"{event}.m_to_i")
-            m2pcie = self.m2pcie_by_node[node.node_id]
-            hop = self.mesh.cha_to_flexbus_latency()
-
-            def to_flexbus() -> None:
-                if not m2pcie.submit(request, done):
-                    m2pcie.wait_for_slot(to_flexbus)
-
-            self.mesh.send(hop, to_flexbus)
         else:
             self.pmu.add(self.scope, f"{event}.m_to_e")
             cha_slice.llc.fill(address, state=MESIF.MODIFIED, dirty=True)
-            hop = self.mesh.cha_to_memory_latency(
-                cross_socket=node.kind is NodeKind.REMOTE_DDR
-            )
-
-            def to_imc() -> None:
-                if not self.imc.submit(request, done):
-                    self.imc.wait_for_slot(request, to_imc)
-
-            self.mesh.send(hop, to_imc)
+        self._to_memory(request, node, done)
 
     # -- PMU sync ---------------------------------------------------------
 

@@ -13,17 +13,27 @@ behaviour, so modelling it would add noise without a comparable signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
 from .cache import MESIF
 
+# Enum member lookups are attribute calls on CPython 3.11; the hot
+# paths use these module-level aliases instead.
+_MODIFIED = MESIF.MODIFIED
+_EXCLUSIVE = MESIF.EXCLUSIVE
+_SHARED = MESIF.SHARED
+_INVALID = MESIF.INVALID
 
-@dataclass(slots=True)
+
 class DirectoryEntry:
-    owners: Set[int] = field(default_factory=set)  # core ids with a copy
-    state: MESIF = MESIF.INVALID
-    dirty_owner: Optional[int] = None              # core holding M
+    """One line's sharers, aggregate state and M holder."""
+
+    __slots__ = ("owners", "state", "dirty_owner")
+
+    def __init__(self) -> None:
+        self.owners: Set[int] = set()             # core ids with a copy
+        self.state = _INVALID
+        self.dirty_owner: Optional[int] = None    # core holding M
 
 
 class SnoopResult:
@@ -46,6 +56,11 @@ class SnoopResult:
     @property
     def hit(self) -> bool:
         return self.served_by_core is not None
+
+
+#: The outcome of every consult that snoops no other core; callers only
+#: read a result, so one instance serves them all.
+_NO_SNOOP = SnoopResult()
 
 
 class Directory:
@@ -79,13 +94,13 @@ class Directory:
                 entry = DirectoryEntry()
                 self._entries[line] = entry
             entry.owners = {requester}
-            entry.state = MESIF.EXCLUSIVE
+            entry.state = _EXCLUSIVE
             self._note("I->E")
-            return SnoopResult()
+            return _NO_SNOOP
         owners = entry.owners
         if requester in owners and len(owners) == 1:
             # Sole-owner re-read: no snoop, no state change (hot path).
-            return SnoopResult()
+            return _NO_SNOOP
         result = SnoopResult()
         others = owners - {requester}
         if others:
@@ -93,11 +108,11 @@ class Directory:
             result.served_by_core = forwarder
             result.had_modified = entry.dirty_owner is not None
             result.was_shared = len(owners) > 1
-            if entry.state is MESIF.MODIFIED:
+            if entry.state is _MODIFIED:
                 self._note("M->S")
-            elif entry.state is MESIF.EXCLUSIVE:
+            elif entry.state is _EXCLUSIVE:
                 self._note("E->F")
-            entry.state = MESIF.SHARED
+            entry.state = _SHARED
             entry.dirty_owner = None
         owners.add(requester)
         return result
@@ -110,10 +125,10 @@ class Directory:
             self._entries[line] = entry
         elif requester in entry.owners and len(entry.owners) == 1:
             # Sole owner upgrading: no snoop; state resets to E as below.
-            entry.state = MESIF.EXCLUSIVE
+            entry.state = _EXCLUSIVE
             entry.dirty_owner = None
             self._note("I->E")
-            return SnoopResult()
+            return _NO_SNOOP
         result = SnoopResult()
         others = entry.owners - {requester}
         if others:
@@ -121,14 +136,14 @@ class Directory:
             result.had_modified = entry.dirty_owner is not None
             result.invalidated = len(others)
             result.was_shared = True
-            if entry.state is MESIF.SHARED:
+            if entry.state is _SHARED:
                 self._note("S->I")
-            elif entry.state is MESIF.MODIFIED:
+            elif entry.state is _MODIFIED:
                 self._note("M->I")
             else:
                 self._note("E->I")
         entry.owners = {requester}
-        entry.state = MESIF.EXCLUSIVE
+        entry.state = _EXCLUSIVE
         entry.dirty_owner = None
         self._note("I->E" if not others else "E->E")
         return result
@@ -137,9 +152,9 @@ class Directory:
         """The owning core's store retired: line is now M."""
         entry = self._entries.setdefault(line, DirectoryEntry())
         entry.owners = {owner}
-        if entry.state is not MESIF.MODIFIED:
+        if entry.state is not _MODIFIED:
             self._note(f"{entry.state.value}->M")
-        entry.state = MESIF.MODIFIED
+        entry.state = _MODIFIED
         entry.dirty_owner = owner
 
     def drop(self, line: int, owner: int) -> bool:
@@ -156,7 +171,7 @@ class Directory:
             entry.dirty_owner = None
             self._note("M->I")
         if not entry.owners:
-            entry.state = MESIF.INVALID
+            entry.state = _INVALID
         return was_dirty
 
     def sharers(self, line: int) -> Set[int]:

@@ -27,6 +27,8 @@ PFAnalyzer its per-hop delays without touching simulator internals.
 
 from __future__ import annotations
 
+import functools
+from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional
 
 from ..pmu.registry import CounterRegistry
@@ -41,12 +43,12 @@ from .store_buffer import StoreBuffer
 
 
 def _build_l2_tables():
-    """Precompute the L2 PMU key tuples per (path, outcome).
+    """Precompute the L2 PMU event tuples per (path, outcome).
 
-    ``_count_l2`` fans one L2 event into several counters whose names
-    depend only on the request's path and hit/miss outcome; expanding the
-    product once turns the per-request conditionals into a dict lookup
-    feeding ``pmu.add_many``.  Key order matches the original add order.
+    One L2 access fans into several counters whose names depend only on
+    the request's path and hit/miss outcome; expanding the product once
+    turns the per-request conditionals into a dict lookup feeding
+    ``pmu.add_many``.  Event order matches the original add order.
     """
     ref_keys = {}
     out_keys = {}
@@ -85,6 +87,37 @@ def _build_l2_tables():
 
 _L2_REF_KEYS, _L2_OUT_KEYS = _build_l2_tables()
 
+
+@functools.lru_cache(maxsize=None)
+def _l2_access_keys(scope: str) -> Dict[tuple, tuple]:
+    """One core's counter keys per L2 access, by (path, hit, is_store).
+
+    The references and the outcome are bumped by one ``add_many`` once
+    the lookup resolved; stores do not count ``offcore_requests.data_rd``.
+    Cached per scope: every machine's ``core0`` shares one table.
+    """
+    table = {}
+    for (path, hit), out in _L2_OUT_KEYS.items():
+        for is_store in (False, True):
+            events = _L2_REF_KEYS[path] + (
+                out[:-1] if is_store and not hit else out
+            )
+            table[(path, hit, is_store)] = tuple(
+                (scope, event) for event in events
+            )
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _load_retire_keys(scope: str) -> Dict[str, tuple]:
+    """A load's retirement keys by outcome: all_loads plus where it hit."""
+    return {
+        outcome: ((scope, "mem_inst_retired.all_loads"),
+                  (scope, f"mem_load_retired.{outcome}"))
+        for outcome in ("l1_hit", "fb_hit", "l1_miss")
+    }
+
+
 # Per-serve-location latency histogram keys (f-string-free hot path).
 _LAT_KEYS = {
     location: (f"lat_sample.{location.value}.sum",
@@ -95,13 +128,25 @@ _LAT_KEYS = {
 _DEMAND_PATHS = (Path.DRD, Path.RFO)
 _RFO_PATHS = (Path.RFO, Path.L2_HWPF_RFO)
 _OWNED_STATES = (MESIF.MODIFIED, MESIF.EXCLUSIVE)
+_SHARED_STATES = (MESIF.SHARED, MESIF.FORWARD)
+# Enum member lookups are attribute calls on CPython 3.11; the hot
+# paths use these module-level aliases instead.
+_DRD = Path.DRD
+_RFO = Path.RFO
+_SWPF = Path.SWPF
+_L1_HWPF = Path.L1_HWPF
+_MODIFIED = MESIF.MODIFIED
+_EXCLUSIVE = MESIF.EXCLUSIVE
+_SHARED = MESIF.SHARED
+_SERVED_BY_L2 = ServeLocation.L2
 
 
 class GatedIntegrator:
     """Integral of a count over time, plus cycles where count > 0.
 
     The primitive behind ``offcore_requests_outstanding.*`` and
-    ``cycle_activity.cycles_l*_miss``.
+    ``cycle_activity.cycles_l*_miss``.  Each method folds in
+    ``count * (now - last)`` first, written out rather than called.
     """
 
     __slots__ = ("count", "integral", "active_cycles", "_last")
@@ -112,24 +157,33 @@ class GatedIntegrator:
         self.active_cycles = 0.0
         self._last = 0.0
 
-    def _advance(self, now: float) -> None:
+    def inc(self, now: float) -> None:
+        count = self.count
+        dt = now - self._last
+        if dt > 0:
+            self.integral += count * dt
+            if count > 0:
+                self.active_cycles += dt
+        self._last = now
+        self.count = count + 1
+
+    def dec(self, now: float) -> None:
+        count = self.count
+        dt = now - self._last
+        if dt > 0:
+            self.integral += count * dt
+            if count > 0:
+                self.active_cycles += dt
+        self._last = now
+        self.count = count - 1
+
+    def sync(self, now: float) -> None:
         dt = now - self._last
         if dt > 0:
             self.integral += self.count * dt
             if self.count > 0:
                 self.active_cycles += dt
         self._last = now
-
-    def inc(self, now: float) -> None:
-        self._advance(now)
-        self.count += 1
-
-    def dec(self, now: float) -> None:
-        self._advance(now)
-        self.count -= 1
-
-    def sync(self, now: float) -> None:
-        self._advance(now)
 
 
 class Core:
@@ -159,6 +213,8 @@ class Core:
         self.cha = cha
         self.address_space = address_space
         self.scope = f"core{core_id}"
+        self._l2_keys = _l2_access_keys(self.scope)
+        self._load_keys = _load_retire_keys(self.scope)
         self.l1d = Cache(l1d_size, l1d_ways, name=f"core{core_id}.l1d")
         self.l2 = Cache(l2_size, l2_ways, name=f"core{core_id}.l2")
         self.sb = StoreBuffer(engine, sb_entries, core_id)
@@ -270,7 +326,7 @@ class Core:
             return
         self.pmu.add(self.scope, "inst_retired.any", 1.0 + op.gap)
         if op.gap > 0:
-            self.engine.after(op.gap, lambda: self._issue(op))
+            self.engine.after(op.gap, partial(self._issue, op))
         else:
             self._issue(op)
 
@@ -350,10 +406,10 @@ class Core:
         line = self.l1d.lookup(address)
         if line is not None and line.state in _OWNED_STATES:
             # Owned: commit in place, drain the SB entry after commit latency.
-            line.state = MESIF.MODIFIED
+            line.state = _MODIFIED
             line.dirty = True
             self.cha.directory.mark_modified(address // 64, self.core_id)
-            self.engine.after(self.l1_latency, lambda: self.sb.release(entry))
+            self.engine.after(self.l1_latency, partial(self.sb.release, entry))
             self._op_done()
             return
         # Not owned: RFO to gain exclusive access.  The pipeline moves on;
@@ -368,31 +424,30 @@ class Core:
         self._rfo_pending[line] = [entry]
         if self.recorder is None:
             request = MemRequest.acquire(
-                address, Path.RFO, self.core_id, self.engine.now
+                address, _RFO, self.core_id, self.engine.now
             )
             request.missed_l1 = True
         else:
             request = MemRequest(
                 address=address,
-                path=Path.RFO,
+                path=_RFO,
                 core_id=self.core_id,
                 issue_time=self.engine.now,
             )
             request.missed_l1 = True
             self.recorder.maybe_trace(request)
         self.pmu.add(self.scope, "l2_rqsts.all_rfo")
-
-        def rfo_done(req: MemRequest) -> None:
-            self._fill_l1(req.address, state=MESIF.MODIFIED, dirty=True)
-            self.cha.directory.mark_modified(req.line, self.core_id)
-            self._record_latency(req)
-            for waiting in self._rfo_pending.pop(req.line, []):
-                self.sb.release(waiting)
-            if self.recorder is None:
-                req.release()
-
-        self._access_l2(request, rfo_done)
+        self._access_l2(request, self._rfo_done)
         self._op_done()
+
+    def _rfo_done(self, req: MemRequest) -> None:
+        self._fill_l1(req.address, _MODIFIED, True)
+        self.cha.directory.mark_modified(req.line, self.core_id)
+        self._record_latency(req)
+        for waiting in self._rfo_pending.pop(req.line, []):
+            self.sb.release(waiting)
+        if self.recorder is None:
+            req.release()
 
     # -- load path (DRd, section 2.2 path #1) ----------------------------------
 
@@ -416,34 +471,32 @@ class Core:
             )
             return
         self.loads_issued += 1
-        self.pmu.add(self.scope, "mem_inst_retired.all_loads")
         for addr, path in self.prefetchers.on_l1_access(address):
             self._issue_hw_prefetch(addr, path)
+        # all_loads is bumped with the outcome, in one add: nothing up to
+        # there bumps a counter.
         line = self.l1d.lookup(address)
         if line is not None:
-            self.pmu.add(self.scope, "mem_load_retired.l1_hit")
+            self.pmu.add_many(self._load_keys["l1_hit"])
             self._last_load = None
             self._op_done()
             return
-        request = MemRequest(
-            address=address,
-            path=Path.DRD,
-            core_id=self.core_id,
-            issue_time=self.engine.now,
-        )
+        now = self.engine.now
+        request = MemRequest(address, _DRD, self.core_id, now)
         request.missed_l1 = True
         if self.recorder is not None:
             self.recorder.maybe_trace(request)
         self._outstanding_demand[request.req_id] = request
-        self._l1_miss_out.inc(self.engine.now)
+        self._l1_miss_out.inc(now)
         self._last_load = request
         # LFB: coalesce onto an in-flight line, else take a new entry.
         # Intel keeps l1_hit / l1_miss / fb_hit disjoint (Table 1).
-        if self.lfb.coalesce(request.line, lambda t: self._demand_filled(request)):
-            self.pmu.add(self.scope, "mem_load_retired.fb_hit")
+        if request.line in self.lfb.in_flight:
+            self.lfb.coalesce(request.line, partial(self._demand_filled, request))
+            self.pmu.add_many(self._load_keys["fb_hit"])
             self._op_done()
             return
-        self.pmu.add(self.scope, "mem_load_retired.l1_miss")
+        self.pmu.add_many(self._load_keys["l1_miss"])
         self._allocate_lfb_and_descend(request)
 
     def _allocate_lfb_and_descend(self, request: MemRequest) -> None:
@@ -459,24 +512,29 @@ class Core:
             return
         if self.recorder is not None:
             self.recorder.hop(request, "LFB", "enq")
-        self._oro_demand_rd.inc(self.engine.now)
-        self._oro_all_rd.inc(self.engine.now)
-
-        def load_done(req: MemRequest) -> None:
-            self._fill_l1(req.address, state=MESIF.EXCLUSIVE)
-            self._record_latency(req)
-            self._oro_demand_rd.dec(self.engine.now)
-            self._oro_all_rd.dec(self.engine.now)
-            self.lfb.fill(req.line)
-            if self.recorder is not None:
-                self.recorder.hop(req, "LFB", "deq")
-            self._demand_filled(req)
-
-        self._access_l2(request, load_done)
+        now = self.engine.now
+        self._oro_demand_rd.inc(now)
+        self._oro_all_rd.inc(now)
+        self._access_l2(request, self._load_done)
         self._op_done()
 
-    def _demand_filled(self, request: MemRequest) -> None:
-        """A demand load's data is usable: clear outstanding bookkeeping."""
+    def _load_done(self, req: MemRequest) -> None:
+        self._fill_l1(req.address, _EXCLUSIVE)
+        self._record_latency(req)
+        now = self.engine.now
+        self._oro_demand_rd.dec(now)
+        self._oro_all_rd.dec(now)
+        self.lfb.fill(req.line)
+        if self.recorder is not None:
+            self.recorder.hop(req, "LFB", "deq")
+        self._demand_filled(req)
+
+    def _demand_filled(self, request: MemRequest, _fill_time: float = 0.0) -> None:
+        """A demand load's data is usable: clear outstanding bookkeeping.
+
+        A load coalesced onto an in-flight line runs this as its LFB
+        waiter, which also passes the fill time.
+        """
         now = self.engine.now
         if request.completion_time is None:
             request.completion_time = now
@@ -484,11 +542,12 @@ class Core:
             self.recorder.complete(request)
         self._outstanding_demand.pop(request.req_id, None)
         self._l1_miss_out.dec(now)
-        if request.missed_l2 and request.path is Path.DRD:
+        if request.missed_l2 and request.path is _DRD:
             self._l2_miss_out.dec(now)
-        if request.missed_llc and request.path is Path.DRD:
+        if request.missed_llc and request.path is _DRD:
             self._l3_miss_out.dec(now)
-        self._notify_completion(request)
+        if request._completion_waiters:
+            self._notify_completion(request)
 
     def _watch_completion(self, request: MemRequest, callback: Callable[[], None]) -> None:
         """Poll-free completion watch: piggyback on the request's fill."""
@@ -502,12 +561,11 @@ class Core:
             waiters.append(callback)
 
     def _notify_completion(self, request: MemRequest) -> None:
-        waiters = request._completion_waiters
-        if waiters:
-            post = self.engine.post
-            for callback in waiters:
-                post(callback)
-            request._completion_waiters = None
+        """Post the watchers parked on a request that has completed."""
+        post = self.engine.post
+        for callback in request._completion_waiters:
+            post(callback)
+        request._completion_waiters = None
 
     # -- L2 and beyond ------------------------------------------------------
 
@@ -515,7 +573,7 @@ class Core:
         self, request: MemRequest, on_done: Callable[[MemRequest], None]
     ) -> None:
         """Look up L2 after the L1->L2 transfer latency."""
-        self.engine.after(self.l2_latency, lambda: self._at_l2(request, on_done))
+        self.engine.after(self.l2_latency, partial(self._at_l2, request, on_done))
 
     def _at_l2(
         self, request: MemRequest, on_done: Callable[[MemRequest], None]
@@ -525,79 +583,66 @@ class Core:
         if self.recorder is not None:
             self.recorder.hop(request, "L2", "enq")
         path = request.path
-        self.pmu.add_many(self.scope, _L2_REF_KEYS[path])
         line = self.l2.lookup(request.address)
         # Prefetchers train on demand traffic only; letting prefetches
         # re-train them would self-sustain an infinite stream.
         if path in _DEMAND_PATHS:
             for addr, pf_path in self.prefetchers.on_l2_access(
-                request.address, path is Path.RFO
+                request.address, path is _RFO
             ):
                 self._issue_hw_prefetch(addr, pf_path)
+        # References and outcome in one add: nothing above bumps a counter.
+        self.pmu.add_many(
+            self._l2_keys[(path, line is not None, request.is_store)]
+        )
         if line is not None:
-            self._count_l2(request, hit=True)
-            if path in _RFO_PATHS and line.state in (
-                MESIF.SHARED,
-                MESIF.FORWARD,
-            ):
-                # Upgrade needed despite L2 presence: go to CHA.
-                if self.recorder is not None:
-                    self.recorder.hop(request, "L2", "deq")
-                self._go_uncore(request, on_done)
+            if path not in _RFO_PATHS or line.state not in _SHARED_STATES:
+                engine.after(
+                    self.l2_latency, partial(self._l2_served, request, on_done)
+                )
                 return
-            engine.after(
-                self.l2_latency, lambda: self._l2_served(request, on_done)
-            )
-            return
-        self._count_l2(request, hit=False)
-        request.missed_l2 = True
-        if self.recorder is not None:
-            self.recorder.hop(request, "L2", "deq")
-        if path is Path.DRD:
-            self._l2_miss_out.inc(engine.now)
-        self._go_uncore(request, on_done)
+            # Upgrade needed despite L2 presence: go to CHA.
+            if self.recorder is not None:
+                self.recorder.hop(request, "L2", "deq")
+        else:
+            request.missed_l2 = True
+            if self.recorder is not None:
+                self.recorder.hop(request, "L2", "deq")
+            if path is _DRD:
+                self._l2_miss_out.inc(engine.now)
+        if path is _DRD:
+            # The L3-miss-outstanding meter ticks only once the CHA resolves
+            # the lookup as a miss; the CHA flips this hook at that point.
+            request.on_llc_miss = self._llc_missed
+        self.cha.submit(request, partial(self._uncore_done, on_done))
 
     def _l2_served(self, request: MemRequest, on_done) -> None:
-        request.complete(ServeLocation.L2, self.engine.now)
+        request.complete(_SERVED_BY_L2, self.engine.now)
         if self.recorder is not None:
             self.recorder.hop(request, "L2", "deq")
             self.recorder.complete(request)
         on_done(request)
-        self._notify_completion(request)
+        if request._completion_waiters:
+            self._notify_completion(request)
 
-    def _count_l2(self, request: MemRequest, hit: Optional[bool], silent: bool = False) -> None:
-        if hit is None:
-            self.pmu.add_many(self.scope, _L2_REF_KEYS[request.path])
-            return
-        if silent:
-            return
-        keys = _L2_OUT_KEYS[(request.path, hit)]
-        if not hit and request.is_store:
-            keys = keys[:-1]  # stores do not count offcore_requests.data_rd
-        self.pmu.add_many(self.scope, keys)
+    def _llc_missed(self) -> None:
+        self._l3_miss_out.inc(self.engine.now)
 
-    def _go_uncore(self, request: MemRequest, on_done) -> None:
-        if request.path is Path.DRD:
-            # The L3-miss-outstanding meter ticks only once the CHA resolves
-            # the lookup as a miss; the CHA flips this hook at that point.
-            request.on_llc_miss = lambda: self._l3_miss_out.inc(self.engine.now)
-
-        def uncore_done(req: MemRequest) -> None:
-            self._fill_l2(req)
-            on_done(req)
+    def _uncore_done(self, on_done, req: MemRequest) -> None:
+        self._fill_l2(req)
+        on_done(req)
+        if req._completion_waiters:
             self._notify_completion(req)
-
-        self.cha.submit(request, uncore_done)
 
     # -- fills / evictions ---------------------------------------------------
 
     def _fill_l2(self, request: MemRequest) -> None:
         state = (
-            MESIF.EXCLUSIVE
+            _EXCLUSIVE
             if request.path in _RFO_PATHS
-            else MESIF.SHARED
+            else _SHARED
         )
-        evicted = self.l2.fill(request.address, state=state)
+        evicted = self.l2.fill(request.address, state)
         if evicted is not None:
             self.l1d.invalidate(evicted.address)
             if evicted.dirty:
@@ -606,12 +651,12 @@ class Core:
                 self.cha.directory.drop(evicted.address // 64, self.core_id)
 
     def _fill_l1(self, address: int, state: MESIF, dirty: bool = False) -> None:
-        evicted = self.l1d.fill(address, state=state, dirty=dirty)
+        evicted = self.l1d.fill(address, state, dirty)
         if evicted is not None:
             self.pmu.add(self.scope, "l1d.replacement")
             if evicted.dirty:
                 # Dirty L1 victim folds into L2 (write-back cache).
-                self.l2.fill(evicted.address, state=MESIF.MODIFIED, dirty=True)
+                self.l2.fill(evicted.address, _MODIFIED, True)
 
     def _record_latency(self, request: MemRequest) -> None:
         if request.serve_location is None or request.completion_time is None:
@@ -641,35 +686,33 @@ class Core:
             )
             request.missed_l1 = True
             self.recorder.maybe_trace(request)
-        if path is Path.L1_HWPF:
+        if path is _L1_HWPF:
             if self.lfb.full or self.lfb.outstanding(request.line) is not None:
                 if pooled:
                     request.release()
                 return  # hardware drops prefetches under pressure
             self.lfb.allocate(request)
             self._oro_all_rd.inc(self.engine.now)
-
-            def l1pf_done(req: MemRequest) -> None:
-                self._fill_l1(req.address, state=MESIF.SHARED)
-                self._oro_all_rd.dec(self.engine.now)
-                self.lfb.fill(req.line)
-                if self.recorder is None:
-                    req.release()
-
-            self._access_l2(request, l1pf_done)
+            self._access_l2(request, self._l1pf_done)
         else:
             if self.l2.probe(address) is not None or request.line in self._l2_pf_pending:
                 if pooled:
                     request.release()
                 return  # already present or in flight; hardware drops the dup
             self._l2_pf_pending.add(request.line)
+            self._access_l2(request, self._l2pf_done)
 
-            def l2pf_done(req: MemRequest) -> None:
-                self._l2_pf_pending.discard(req.line)
-                if self.recorder is None:
-                    req.release()
+    def _l1pf_done(self, req: MemRequest) -> None:
+        self._fill_l1(req.address, _SHARED)
+        self._oro_all_rd.dec(self.engine.now)
+        self.lfb.fill(req.line)
+        if self.recorder is None:
+            req.release()
 
-            self._access_l2(request, l2pf_done)
+    def _l2pf_done(self, req: MemRequest) -> None:
+        self._l2_pf_pending.discard(req.line)
+        if self.recorder is None:
+            req.release()
 
     def _issue_swpf(self, address: int) -> None:
         self.pmu.add(self.scope, "sw_prefetch_access.any")
@@ -678,13 +721,13 @@ class Core:
         pooled = self.recorder is None
         if pooled:
             request = MemRequest.acquire(
-                address, Path.SWPF, self.core_id, self.engine.now
+                address, _SWPF, self.core_id, self.engine.now
             )
             request.missed_l1 = True
         else:
             request = MemRequest(
                 address=address,
-                path=Path.SWPF,
+                path=_SWPF,
                 core_id=self.core_id,
                 issue_time=self.engine.now,
             )
@@ -696,14 +739,13 @@ class Core:
             return
 
         self.lfb.allocate(request)
+        self._access_l2(request, self._swpf_done)
 
-        def swpf_done(req: MemRequest) -> None:
-            self._fill_l1(req.address, state=MESIF.SHARED)
-            self.lfb.fill(req.line)
-            if self.recorder is None:
-                req.release()
-
-        self._access_l2(request, swpf_done)
+    def _swpf_done(self, req: MemRequest) -> None:
+        self._fill_l1(req.address, _SHARED)
+        self.lfb.fill(req.line)
+        if self.recorder is None:
+            req.release()
 
     # -- PMU sync -----------------------------------------------------------
 

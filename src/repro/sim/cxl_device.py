@@ -15,6 +15,7 @@ starts (Algorithm 2 line 3).
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import Callable
 
 from ..pmu.registry import CounterRegistry
@@ -79,11 +80,10 @@ class CXLDevice:
         # Device MC command queue in front of the media.
         self.mc_queue = MonitoredQueue(engine, mc_queue_depth, name=f"{scope}.mc")
         self.unpack_latency = 2.0
-        service_cycles = timing.service_cycles
         self._mc_server = Server(
             engine,
             self.mc_queue,
-            service_time=lambda _: service_cycles,
+            service_time=timing.service_cycles,
             on_done=self._media_done,
             servers=timing.channels,
             name=f"{scope}.media",
@@ -113,12 +113,12 @@ class CXLDevice:
             self.pmu.add(self.scope, event)
             if self.recorder is not None:
                 self.recorder.hop(request, "CXL_MC", "enq")
-            self.engine.after(self.unpack_latency, lambda: self._drain(buffer))
+            self.engine.after(self.unpack_latency, partial(self._drain, buffer))
         else:
             # Packing buffer full: link-level credits would throttle the
             # sender; it re-checks every 4 cycles and re-enters receive
             # once a slot frees (back-pressure, never a drop).
-            buffer.poll_space(lambda: self.receive(request, respond))
+            buffer.poll_space(partial(self.receive, request, respond))
 
     def _drain(self, buffer: MonitoredQueue) -> None:
         """Move the buffer head into the MC once the MC has room."""
@@ -128,10 +128,10 @@ class CXLDevice:
         if self._mc_server.submit(item):
             buffer.pop()
             if not buffer.empty:
-                self.engine.after(self.unpack_latency, lambda: self._drain(buffer))
+                self.engine.after(self.unpack_latency, partial(self._drain, buffer))
         else:
             # MC full: the flit stays packed; retry when the media advances.
-            self.mc_queue.space_waiter.wait(lambda: self._drain(buffer))
+            self.mc_queue.space_waiter.wait(partial(self._drain, buffer))
 
     # -- media + S2M respond ------------------------------------------------
 
@@ -145,7 +145,7 @@ class CXLDevice:
         else:
             self.reads_served += 1
             self.tx_inserts_mem_data += 1  # DRS carries data
-        self.engine.after(self._respond_latency, lambda: respond(request))
+        self.engine.after(self._respond_latency, partial(respond, request))
 
     # -- telemetry ------------------------------------------------------------
 

@@ -34,6 +34,7 @@ import heapq
 import itertools
 import sys
 from collections import deque
+from heapq import heappop, heappush
 from typing import Callable, Deque, List, Optional, Sized, Tuple
 
 #: Relative tolerance for scheduling "in the past": drift within this
@@ -118,14 +119,13 @@ class Engine:
                 raise ValueError(
                     f"cannot schedule event in the past: {time} < {now}"
                 )
-        heapq.heappush(self._heap, (time, next(self._seq), callback))
+        heappush(self._heap, (time, next(self._seq), callback))
 
     def after(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay`` cycles from now."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        time = self.now + delay
-        heapq.heappush(self._heap, (time, next(self._seq), callback))
+        heappush(self._heap, (self.now + delay, next(self._seq), callback))
 
     def post(self, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at the current cycle (``after(0.0, ...)``).
@@ -133,7 +133,7 @@ class Engine:
         The zero-delay path used by wake-ups and completion fan-out; the
         callback runs after everything already queued at this cycle.
         """
-        heapq.heappush(self._heap, (self.now, next(self._seq), callback))
+        heappush(self._heap, (self.now, next(self._seq), callback))
 
     def poll(
         self, items: Sized, limit: int, callback: Callable[[], None]
@@ -197,42 +197,59 @@ class Engine:
             call_ceiling = start + max_events
             if ceiling is None or call_ceiling < ceiling:
                 ceiling = call_ceiling
-        # Unset bounds become sentinels, so the drain loop pays one
-        # comparison per bound and no per-event ``is not None`` tests.
+        # Unset bounds become sentinels: the budget is the end of the
+        # loop's range and ``until`` one comparison per event.
         stop = _NEVER if until is None else until
         if ceiling is None:
             ceiling = sys.maxsize
         heap = self._heap
-        heappop = heapq.heappop
         polls = self._polls
-        rearm = polls.append
         seq = self._seq
-        while heap or polls:
-            # Seqs are unique, so comparing two entries never reaches
-            # their third field.
-            is_poll = polls and (not heap or polls[0] < heap[0])
-            entry = polls[0] if is_poll else heap[0]
-            time = entry[0]
-            if time > stop:
-                self.now = stop
-                return stop
-            if self._events_executed >= ceiling:
-                raise SimulationBudgetExceeded(
-                    self._events_executed - start, self.now
-                )
-            self.now = time
-            self._events_executed += 1
-            if is_poll:
-                polls.popleft()
-                _, _, items, limit, callback = entry
-                if len(items) < limit:
-                    callback()
-                else:
-                    rearm((time + POLL_PERIOD, next(seq), items, limit, callback))
+        executed = start
+        try:
+            # One iteration per event; ``executed`` counts the event the
+            # iteration runs, so each stop below steps it back by one.
+            for executed in range(start + 1, ceiling + 1):
+                # Seqs are unique, so comparing two entries never reaches
+                # their third field.
+                if polls and (not heap or polls[0] < heap[0]):
+                    time, _, items, limit, callback = polls[0]
+                    if time > stop:
+                        executed -= 1
+                        break
+                    polls.popleft()
+                    self.now = time
+                    if len(items) < limit:
+                        callback()
+                    else:
+                        polls.append(
+                            (time + POLL_PERIOD, next(seq), items, limit, callback)
+                        )
+                    continue
+                if not heap:
+                    executed -= 1
+                    break
+                # Pop first; an entry past ``until`` goes back unchanged,
+                # seq and all, so the resumed run sees the same schedule.
+                time, order, callback = heappop(heap)
+                if time > stop:
+                    heappush(heap, (time, order, callback))
+                    executed -= 1
+                    break
+                self.now = time
+                callback()
             else:
-                heappop(heap)
-                entry[2]()
-        if until is not None and self.now < until:
+                # The budget ran out: only an event still due is an error.
+                due = heap[0][0] if heap else _NEVER
+                if polls and polls[0][0] < due:
+                    due = polls[0][0]
+                if due <= stop:
+                    raise SimulationBudgetExceeded(executed - start, self.now)
+        finally:
+            self._events_executed = executed
+        if heap or polls:
+            self.now = stop
+        elif until is not None and self.now < until:
             self.now = until
         return self.now
 

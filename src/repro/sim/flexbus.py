@@ -10,6 +10,7 @@ bandwidth pipe where the paper finds concurrent CXL mFlows first contend
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from ..pmu.registry import CounterRegistry
@@ -21,6 +22,13 @@ from .request import CXLOpcode, MemRequest
 # messages; request/response-only flits are header-sized.
 DATA_FLIT_BYTES = 68.0
 HEADER_FLIT_BYTES = 16.0
+
+# Enum member lookups are attribute calls on CPython 3.11; the hot
+# paths use these module-level aliases instead.
+_M2S_REQ = CXLOpcode.M2S_REQ
+_M2S_RWD = CXLOpcode.M2S_RWD
+_S2M_DRS = CXLOpcode.S2M_DRS
+_S2M_NDR = CXLOpcode.S2M_NDR
 
 
 class FlexBusLink:
@@ -118,7 +126,7 @@ class M2PCIe:
     ) -> bool:
         """Accept one request from the mesh into the ingress queue."""
         request.cxl_opcode = (
-            CXLOpcode.M2S_RWD if request.is_store else CXLOpcode.M2S_REQ
+            _M2S_RWD if request.is_store else _M2S_REQ
         )
         ok = self._ingress_server.submit((request, on_response))
         if ok:
@@ -134,29 +142,29 @@ class M2PCIe:
         request, on_response = item
         flit = self.data_flit_bytes if request.is_store else self.header_flit_bytes
         self.down_link.transmit(
-            flit, lambda: self._arrive_at_device(request, on_response)
+            flit, partial(self._arrive_at_device, request, on_response)
         )
 
     def _arrive_at_device(self, request, on_response) -> None:
         if self.device is None:
             raise RuntimeError(f"{self.scope}: no CXL device attached")
-        self.device.receive(request, lambda req: self._respond(req, on_response))
+        self.device.receive(request, partial(self._respond, on_response))
 
     # -- S2M (device -> host) -------------------------------------------------
 
     def _respond(
-        self, request: MemRequest, on_response: Callable[[MemRequest], None]
+        self, on_response: Callable[[MemRequest], None], request: MemRequest
     ) -> None:
         flit = self.header_flit_bytes if request.is_store else self.data_flit_bytes
-        self.up_link.transmit(flit, lambda: self._egress(request, on_response))
+        self.up_link.transmit(flit, partial(self._egress, request, on_response))
 
     def _egress(self, request, on_response) -> None:
         if request.is_store:
             self.pmu.add(self.scope, "unc_m2p_txc_inserts.ak")
-            request.cxl_opcode = CXLOpcode.S2M_NDR
+            request.cxl_opcode = _S2M_NDR
         else:
             self.pmu.add(self.scope, "unc_m2p_txc_inserts.bl")
-            request.cxl_opcode = CXLOpcode.S2M_DRS
+            request.cxl_opcode = _S2M_DRS
         self.egress.try_push(request)  # metering only; drained immediately
         if not self.egress.empty:
             self.egress.pop()

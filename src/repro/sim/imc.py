@@ -11,6 +11,7 @@ requests are ever submitted here.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List
 
 from ..pmu.registry import CounterRegistry
@@ -18,10 +19,6 @@ from .dram import DRAMTiming
 from .engine import Engine
 from .queues import MonitoredQueue, Server
 from .request import MemRequest
-
-
-_CAS_RD_KEYS = ("unc_m_cas_count.rd", "unc_m_cas_count.all")
-_CAS_WR_KEYS = ("unc_m_cas_count.wr", "unc_m_cas_count.all")
 
 
 class _Channel:
@@ -38,6 +35,8 @@ class _Channel:
         "_trailing",
         "_rd_server",
         "_wr_server",
+        "_cas_rd_keys",
+        "_cas_wr_keys",
     )
 
     def __init__(
@@ -57,18 +56,21 @@ class _Channel:
         # Flight recorder; None unless the profiling spec asked for tracing.
         self.recorder = None
         self._trailing = timing.trailing_latency
-        service_cycles = timing.service_cycles
+        self._cas_rd_keys = ((scope, "unc_m_cas_count.rd"),
+                             (scope, "unc_m_cas_count.all"))
+        self._cas_wr_keys = ((scope, "unc_m_cas_count.wr"),
+                             (scope, "unc_m_cas_count.all"))
         self._rd_server = Server(
             engine,
             self.rpq,
-            service_time=lambda _: service_cycles,
+            service_time=timing.service_cycles,
             on_done=self._read_done,
             name=f"{scope}.rd",
         )
         self._wr_server = Server(
             engine,
             self.wpq,
-            service_time=lambda _: service_cycles,
+            service_time=timing.service_cycles,
             on_done=self._write_done,
             name=f"{scope}.wr",
         )
@@ -96,18 +98,18 @@ class _Channel:
 
     def _read_done(self, item) -> None:
         request, on_done = item
-        self.pmu.add_many(self.scope, _CAS_RD_KEYS)
+        self.pmu.add_many(self._cas_rd_keys)
         if self.recorder is not None:
             self.recorder.hop(request, "IMC", "deq")
         # Media latency beyond the bandwidth-limited channel occupancy.
-        self.engine.after(self._trailing, lambda: on_done(request))
+        self.engine.after(self._trailing, partial(on_done, request))
 
     def _write_done(self, item) -> None:
         request, on_done = item
-        self.pmu.add_many(self.scope, _CAS_WR_KEYS)
+        self.pmu.add_many(self._cas_wr_keys)
         if self.recorder is not None:
             self.recorder.hop(request, "IMC", "deq")
-        self.engine.after(self._trailing, lambda: on_done(request))
+        self.engine.after(self._trailing, partial(on_done, request))
 
     def _sync(self, now: float) -> None:
         self.rpq.stats.sync(now)
@@ -151,7 +153,7 @@ class IMC:
         self, request: MemRequest, on_done: Callable[[MemRequest], None]
     ) -> bool:
         """Queue one request; False when the target channel queue is full."""
-        channel = self._route(request)
+        channel = self.channels[request.line % len(self.channels)]
         if request.is_store:
             return channel.submit_write(request, on_done)
         return channel.submit_read(request, on_done)

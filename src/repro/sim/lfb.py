@@ -12,7 +12,7 @@ request issue (section 2.3's "limited memory-level parallelism").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from .engine import Engine, Waiter
@@ -20,12 +20,16 @@ from .queues import QueueStats
 from .request import MemRequest
 
 
-@dataclass
 class LFBEntry:
-    line: int
-    primary: MemRequest
-    allocated_at: float
-    waiters: List[Callable[[float], None]] = field(default_factory=list)
+    """One in-flight line: its primary request and coalesced waiters."""
+
+    __slots__ = ("line", "primary", "allocated_at", "waiters")
+
+    def __init__(self, line: int, primary: MemRequest, allocated_at: float) -> None:
+        self.line = line
+        self.primary = primary
+        self.allocated_at = allocated_at
+        self.waiters: List[Callable[[float], None]] = []
 
 
 class LineFillBuffer:
@@ -37,26 +41,26 @@ class LineFillBuffer:
         self.engine = engine
         self.capacity = entries
         self.core_id = core_id
-        self._entries: Dict[int, LFBEntry] = {}
-        self.stats = QueueStats()
-        self.stats._capacity = entries
+        # line -> entry of every line in flight (callers only read it).
+        self.in_flight: Dict[int, LFBEntry] = {}
+        self.stats = QueueStats(entries)
         self.space_waiter = Waiter(engine)
         self.fb_hits = 0          # loads coalesced onto an in-flight line
         self.allocations = 0
 
     @property
     def full(self) -> bool:
-        return len(self._entries) >= self.capacity
+        return len(self.in_flight) >= self.capacity
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.in_flight)
 
     def outstanding(self, line: int) -> Optional[LFBEntry]:
-        return self._entries.get(line)
+        return self.in_flight.get(line)
 
     def coalesce(self, line: int, on_fill: Callable[[float], None]) -> bool:
         """Attach a secondary load to an in-flight line.  True on fb-hit."""
-        entry = self._entries.get(line)
+        entry = self.in_flight.get(line)
         if entry is None:
             return False
         entry.waiters.append(on_fill)
@@ -65,27 +69,31 @@ class LineFillBuffer:
 
     def allocate(self, request: MemRequest) -> Optional[LFBEntry]:
         """Reserve an entry for ``request``'s line; None when full."""
-        if self.full:
+        in_flight = self.in_flight
+        if len(in_flight) >= self.capacity:
             return None
         line = request.line
-        if line in self._entries:
+        if line in in_flight:
             raise ValueError(f"line {line:#x} already in flight in LFB")
-        entry = LFBEntry(line=line, primary=request, allocated_at=self.engine.now)
-        self._entries[line] = entry
-        self.stats.on_insert(self.engine.now)
+        now = self.engine.now
+        entry = in_flight[line] = LFBEntry(line, request, now)
+        self.stats.on_insert(now)
         self.allocations += 1
         return entry
 
     def fill(self, line: int) -> LFBEntry:
         """Data returned: release the entry and wake coalesced loads."""
-        entry = self._entries.pop(line, None)
+        entry = self.in_flight.pop(line, None)
         if entry is None:
             raise KeyError(f"no LFB entry for line {line:#x}")
         now = self.engine.now
         self.stats.on_remove(now)
-        for waiter in entry.waiters:
-            self.engine.after(0.0, lambda w=waiter, t=now: w(t))
-        self.space_waiter.wake_one()
+        if entry.waiters:
+            post = self.engine.post
+            for waiter in entry.waiters:
+                post(partial(waiter, now))
+        if self.space_waiter._waiting:
+            self.space_waiter.wake_one()
         return entry
 
     def sync(self, now: float) -> None:

@@ -54,11 +54,10 @@ class Mesh:
         self.socket_penalty = socket_penalty
         # One aggregate pipe: generous, so it only matters under extreme load.
         self._queue = MonitoredQueue(engine, capacity=4096, name="mesh")
-        line_cycles = CACHELINE / bytes_per_cycle
         self._server = Server(
             engine,
             self._queue,
-            service_time=lambda _: line_cycles,
+            service_time=CACHELINE / bytes_per_cycle,
             on_done=self._deliver,
             servers=8,
             name="mesh",

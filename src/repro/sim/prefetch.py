@@ -11,19 +11,28 @@ requests, which is how the paper's HWPF-path congestion effects appear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .request import CACHELINE, Path
 
 _PAGE_SHIFT = 12  # stride tracking region (4 KiB, like Intel's DCU IP)
 
+# Enum member lookups are attribute calls on CPython 3.11; the hot
+# paths use these module-level aliases instead.
+_L1_HWPF = Path.L1_HWPF
+_L2_HWPF_DRD = Path.L2_HWPF_DRD
+_L2_HWPF_RFO = Path.L2_HWPF_RFO
 
-@dataclass(slots=True)
+
 class StrideEntry:
-    last_line: int
-    stride: int = 0
-    confidence: int = 0
+    """One tracked page: last line seen, learned stride, confidence."""
+
+    __slots__ = ("last_line", "stride", "confidence")
+
+    def __init__(self, last_line: int, stride: int = 0, confidence: int = 0) -> None:
+        self.last_line = last_line
+        self.stride = stride
+        self.confidence = confidence
 
 
 class StridePrefetcher:
@@ -57,7 +66,9 @@ class StridePrefetcher:
         table = self._table
         entry = table.get(page)
         if entry is None:
-            self._insert(page, StrideEntry(last_line=line))
+            if len(table) >= self.table_entries:
+                del table[next(iter(table))]
+            table[page] = StrideEntry(line)
             return []
         del table[page]  # re-insert at the LRU back
         table[page] = entry
@@ -82,12 +93,6 @@ class StridePrefetcher:
             prefetches.append(target * CACHELINE)
         self.issued += len(prefetches)
         return prefetches
-
-    def _insert(self, page: int, entry: StrideEntry) -> None:
-        table = self._table
-        if len(table) >= self.table_entries:
-            del table[next(iter(table))]
-        table[page] = entry
 
 
 class CorePrefetchers:
@@ -115,19 +120,25 @@ class CorePrefetchers:
     def on_l1_access(self, address: int) -> List[Tuple[int, Path]]:
         if not self.enabled:
             return []
-        return [(a, Path.L1_HWPF) for a in self.l1.observe(address)]
+        addresses = self.l1.observe(address)
+        if not addresses:
+            return []
+        return [(a, _L1_HWPF) for a in addresses]
 
     def on_l2_access(self, address: int, was_store: bool) -> List[Tuple[int, Path]]:
         if not self.enabled:
             return []
+        addresses = self.l2.observe(address)
+        if not addresses:
+            return []
         out: List[Tuple[int, Path]] = []
-        for a in self.l2.observe(address):
+        for a in addresses:
             self._l2_counter += 1
             rfo_every = (
                 int(1.0 / self.l2_rfo_ratio) if self.l2_rfo_ratio > 0 else 0
             )
             if was_store and rfo_every and self._l2_counter % rfo_every == 0:
-                out.append((a, Path.L2_HWPF_RFO))
+                out.append((a, _L2_HWPF_RFO))
             else:
-                out.append((a, Path.L2_HWPF_DRD))
+                out.append((a, _L2_HWPF_DRD))
         return out

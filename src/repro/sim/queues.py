@@ -17,18 +17,24 @@ the same order on both paths.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from functools import partial
+from typing import Any, Callable, Deque, Optional, Union
 
 from .engine import Engine, Waiter
+
+#: The capacity an unbounded FIFO compares against in its full tests.
+_UNBOUNDED = sys.maxsize
 
 
 class QueueStats:
     """Insert / not-empty / full / occupancy meters for one FIFO.
 
     Occupancy and cycle counters are integrals over time, accumulated
-    lazily: ``_advance`` folds in ``depth * (now - last_update)`` whenever
-    depth changes or a reader syncs.
+    lazily: each update first folds in ``depth * (now - last_update)``
+    when the clock moved since the previous one.  The fold is written
+    out in each hot method rather than called.
     """
 
     __slots__ = (
@@ -41,37 +47,43 @@ class QueueStats:
         "_last_update",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, capacity: Optional[int] = None) -> None:
         self.inserts = 0
         self.occupancy_integral = 0.0   # sum of depth over cycles
         self.cycles_not_empty = 0.0
         self.cycles_full = 0.0
         self._depth = 0
-        self._capacity: Optional[int] = None
+        # Depth from which the FIFO counts as full (never, unbounded).
+        self._capacity = _UNBOUNDED if capacity is None else capacity
         self._last_update = 0.0
 
-    def _advance(self, now: float) -> None:
+    def on_insert(self, now: float) -> None:
         dt = now - self._last_update
-        if dt < 0:
-            raise ValueError("time went backwards in queue stats")
         if dt:
+            if dt < 0:
+                raise ValueError("time went backwards in queue stats")
             depth = self._depth
             self.occupancy_integral += depth * dt
             if depth > 0:
                 self.cycles_not_empty += dt
-            if self._capacity is not None and depth >= self._capacity:
-                self.cycles_full += dt
+                if depth >= self._capacity:
+                    self.cycles_full += dt
             self._last_update = now
-
-    def on_insert(self, now: float) -> None:
-        if now != self._last_update:
-            self._advance(now)
         self.inserts += 1
         self._depth += 1
 
     def on_remove(self, now: float) -> None:
-        if now != self._last_update:
-            self._advance(now)
+        dt = now - self._last_update
+        if dt:
+            if dt < 0:
+                raise ValueError("time went backwards in queue stats")
+            depth = self._depth
+            self.occupancy_integral += depth * dt
+            if depth > 0:
+                self.cycles_not_empty += dt
+                if depth >= self._capacity:
+                    self.cycles_full += dt
+            self._last_update = now
         if self._depth <= 0:
             raise ValueError("removing from empty queue")
         self._depth -= 1
@@ -82,12 +94,31 @@ class QueueStats:
         Equivalent to ``on_insert(now); on_remove(now)``: one meter
         advance, one insert, and no net depth change.
         """
-        if now != self._last_update:
-            self._advance(now)
+        dt = now - self._last_update
+        if dt:
+            if dt < 0:
+                raise ValueError("time went backwards in queue stats")
+            depth = self._depth
+            self.occupancy_integral += depth * dt
+            if depth > 0:
+                self.cycles_not_empty += dt
+                if depth >= self._capacity:
+                    self.cycles_full += dt
+            self._last_update = now
         self.inserts += 1
 
     def sync(self, now: float) -> None:
-        self._advance(now)
+        dt = now - self._last_update
+        if dt:
+            if dt < 0:
+                raise ValueError("time went backwards in queue stats")
+            depth = self._depth
+            self.occupancy_integral += depth * dt
+            if depth > 0:
+                self.cycles_not_empty += dt
+                if depth >= self._capacity:
+                    self.cycles_full += dt
+            self._last_update = now
 
     @property
     def depth(self) -> int:
@@ -114,6 +145,7 @@ class MonitoredQueue:
         "name",
         "stats",
         "_items",
+        "_limit",
         "space_waiter",
         "observer",
     )
@@ -129,9 +161,9 @@ class MonitoredQueue:
         self.engine = engine
         self.capacity = capacity
         self.name = name
-        self.stats = QueueStats()
-        self.stats._capacity = capacity
+        self.stats = QueueStats(capacity)
         self._items: Deque[Any] = deque()
+        self._limit = _UNBOUNDED if capacity is None else capacity
         self.space_waiter = Waiter(engine)
         # Optional flight-recorder hook (``on_queue_push``/``on_queue_pop``);
         # None unless a traced profiling session attached a recorder.
@@ -142,16 +174,17 @@ class MonitoredQueue:
 
     @property
     def full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
+        return len(self._items) >= self._limit
 
     @property
     def empty(self) -> bool:
         return not self._items
 
     def try_push(self, item: Any) -> bool:
-        if self.capacity is not None and len(self._items) >= self.capacity:
+        items = self._items
+        if len(items) >= self._limit:
             return False
-        self._items.append(item)
+        items.append(item)
         self.stats.on_insert(self.engine.now)
         if self.observer is not None:
             self.observer.on_queue_push(self, item)
@@ -192,10 +225,14 @@ class MonitoredQueue:
 class Server:
     """A k-server service stage draining a :class:`MonitoredQueue`.
 
-    ``service_time(item)`` returns the cycles one server spends on an item;
-    ``on_done(item)`` fires when service completes.  Throughput is thus
-    ``servers / mean_service_time`` - this is how every bandwidth limit in
-    the simulator (DRAM channels, FlexBus link, CXL media) is expressed.
+    ``service_time`` is the cycles one server spends on an item: a
+    number when every item takes the same time (DRAM channels, mesh,
+    CXL media), or a function of the item (FlexBus flits of two sizes,
+    M2PCIe arbitration that QoS retunes).  ``on_done(item)`` fires when
+    service completes.
+    Throughput is thus ``servers / mean_service_time`` - this is how
+    every bandwidth limit in the simulator (DRAM channels, FlexBus link,
+    CXL media) is expressed.
     """
 
     __slots__ = (
@@ -208,6 +245,7 @@ class Server:
         "busy",
         "busy_integral",
         "_last_update",
+        "_per_item",
         "completed",
     )
 
@@ -215,13 +253,16 @@ class Server:
         self,
         engine: Engine,
         queue: MonitoredQueue,
-        service_time: Callable[[Any], float],
+        service_time: Union[float, Callable[[Any], float]],
         on_done: Callable[[Any], None],
         servers: int = 1,
         name: str = "server",
     ) -> None:
         if servers <= 0:
             raise ValueError(f"{name}: need at least one server")
+        self._per_item = callable(service_time)
+        if not self._per_item and service_time < 0:
+            raise ValueError(f"{name}: negative service time")
         self.engine = engine
         self.queue = queue
         self.service_time = service_time
@@ -232,13 +273,6 @@ class Server:
         self.busy_integral = 0.0
         self._last_update = 0.0
         self.completed = 0
-
-    def _account(self) -> None:
-        now = self.engine.now
-        dt = now - self._last_update
-        if dt:
-            self.busy_integral += self.busy * dt
-            self._last_update = now
 
     def submit(self, item: Any) -> bool:
         """Enqueue ``item`` and kick a server if one is idle."""
@@ -257,18 +291,19 @@ class Server:
                 observer.on_queue_push(queue, item)
                 stats.on_remove(now)
                 observer.on_queue_pop(queue, item)
-            waiter = queue.space_waiter
-            if waiter._waiting:
-                waiter.wake_one()
+            if queue.space_waiter._waiting:
+                queue.space_waiter.wake_one()
             dt = now - self._last_update
             if dt:
                 self.busy_integral += self.busy * dt
                 self._last_update = now
             self.busy += 1
-            delay = self.service_time(item)
-            if delay < 0:
-                raise ValueError(f"{self.name}: negative service time")
-            self.engine.after(delay, lambda it=item: self._finish(it))
+            delay = self.service_time
+            if self._per_item:
+                delay = delay(item)
+                if delay < 0:
+                    raise ValueError(f"{self.name}: negative service time")
+            self.engine.after(delay, partial(self._finish, item))
             return True
         if not queue.try_push(item):
             return False
@@ -276,14 +311,21 @@ class Server:
         return True
 
     def _dispatch(self) -> None:
-        while self.busy < self.servers and self.queue._items:
-            item = self.queue.pop()
-            self._account()
+        queue = self.queue
+        while self.busy < self.servers and queue._items:
+            item = queue.pop()
+            now = self.engine.now
+            dt = now - self._last_update
+            if dt:
+                self.busy_integral += self.busy * dt
+                self._last_update = now
             self.busy += 1
-            delay = self.service_time(item)
-            if delay < 0:
-                raise ValueError(f"{self.name}: negative service time")
-            self.engine.after(delay, lambda it=item: self._finish(it))
+            delay = self.service_time
+            if self._per_item:
+                delay = delay(item)
+                if delay < 0:
+                    raise ValueError(f"{self.name}: negative service time")
+            self.engine.after(delay, partial(self._finish, item))
 
     def _finish(self, item: Any) -> None:
         now = self.engine.now

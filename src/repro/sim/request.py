@@ -18,6 +18,7 @@ import itertools
 from typing import Callable, List, Optional, Tuple
 
 CACHELINE = 64  # bytes
+_LINE_MASK = ~(CACHELINE - 1)
 
 
 class Path(enum.Enum):
@@ -30,6 +31,11 @@ class Path(enum.Enum):
     L2_HWPF_DRD = "L2_HWPF_DRd"
     L2_HWPF_RFO = "L2_HWPF_RFO"
     SWPF = "SWPF"          # software prefetch (merges into DRd after L1D)
+
+    # Members are singletons compared by identity, so the C-level
+    # identity hash serves the per-request key tables; Enum's own
+    # ``__hash__`` is a Python call per lookup.
+    __hash__ = object.__hash__
 
     @property
     def is_prefetch(self) -> bool:
@@ -76,6 +82,8 @@ class ServeLocation(enum.Enum):
     REMOTE_DRAM = "remote_DRAM"   # cross-socket DDR
     CXL_DRAM = "CXL_DRAM"
 
+    __hash__ = object.__hash__  # identity, as for Path
+
     @property
     def is_memory(self) -> bool:
         return self in (
@@ -101,11 +109,14 @@ class MemRequest:
     Flat ``__slots__`` layout: requests are the simulator's most-allocated
     objects, so they carry no dict and can be recycled through
     :meth:`acquire`/:meth:`release` by call sites that can prove the
-    request's lifetime ended (prefetches, RFOs, write-backs).
+    request's lifetime ended (prefetches, RFOs, write-backs).  Only the
+    constructor and :meth:`acquire` set ``address``, so its cacheline
+    number ``line`` is a slot too.
     """
 
     __slots__ = (
         "address",
+        "line",
         "path",
         "core_id",
         "issue_time",
@@ -135,7 +146,10 @@ class MemRequest:
         mflow_id: Optional[int] = None,
         req_id: Optional[int] = None,
     ) -> None:
-        self.address = line_address(address)
+        if address < 0:
+            raise ValueError(f"negative address: {address:#x}")
+        self.address = address & _LINE_MASK   # line_address, inline
+        self.line = address // CACHELINE
         self.path = path
         self.core_id = core_id
         self.issue_time = issue_time
@@ -184,7 +198,10 @@ class MemRequest:
         if not pool:
             return cls(address, path, core_id, issue_time, is_store=is_store)
         self = pool.pop()
-        self.address = line_address(address)
+        if address < 0:
+            raise ValueError(f"negative address: {address:#x}")
+        self.address = address & _LINE_MASK
+        self.line = address // CACHELINE
         self.path = path
         self.core_id = core_id
         self.issue_time = issue_time
@@ -230,10 +247,6 @@ class MemRequest:
         if self.completion_time is None:
             raise ValueError(f"request {self.req_id} has not completed")
         return self.completion_time - self.issue_time
-
-    @property
-    def line(self) -> int:
-        return self.address // CACHELINE
 
     @property
     def is_cxl(self) -> bool:
@@ -294,4 +307,4 @@ def line_address(address: int) -> int:
     """Align ``address`` down to its cacheline base."""
     if address < 0:
         raise ValueError(f"negative address: {address:#x}")
-    return address & ~(CACHELINE - 1)
+    return address & _LINE_MASK

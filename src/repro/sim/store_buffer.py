@@ -12,17 +12,20 @@ issued" (``resource_stalls.sb``) versus write-only pressure
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .engine import Engine, Waiter
 from .queues import QueueStats
 
 
-@dataclass
 class SBEntry:
-    line: int
-    issued_at: float
+    """One store waiting to commit: its line and issue cycle."""
+
+    __slots__ = ("line", "issued_at")
+
+    def __init__(self, line: int, issued_at: float) -> None:
+        self.line = line
+        self.issued_at = issued_at
 
 
 class StoreBuffer:
@@ -40,8 +43,7 @@ class StoreBuffer:
         self.capacity = entries
         self.core_id = core_id
         self._occupied = 0
-        self.stats = QueueStats()
-        self.stats._capacity = entries
+        self.stats = QueueStats(entries)
         self.space_waiter = Waiter(engine)
         self.allocations = 0
 
@@ -54,12 +56,13 @@ class StoreBuffer:
 
     def allocate(self, line: int) -> Optional[SBEntry]:
         """Take an entry for a store to ``line``; None when full."""
-        if self.full:
+        if self._occupied >= self.capacity:
             return None
         self._occupied += 1
-        self.stats.on_insert(self.engine.now)
+        now = self.engine.now
+        self.stats.on_insert(now)
         self.allocations += 1
-        return SBEntry(line=line, issued_at=self.engine.now)
+        return SBEntry(line, now)
 
     def release(self, entry: SBEntry) -> None:
         """The store committed; free its slot and wake a stalled producer."""
@@ -67,7 +70,8 @@ class StoreBuffer:
             raise ValueError("releasing into an empty store buffer")
         self._occupied -= 1
         self.stats.on_remove(self.engine.now)
-        self.space_waiter.wake_one()
+        if self.space_waiter._waiting:
+            self.space_waiter.wake_one()
 
     def sync(self, now: float) -> None:
         self.stats.sync(now)

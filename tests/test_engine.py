@@ -418,3 +418,102 @@ def test_poll_schedule_matches_after_retry_chain(plan, capacity, service, phases
     after = _drive_producers("after", plan, capacity, service, phases)
     poll = _drive_producers("poll", plan, capacity, service, phases)
     assert poll == after
+
+
+# -- stopping and resuming: the same schedule as one unbounded run ------------
+
+#: One scheduled callback: how it is scheduled, its delay, whether it
+#: flips the shared box a poll waits on, and the callbacks it schedules.
+_leaf = st.tuples(
+    st.sampled_from(["at", "after", "post", "poll"]),
+    st.sampled_from([0, 0, 1, 2, 3]),
+    st.booleans(),
+    st.just(()),
+)
+_node = st.recursive(
+    _leaf,
+    lambda children: st.tuples(
+        st.sampled_from(["at", "after", "post", "poll"]),
+        st.sampled_from([0, 0, 1, 2, 3]),
+        st.booleans(),
+        st.lists(children, max_size=3).map(tuple),
+    ),
+    max_leaves=12,
+)
+
+
+def _run_plan(roots, stops):
+    """Run ``roots`` to completion, stopping at each of ``stops`` first.
+
+    A stop is ``("until", cycles past now)`` or ``("max", events)``.
+    Each callback logs its label and the clock; ``poll`` callbacks wait
+    until the shared box is empty, and ``flip`` callbacks fill or empty
+    it.  Returns the log, ``events_executed`` and ``pending_events``.
+    """
+    engine = Engine()
+    box = []
+    log = []
+    labels = iter(range(10_000))
+
+    def schedule(spec):
+        kind, delay, flip, children = spec
+        label = next(labels)
+
+        def fire():
+            log.append((label, engine.now))
+            if flip:
+                if box:
+                    box.pop()
+                else:
+                    box.append(label)
+            for child in children:
+                schedule(child)
+
+        if kind == "at":
+            engine.at(engine.now + delay, fire)
+        elif kind == "after":
+            engine.after(float(delay), fire)
+        elif kind == "post":
+            engine.post(fire)
+        else:
+            engine.poll(box, 1, fire)
+
+    for root in roots:
+        schedule(root)
+    for kind, value in stops:
+        try:
+            if kind == "until":
+                engine.run(until=engine.now + value)
+            else:
+                engine.run(max_events=value)
+        except SimulationBudgetExceeded:
+            pass
+    # A poll on a box left full re-checks forever, so both runs end at
+    # one fixed cycle, past every other event of any plan.
+    engine.run(until=1_000.0)
+    return log, engine.events_executed, engine.pending_events
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    roots=st.lists(_node, min_size=1, max_size=6),
+    stops=st.lists(
+        st.one_of(
+            st.tuples(st.just("until"),
+                      st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.5, 6.0])),
+            st.tuples(st.just("max"), st.integers(min_value=0, max_value=6)),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_stopped_and_resumed_runs_match_one_unbounded_run(roots, stops):
+    """``run(until=...)`` and ``run(max_events=...)`` stops change nothing.
+
+    The drain loop pops an event before it checks ``until``; an event
+    past the stop goes back with its own sequence number.  Integer event
+    times and stops between them put same-time groups right after a
+    stop, so a popped entry that lost its place (or was dropped) changes
+    the log.
+    """
+    assert _run_plan(roots, stops) == _run_plan(roots, ())
