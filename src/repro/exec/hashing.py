@@ -132,10 +132,25 @@ def canonical_spec(spec: ProfileSpec) -> Dict[str, Any]:
     }
 
 
+@functools.lru_cache(maxsize=64)
+def _dataclass_form(config: Any, text: str) -> Any:
+    # ``text`` is the config's repr: configs that compare equal but
+    # differ in a field's type (``1`` vs ``1.0``) canonicalize apart.
+    return _canon(asdict(config))
+
+
 def canonical_config(config: MachineConfig) -> Dict[str, Any]:
-    if is_dataclass(config):
+    """Declarative form of a machine config.
+
+    Remembered per config value, so the form is shared: do not mutate
+    it.  A config with an unhashable field is canonicalized each time.
+    """
+    if not is_dataclass(config):
+        return _canon(config)
+    try:
+        return _dataclass_form(config, repr(config))
+    except TypeError:
         return _canon(asdict(config))
-    return _canon(config)
 
 
 @functools.lru_cache(maxsize=1)

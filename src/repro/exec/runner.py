@@ -234,15 +234,21 @@ def _execute_job(
         # budget composes across the profiler's per-epoch run() calls and
         # surfaces as a typed, retryable job failure when exhausted.
         machine.engine.set_event_budget(max_events)
-    result = profiler.run()
-    return {
-        "ok": True,
-        "document": result_to_document(result),
-        "result": result,
-        "events_executed": machine.engine.events_executed,
-        "total_cycles": result.total_cycles,
-        "num_epochs": result.num_epochs,
-    }
+    try:
+        result = profiler.run()
+        return {
+            "ok": True,
+            "document": result_to_document(result),
+            "result": result,
+            "events_executed": machine.engine.events_executed,
+            "total_cycles": result.total_cycles,
+            "num_epochs": result.num_epochs,
+        }
+    finally:
+        # The job owns its machine: once the document is encoded,
+        # refcounting frees it, not a full collection that first
+        # traverses it.
+        machine.dismantle()
 
 
 def _job_outcome(

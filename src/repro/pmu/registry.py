@@ -118,6 +118,10 @@ class CounterRegistry:
         self._sync_hooks.append(hook)
         self._last_sync = None
 
+    def clear_sync_hooks(self) -> None:
+        """Forget every flush hook (their stages are being torn down)."""
+        self._sync_hooks.clear()
+
     def sync(self, now: float) -> None:
         """Run every flush hook once per (timestamp, counter state).
 

@@ -12,6 +12,10 @@ Methods raise :class:`ServeError` on any non-2xx answer; a 429 carries
 ``retry_after`` so callers can implement polite backoff
 (:meth:`ServeClient.submit_run` can do it for them via
 ``retry_on_busy=True``).
+
+Requests reuse keep-alive connections from a small pool; threads may
+share one client.  :meth:`ServeClient.close` (or leaving a ``with``
+block) closes the pooled connections.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ import dataclasses
 import http.client
 import json
 import math
+import threading
 import time
+import weakref
 from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -30,6 +36,8 @@ from ..core.spec import ProfileSpec
 from ..sim.topology import MachineConfig
 
 DEFAULT_TIMEOUT_S = 30.0
+#: Idle keep-alive connections one client keeps for reuse.
+MAX_IDLE_CONNECTIONS = 4
 
 
 def parse_retry_after(value: Optional[str]) -> Optional[int]:
@@ -71,8 +79,28 @@ class ServeError(RuntimeError):
         self.retry_after = retry_after
 
 
+def _close_all(connections: List[http.client.HTTPConnection]) -> None:
+    while connections:
+        try:
+            conn = connections.pop()
+        except IndexError:
+            return  # another thread emptied it first
+        conn.close()
+
+
 class ServeClient:
-    """One daemon endpoint; connections are per-request (server closes)."""
+    """One daemon endpoint, over a pool of keep-alive connections.
+
+    A connection carries one request at a time, so threads may share a
+    client: each request takes an idle connection from the pool (or
+    dials a new one) and hands it back once its answer is read.  A
+    request on a pooled connection that fails before any byte of the
+    answer arrives, because the daemon closed the connection while it
+    sat idle, is sent once more on a new connection.  That retry cannot
+    admit a job twice: ``POST /v1/run`` dedupes by job key.  The pooled
+    connections close on :meth:`close`, at the end of a ``with`` block
+    or when the client is garbage collected.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8023, *,
                  timeout: float = DEFAULT_TIMEOUT_S,
@@ -84,6 +112,22 @@ class ServeClient:
         #: ``X-Pathfinder-Tenant`` header); None means the daemon's
         #: default tenant.
         self.tenant = tenant
+        self._idle: List[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+        weakref.finalize(self, _close_all, self._idle)
+
+    def close(self) -> None:
+        """Close the idle connections; a later request dials anew."""
+        with self._lock:
+            idle = self._idle[:]
+            del self._idle[:]
+        _close_all(idle)
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # -- plumbing --------------------------------------------------------
 
@@ -95,22 +139,92 @@ class ServeClient:
             headers["X-Pathfinder-Tenant"] = self.tenant
         return headers
 
+    def _send(
+        self, method: str, path: str, body: Optional[Dict[str, Any]],
+        timeout: float,
+    ) -> Tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+        """Send one request; returns its connection and answer head."""
+        payload = json.dumps(body) if body is not None else None
+        headers = self._headers(payload is not None)
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        reused = conn is not None
+        while True:
+            if conn is None:
+                conn = http.client.HTTPConnection(self.host, self.port,
+                                                  timeout=timeout)
+            else:
+                conn.timeout = timeout
+                conn.sock.settimeout(timeout)
+            try:
+                conn.request(method, path, body=payload, headers=headers)
+                return conn, conn.getresponse()
+            except ConnectionError:
+                conn.close()
+                if not reused:
+                    raise
+                # The daemon closed it while it sat idle; its pool
+                # siblings idled as long, so drop them and dial once.
+                self.close()
+                conn, reused = None, False
+            except BaseException:
+                conn.close()
+                raise
+
     def _request(
         self, method: str, path: str, body: Optional[Dict[str, Any]] = None,
         *, timeout: Optional[float] = None,
     ) -> Tuple[int, Dict[str, str], Any]:
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=timeout or self.timeout
-        )
+        conn, response = self._send(method, path, body,
+                                    timeout or self.timeout)
         try:
-            payload = json.dumps(body) if body is not None else None
-            conn.request(method, path, body=payload,
-                         headers=self._headers(payload is not None))
-            response = conn.getresponse()
             headers = {k.lower(): v for k, v in response.getheaders()}
             raw = response.read()
-            document = json.loads(raw) if raw else None
-            return response.status, headers, document
+        except BaseException:
+            conn.close()
+            raise
+        with self._lock:
+            keep = not response.will_close \
+                and len(self._idle) < MAX_IDLE_CONNECTIONS
+            if keep:
+                self._idle.append(conn)
+        if not keep:
+            conn.close()
+        document = json.loads(raw) if raw else None
+        return response.status, headers, document
+
+    def _stream(self, path: str,
+                timeout: float) -> Iterator[Dict[str, Any]]:
+        """One NDJSON stream, on a connection of its own.
+
+        The stream's end closes its connection, so it leaves the pooled
+        ones to the requests around it (the result fetch after a wait),
+        and a job's stream is dialled while the job runs.
+        ``http.client`` undoes the chunked transfer encoding, so each
+        ``readline`` yields exactly one JSON event line.
+        """
+        conn = http.client.HTTPConnection(self.host, self.port,
+                                          timeout=timeout)
+        try:
+            conn.request("GET", path, headers=self._headers())
+            response = conn.getresponse()
+            if response.status != 200:
+                raw = response.read()
+                try:
+                    message = json.loads(raw).get("error", "")
+                except Exception:  # noqa: BLE001
+                    message = raw.decode(errors="replace")
+                raise ServeError(
+                    response.status, message,
+                    parse_retry_after(response.getheader("retry-after")),
+                )
+            while True:
+                line = response.readline()
+                if not line:
+                    break
+                line = line.strip()
+                if line:
+                    yield json.loads(line)
         finally:
             conn.close()
 
@@ -259,12 +373,10 @@ class ServeClient:
                timeout: float = 600.0) -> Iterator[Dict[str, Any]]:
         """Stream the job's NDJSON events until it reaches a terminal state.
 
-        ``http.client`` undoes the chunked transfer encoding, so each
-        ``readline`` yields exactly one JSON event line.  A 429 answer
-        (the daemon shedding load) is not fatal: the client honours the
-        ``Retry-After`` hint, reconnects, and - because the event log
-        replays from the start - deduplicates by ``seq`` so callers see
-        every event exactly once.
+        A 429 answer (the daemon shedding load) is not fatal: the client
+        honours the ``Retry-After`` hint, reconnects, and - because the
+        event log replays from the start - deduplicates by ``seq`` so
+        callers see every event exactly once.
         """
         deadline = time.monotonic() + timeout
         next_seq = 0
@@ -290,33 +402,7 @@ class ServeClient:
                      deadline: float) -> Iterator[Dict[str, Any]]:
         """One connection's worth of the NDJSON event stream."""
         remaining = max(0.1, deadline - time.monotonic())
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=remaining)
-        try:
-            conn.request("GET", f"/v1/jobs/{job_id}/events",
-                         headers=self._headers())
-            response = conn.getresponse()
-            if response.status != 200:
-                raw = response.read()
-                message = ""
-                retry_after = None
-                try:
-                    message = json.loads(raw).get("error", "")
-                except Exception:  # noqa: BLE001
-                    message = raw.decode(errors="replace")
-                for name, value in response.getheaders():
-                    if name.lower() == "retry-after":
-                        retry_after = parse_retry_after(value)
-                raise ServeError(response.status, message, retry_after)
-            while True:
-                line = response.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
-        finally:
-            conn.close()
+        return self._stream(f"/v1/jobs/{job_id}/events", remaining)
 
     def live(self, *, max_events: Optional[int] = None,
              timeout: float = 600.0) -> Iterator[Dict[str, Any]]:
@@ -331,27 +417,7 @@ class ServeClient:
         path = "/v1/live"
         if max_events is not None:
             path += f"?max_events={int(max_events)}"
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=timeout)
-        try:
-            conn.request("GET", path, headers=self._headers())
-            response = conn.getresponse()
-            if response.status != 200:
-                raw = response.read()
-                try:
-                    message = json.loads(raw).get("error", "")
-                except Exception:  # noqa: BLE001
-                    message = raw.decode(errors="replace")
-                raise ServeError(response.status, message)
-            while True:
-                line = response.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
-        finally:
-            conn.close()
+        return self._stream(path, timeout)
 
     def result(self, job_id: str) -> Dict[str, Any]:
         """Fetch a done job's full session digest (member protocol).

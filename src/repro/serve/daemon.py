@@ -4,9 +4,10 @@ One long-lived process owns the warm :class:`~repro.exec.cache.ResultCache`
 and a bounded priority queue; any number of clients submit
 :class:`~repro.core.spec.ProfileSpec` documents over HTTP/JSON and stream
 progress back as NDJSON.  The HTTP layer is a deliberately small
-hand-rolled HTTP/1.1 server on ``asyncio`` streams (stdlib only, one
-request per connection) - the API surface is five JSON routes and one
-chunked stream, not a web framework's worth of ambiguity.
+hand-rolled HTTP/1.1 server on ``asyncio`` streams (stdlib only,
+persistent connections that carry one request at a time) - the API
+surface is five JSON routes and one chunked stream, not a web
+framework's worth of ambiguity.
 
 Endpoints::
 
@@ -41,7 +42,12 @@ Operational behaviour:
   :class:`~repro.sim.engine.SimulationBudgetExceeded` machinery;
 * **graceful shutdown** - SIGTERM/SIGINT (or ``POST /v1/shutdown``)
   stops admission, drains queued and in-flight jobs, then exits; status
-  and metrics endpoints keep answering while the drain runs.
+  and metrics endpoints keep answering while the drain runs;
+* **persistent connections** - a JSON answer keeps its connection open
+  for the next request (``Connection: keep-alive``) unless the request
+  asked to close it or the daemon is draining; the two streams and
+  ``POST /v1/shutdown`` close it.  An idle connection closes after
+  ``REQUEST_READ_TIMEOUT_S`` and at once when a drain begins.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Set,
     Tuple,
     Union,
 )
@@ -104,12 +111,17 @@ logger = logging.getLogger(__name__)
 #: Events after which a job's stream carries nothing more: a terminal
 #: state, or a hand-off to the journal at a workerless drain.
 _STREAM_END = TERMINAL_STATES + ("handed_off",)
-#: Reading a request (line, headers, body) must finish within this.
+#: Reading a request (line, headers, body) must finish within this; it
+#: is also how long an open connection may sit idle between requests.
 REQUEST_READ_TIMEOUT_S = 30.0
 _MAX_BODY_BYTES = 64 * (1 << 20)
 
 
 def _start_ndjson(writer: asyncio.StreamWriter) -> None:
+    """Begin a chunked NDJSON stream; its end closes the connection."""
+    conn = writer.transport.get_protocol()  # None once the peer is gone
+    if conn is not None:
+        conn.keep_alive = False
     writer.write(b"HTTP/1.1 200 OK\r\n"
                  b"Content-Type: application/x-ndjson\r\n"
                  b"Transfer-Encoding: chunked\r\n"
@@ -145,7 +157,7 @@ def _wakeup(reader: asyncio.StreamReader
     async def watch_hangup() -> None:
         try:
             while await reader.read(1 << 16):
-                pass  # one request per connection: ignore stray bytes
+                pass  # a stream ends its connection: ignore stray bytes
         except OSError:
             pass  # a reset or timed-out connection is a hangup too
         woken.set()
@@ -155,6 +167,35 @@ def _wakeup(reader: asyncio.StreamReader
         yield woken, wake
     finally:
         watcher.cancel()
+
+
+class _Connection(asyncio.StreamReaderProtocol):
+    """One accepted connection, registered with the daemon at accept.
+
+    Registration happens in :meth:`connection_made`, before the handler
+    task first runs, so a drain or a force stop can close every
+    connection the loop accepted, including those accepted in its last
+    turns.  ``idle`` is set while the connection waits for its next
+    request; ``keep_alive`` says whether the answer being written may
+    leave it open.
+    """
+
+    def __init__(self, daemon: "ServeDaemon") -> None:
+        super().__init__(asyncio.StreamReader(), daemon._handle_connection)
+        self.daemon = daemon
+        self.transport: Optional[asyncio.Transport] = None
+        self.idle = False
+        self.keep_alive = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self.daemon._connections.add(self)
+        self.daemon.metrics.inc("connections_accepted")
+        super().connection_made(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.daemon._connections.discard(self)
+        super().connection_lost(exc)
 
 
 class BadRequest(Exception):
@@ -236,16 +277,21 @@ class ServeDaemon:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         self._worker_tasks: List[asyncio.Task] = []
+        #: Every open connection, from accept to close.
+        self._connections: Set[_Connection] = set()
         self._in_flight = 0
         self._draining = False
         self._shutdown_requested = False
-        self._finished = asyncio.Event()
+        self._finished: Optional[asyncio.Event] = None
 
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
         """Bind the listener and start the worker tasks."""
         self._loop = asyncio.get_running_loop()
+        # Made on the loop: before 3.10 an Event binds to the loop that
+        # is current where it is made, not the one that awaits it.
+        self._finished = asyncio.Event()
         self._queue = WeightedFairQueue(self.tenants)
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, self.workers),
@@ -253,8 +299,8 @@ class ServeDaemon:
         )
         if self.journal is not None:
             self._recover_journal()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port,
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), self.host, self.port,
             family=socket.AF_INET,
         )
         self.port = self._server.sockets[0].getsockname()[1]
@@ -285,7 +331,33 @@ class ServeDaemon:
         logger.info("shutdown requested: draining %d queued, %d in flight",
                     self._queue.qsize() if self._queue else 0,
                     self._in_flight)
+        # A connection between requests has nothing owed; one mid-request
+        # closes after its answer.
+        self._close_connections(idle_only=True)
         asyncio.ensure_future(self._drain_and_exit())
+
+    def _close_connections(self, idle_only: bool = False) -> None:
+        """Close every open connection (or only those between requests)."""
+        for conn in list(self._connections):
+            if conn.idle or not idle_only:
+                conn.transport.abort()
+
+    async def _stop_listening(self) -> None:
+        """Stop accepting connections, then close the listener.
+
+        asyncio builds an accepted connection's transport one loop turn
+        after the accept and finishes the accept two turns later; a
+        listener closed in between fails that transport and leaks the
+        accepted socket.  So the listening socket stops being read
+        first, the accepts in flight finish, and only then it closes.
+        """
+        if self._server is None:
+            return
+        for sock in self._server.sockets:
+            self._loop.remove_reader(sock.fileno())
+        for _ in range(3):
+            await asyncio.sleep(0)
+        self._server.close()
 
     async def _drain_and_exit(self) -> None:
         # Sentinels are served only once the backlog is empty, so workers
@@ -314,7 +386,7 @@ class ServeDaemon:
         # handlers on 3.12+) cannot deadlock on an open stream.  Job
         # streams end too: every job is terminal or handed off by now.
         self.live_bus.close()
-        self._server.close()
+        await self._stop_listening()
         await self._server.wait_closed()
         self._pool.shutdown(wait=True)
         self.worker_pool.close()
@@ -366,7 +438,7 @@ class ServeDaemon:
         for job_id, doc in recovery.unfinished:
             tenant = str(doc.get("tenant", DEFAULT_TENANT))
             try:
-                job, priority, tag, _ = self._parse_submission(doc, tenant)
+                job, priority, tag = self._parse_submission(doc, tenant)
             except BadRequest as exc:
                 logger.warning("journal replay: job %s is unrecoverable "
                                "(%s); sealing it", job_id, exc)
@@ -396,14 +468,8 @@ class ServeDaemon:
 
     def _parse_submission(
         self, body: Dict[str, Any], tenant: str = DEFAULT_TENANT
-    ) -> Tuple[CampaignJob, int, str, Dict[str, Any]]:
-        """Parse one submission body.
-
-        Returns ``(job, priority, tag, journal_doc)``; the journal doc is
-        the fully-resolved submission (derived config serialized, default
-        timeout/budget folded in) so replaying it after a crash rebuilds
-        the identical job regardless of the restarted daemon's defaults.
-        """
+    ) -> Tuple[CampaignJob, int, str]:
+        """Parse one submission body into ``(job, priority, tag)``."""
         if not isinstance(body, dict) or "spec" not in body:
             raise BadRequest('body must be a JSON object with a "spec"')
         try:
@@ -450,19 +516,30 @@ class ServeDaemon:
             live=live,
             fidelity=fidelity,
         )
-        journal_doc = {
+        return job, priority, tag
+
+    @staticmethod
+    def _journal_document(body: Dict[str, Any], job: CampaignJob,
+                          priority: int, tag: str,
+                          tenant: str) -> Dict[str, Any]:
+        """The fully resolved submission the journal records.
+
+        The derived config is serialized and the default timeout and
+        budget are folded in, so replaying it after a crash rebuilds the
+        identical job whatever the restarted daemon's defaults.
+        """
+        return {
             "spec": body["spec"],
-            "config": body.get("config") or config_to_document(config),
+            "config": body.get("config") or config_to_document(job.config),
             "priority": priority,
             "tag": tag,
             "tenant": tenant,
             "timeout": job.timeout,
             "max_events": job.max_events,
             "cacheable": job.cacheable,
-            "live": live_doc,
-            "fidelity": fidelity_token(fidelity) or "exact",
+            "live": body.get("live", False),
+            "fidelity": fidelity_token(job.fidelity) or "exact",
         }
-        return job, priority, tag, journal_doc
 
     def _retry_after(self) -> int:
         """Seconds a 429'd client should back off: one queue turn."""
@@ -477,17 +554,19 @@ class ServeDaemon:
         tag: str,
         tenant: str = DEFAULT_TENANT,
         *,
-        journal_doc: Optional[Dict[str, Any]] = None,
+        body: Dict[str, Any],
         preauthorized: bool = False,
     ) -> Tuple[int, ServeJob, bool]:
-        """Admission pipeline for one parsed job.
+        """Admission pipeline for one parsed job (``body`` is its
+        submission).
 
         Returns ``(http_status, record, admitted_to_queue)``; raises
         :class:`BadRequest` with 429/503 when the job cannot be taken.
         ``preauthorized`` skips the per-job tenant quota check (campaign
-        submission checks the whole batch up front).  The journal append
-        happens *before* the 202 is returned -- the write-ahead
-        discipline that makes a crash unable to lose an acked job.
+        submission checks the whole batch up front).  Only a queued job
+        is journaled, and the append happens *before* the 202 is
+        returned -- the write-ahead discipline that makes a crash unable
+        to lose an acked job.
         """
         if self._draining:
             raise BadRequest("daemon is draining; not accepting work",
@@ -534,7 +613,9 @@ class ServeDaemon:
                                     tenant=tenant)
         record.live_sink = self.live_bus.publish
         if self.journal is not None:
-            self.journal.append(wal.ADMITTED, record.job_id, journal_doc)
+            self.journal.append(wal.ADMITTED, record.job_id,
+                                self._journal_document(body, job, priority,
+                                                       tag, tenant))
         record.publish("queued", priority=priority, tag=tag, tenant=tenant)
         self.metrics.inc("jobs_submitted")
         self.tenants.on_enqueue(tenant)
@@ -546,41 +627,33 @@ class ServeDaemon:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        endpoint = "?"
-        began = time.perf_counter()
+        """Answer one connection's requests in turn until it closes."""
+        conn = writer.transport.get_protocol()
+        if conn is None:
+            return  # lost (and closed) before its handler first ran
         try:
-            try:
-                method, path, headers, body = await asyncio.wait_for(
-                    self._read_request(reader), REQUEST_READ_TIMEOUT_S
-                )
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError,
-                    ConnectionError):
-                return
-            except BadRequest as exc:
-                await self._respond_json(
-                    writer, exc.status, {"error": str(exc)}
-                )
-                return
-            endpoint, handled = await self._route(
-                reader, writer, method, path, headers, body
-            )
-            if not handled:
-                await self._respond_json(
-                    writer, 404, {"error": f"no route for {method} {path}"}
-                )
+            while True:
+                try:
+                    request = await asyncio.wait_for(
+                        self._read_request(reader), REQUEST_READ_TIMEOUT_S
+                    )
+                except (asyncio.TimeoutError, asyncio.IncompleteReadError,
+                        ConnectionError):
+                    return
+                except BadRequest as exc:
+                    conn.keep_alive = False
+                    await self._respond_json(
+                        writer, exc.status, {"error": str(exc)}
+                    )
+                    return
+                finally:
+                    conn.idle = False
+                if not await self._answer(reader, writer, conn, *request):
+                    return
+                conn.idle = True
         except (ConnectionError, asyncio.CancelledError):
             pass
-        except Exception:  # noqa: BLE001 - a request must not kill the loop
-            logger.exception("error handling request")
-            try:
-                await self._respond_json(
-                    writer, 500, {"error": "internal server error"}
-                )
-            except Exception:  # noqa: BLE001
-                pass
         finally:
-            self.metrics.observe_request(endpoint,
-                                         time.perf_counter() - began)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -590,9 +663,50 @@ class ServeDaemon:
                 # stream protocol log a traceback for the connection.
                 pass
 
+    async def _answer(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        conn: _Connection,
+        method: str,
+        path: str,
+        headers: Dict[str, str],
+        body: Optional[Dict[str, Any]],
+        keep_alive: bool,
+    ) -> bool:
+        """Answer one request; True when the connection stays open."""
+        conn.keep_alive = keep_alive
+        endpoint = "?"
+        began = time.perf_counter()
+        try:
+            endpoint, handled = await self._route(
+                reader, writer, method, path, headers, body
+            )
+            if not handled:
+                await self._respond_json(
+                    writer, 404, {"error": f"no route for {method} {path}"}
+                )
+        except ConnectionError:
+            raise
+        except Exception:  # noqa: BLE001 - a request must not kill the loop
+            logger.exception("error handling request")
+            conn.keep_alive = False
+            try:
+                await self._respond_json(
+                    writer, 500, {"error": "internal server error"}
+                )
+            except Exception:  # noqa: BLE001
+                pass
+        finally:
+            self.metrics.observe_request(endpoint,
+                                         time.perf_counter() - began)
+        return conn.keep_alive and not self._draining
+
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Tuple[str, str, Dict[str, str], Optional[Dict[str, Any]]]:
+    ) -> Tuple[str, str, Dict[str, str], Optional[Dict[str, Any]], bool]:
+        """One request: method, target, headers, JSON body and whether
+        the client lets the connection stay open after the answer."""
         request_line = (await reader.readline()).decode("latin-1").strip()
         if not request_line:
             raise ConnectionError("empty request")
@@ -617,7 +731,9 @@ class ServeDaemon:
                 body = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise BadRequest(f"request body is not JSON: {exc}") from exc
-        return method, target, headers, body
+        keep_alive = parts[2] == "HTTP/1.1" \
+            and headers.get("connection", "").lower() != "close"
+        return method, target, headers, body, keep_alive
 
     async def _respond_json(
         self,
@@ -627,6 +743,9 @@ class ServeDaemon:
         extra_headers: Tuple[Tuple[str, str], ...] = (),
     ) -> None:
         payload = (json.dumps(obj) + "\n").encode()
+        conn = writer.transport.get_protocol()  # None once the peer is gone
+        keep_alive = conn is not None and conn.keep_alive \
+            and not self._draining
         reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
                   404: "Not Found", 409: "Conflict",
                   413: "Payload Too Large",
@@ -635,7 +754,8 @@ class ServeDaemon:
         head = [f"HTTP/1.1 {status} {reason}",
                 "Content-Type: application/json",
                 f"Content-Length: {len(payload)}",
-                "Connection: close"]
+                "Connection: keep-alive" if keep_alive
+                else "Connection: close"]
         head.extend(f"{name}: {value}" for name, value in extra_headers)
         writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + payload)
         await writer.drain()
@@ -733,11 +853,10 @@ class ServeDaemon:
     ) -> None:
         try:
             tenant = self._tenant_from(headers)
-            job, priority, tag, journal_doc = self._parse_submission(
-                body or {}, tenant
-            )
+            body = body or {}
+            job, priority, tag = self._parse_submission(body, tenant)
             status, record, _ = self._admit(job, priority, tag, tenant,
-                                            journal_doc=journal_doc)
+                                            body=body)
         except BadRequest as exc:
             extra = ()
             if exc.status == 429:
@@ -764,7 +883,7 @@ class ServeDaemon:
             return
         try:
             tenant = self._tenant_from(headers)
-            parsed = [self._parse_submission(item, tenant)
+            parsed = [(item, *self._parse_submission(item, tenant))
                       for item in items]
         except BadRequest as exc:
             await self._respond_json(writer, exc.status,
@@ -797,10 +916,9 @@ class ServeDaemon:
                 return
         records = []
         try:
-            for job, priority, tag, journal_doc in parsed:
+            for item, job, priority, tag in parsed:
                 _, record, _ = self._admit(job, priority, tag, tenant,
-                                           journal_doc=journal_doc,
-                                           preauthorized=True)
+                                           body=item, preauthorized=True)
                 records.append(record)
         except BadRequest as exc:
             extra = (("Retry-After",
@@ -997,6 +1115,7 @@ class BackgroundServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started = threading.Event()
         self._stopped = threading.Event()
+        self._serving: Optional[asyncio.Task] = None
         #: Set on the loop thread once serving ended and the loop tears
         #: itself down; a force stop arriving later has nothing to cancel.
         self._closing = False
@@ -1019,14 +1138,19 @@ class BackgroundServer:
         asyncio.set_event_loop(loop)
         try:
             loop.run_until_complete(self.daemon.start())
+            self._serving = loop.create_task(self.daemon.serve_forever())
             self._started.set()
             try:
-                loop.run_until_complete(self.daemon.serve_forever())
+                loop.run_until_complete(self._serving)
             except asyncio.CancelledError:
                 pass  # force stop cancels serve_forever itself
         finally:
             self._closing = True
             try:
+                # Every connection accepted so far is registered once the
+                # listener is closed; a drain closed it already.
+                loop.run_until_complete(self.daemon._stop_listening())
+                self.daemon._close_connections()
                 pending = [t for t in asyncio.all_tasks(loop)
                            if not t.done()]
                 for task in pending:
@@ -1035,6 +1159,8 @@ class BackgroundServer:
                     loop.run_until_complete(
                         asyncio.gather(*pending, return_exceptions=True)
                     )
+                # These turns also run the closed transports' teardown,
+                # which closes their sockets.
                 loop.run_until_complete(loop.shutdown_asyncgens())
             finally:
                 loop.close()
@@ -1055,10 +1181,11 @@ class BackgroundServer:
                     # Cancelling now would cancel the teardown itself.
                     return
                 self.daemon._draining = True
-                if self.daemon._server is not None:
-                    self.daemon._server.close()
-                for task in asyncio.all_tasks(self._loop):
+                for task in self.daemon._worker_tasks:
                     task.cancel()
+                # The loop's teardown closes the listener and every
+                # connection, then cancels every other task.
+                self._serving.cancel()
             self._loop.call_soon_threadsafe(_cancel)
         else:
             self._loop.call_soon_threadsafe(self.daemon.request_shutdown)

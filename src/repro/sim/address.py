@@ -119,8 +119,8 @@ class AddressSpace:
                 f"node {node_id} exhausted: need {need} bytes, "
                 f"{node.end - cursor} free"
             )
-        for i in range(num_pages):
-            self._page_map[vpn_base + i] = cursor + i * PAGE_SIZE
+        self._page_map.update(zip(range(vpn_base, vpn_base + num_pages),
+                                  range(cursor, cursor + need, PAGE_SIZE)))
         self._next_free[node_id] = cursor + need
 
     def translate(self, virtual_address: int) -> int:

@@ -307,6 +307,11 @@ class Engine:
                 break
         return raw - (before_end - before_start)
 
+    def clear(self) -> None:
+        """Drop every pending event and poll."""
+        self._heap.clear()
+        self._polls.clear()
+
     @property
     def pending_events(self) -> int:
         return len(self._heap) + len(self._polls)

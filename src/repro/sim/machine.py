@@ -226,6 +226,34 @@ class Machine:
     def all_idle(self) -> bool:
         return self._active == 0
 
+    def dismantle(self) -> None:
+        """Break the machine's reference cycles; it cannot run again.
+
+        Stages hand the PMU bound methods as sync hooks, each server
+        calls its stage back through a bound method, the CHA writes back
+        through the machine, a pinned core keeps the ``pin`` closure
+        (and, through it, the profiler) and its last load, which calls
+        the core back on an LLC miss.  Each is a cycle that only a
+        full garbage collection frees, after traversing the machine's
+        caches; with them broken, dropping the last reference frees the
+        machine at once.  Counters already read stay valid.
+        """
+        self.pmu.clear_sync_hooks()
+        self.engine.clear()
+        self.cha.writeback_sink = None
+        servers = [self.mesh._server]
+        for channel in self.imc.channels:
+            servers += (channel._rd_server, channel._wr_server)
+        for port in self.m2pcie.values():
+            servers += (port._ingress_server, port.down_link._server,
+                        port.up_link._server)
+        for device in self.cxl_devices.values():
+            servers.append(device._mc_server)
+        for server in servers:
+            server.on_done = server.service_time = None
+        for core in self.cores:
+            core._done_callback = core._last_load = None
+
     def snapshot_counters(self) -> Dict:
         return self.pmu.snapshot(self.engine.now)
 

@@ -101,6 +101,22 @@ def test_alloc_exhaustion():
         space.alloc_pages(0, 1, vpn_base=10)
 
 
+def test_alloc_pages_maps_each_page_to_the_next_free_frame():
+    space = two_node_space()
+    expected = {}
+    for node_id, pages, vpn_base, frame in ((1, 5, 1000, GIB), (0, 3, 7, 0),
+                                            (1, 2, 2000, GIB + 5 * PAGE_SIZE),
+                                            (0, 0, 9, 3 * PAGE_SIZE)):
+        space.alloc_pages(node_id, pages, vpn_base=vpn_base)
+        for i in range(pages):
+            expected[vpn_base + i] = frame + i * PAGE_SIZE
+    assert list(space.mapped_pages().items()) == list(expected.items())
+    with pytest.raises(MemoryError):
+        space.alloc_pages(0, GIB // PAGE_SIZE, vpn_base=5000)
+    assert space.mapped_pages() == expected
+    assert space.free_bytes(0) == GIB - 3 * PAGE_SIZE
+
+
 def test_free_bytes_decreases_with_allocation():
     space = two_node_space()
     before = space.free_bytes(0)

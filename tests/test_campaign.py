@@ -6,9 +6,11 @@ error record while the rest of the campaign completes.
 """
 
 import collections
+import gc
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -317,6 +319,34 @@ def test_drain_reraises_a_lane_failure():
     with pytest.raises(RuntimeError, match="lane died"):
         _drain(list(range(4)), records, [None] * 4, pending, start,
                lambda i, outcome: False, 0.0, 2)
+
+
+def test_a_campaign_job_frees_its_machine_by_refcount():
+    # With the collector off, only refcounting can free the machine the
+    # job built: it must be gone when the campaign returns, while the
+    # result it produced stays whole.
+    machines = []
+    job = CampaignJob(
+        spec=make_spec(), config=spr_config(),
+        setup=lambda machine, spec: machines.append(weakref.ref(machine)),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        campaign = run_campaign([job], parallel=False, cache=False)
+        assert machines and machines[0]() is None
+    finally:
+        gc.enable()
+    assert campaign.jobs[0].ok
+    assert api.counters(campaign.results[0])
+
+
+def test_a_caller_owned_machine_stays_readable():
+    machine = Machine(spr_config())
+    result = api.run(make_spec(), machine=machine)
+    assert machine.cha.writeback_sink is not None
+    assert machine.snapshot_counters()
+    assert api.counters(result)
 
 
 # -- the api facade -------------------------------------------------------

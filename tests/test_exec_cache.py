@@ -47,6 +47,30 @@ def test_job_key_ignores_process_identity():
     assert job_key(a, spr_config()) == job_key(b, spr_config())
 
 
+@dataclasses.dataclass
+class LabConfig:
+    """A config the key memo cannot hash (mutable, with a list field)."""
+
+    name: str = "lab"
+    num_cores: int = 2
+    latencies: list = dataclasses.field(default_factory=lambda: [5.0, 15.0])
+
+
+@pytest.mark.parametrize("config, pinned", [
+    (spr_config(), "415af2b126bb220c077893c282924f640686a286"),
+    # Equal to spr_config() (5 == 5.0), but keyed apart, as before.
+    (dataclasses.replace(spr_config(), l1_latency=5),
+     "cc2d10de5f4b2acbcda657f56c6a72fa4f411bf2"),
+    (LabConfig(), "0988be1a5047165e5dd0be18c5258e894422119e"),
+], ids=["spr", "spr-int-field", "unhashable"])
+def test_job_key_matches_its_pinned_value(config, pinned):
+    # Pinned before the canonical config form was memoized: the second
+    # call reads the memo, where there is one, and must agree.
+    for _ in range(2):
+        assert job_key(make_spec(num_ops=200), config,
+                       code_version="pinned") == pinned
+
+
 def test_job_key_is_stable_across_processes(tmp_path):
     script = (
         "import sys; sys.path.insert(0, 'src')\n"
