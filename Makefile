@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench figures docs sweeps clean
+.PHONY: install test bench figures docs clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -10,19 +10,14 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-figures:
-	$(PYTHON) scripts/export_figures.py
+# The benches assert the paper's shapes and re-record results/*.csv;
+# a table that moved fails its test and is left for the change to commit.
+bench figures:
+	$(PYTHON) -m pytest benchmarks/ -q
 
 docs:
 	$(PYTHON) scripts/gen_counter_docs.py
 
-sweeps:
-	$(PYTHON) scripts/sweep_local_vs_cxl.py
-	$(PYTHON) scripts/sweep_interleave.py
-
 clean:
-	rm -rf results .pytest_cache .hypothesis
+	rm -rf results/cache .pytest_cache .hypothesis
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -15,12 +15,12 @@ import dataclasses
 import pytest
 
 from repro.baselines import naive_total_cxl_stall
-from repro.core import AppSpec, PathFinder, ProfileSpec, STALL_COMPONENTS
-from repro.sim import Machine, spr_config
+from repro.experiments import pinned_job, runtime
+from repro.sim import spr_config
 from repro.sim.dram import DRAMTiming
 from repro.workloads import build_app
 
-from .helpers import once, print_table
+from .helpers import Table, profile, record
 
 APPS = ("519.lbm_r", "505.mcf_r", "554.roms_r")
 
@@ -38,47 +38,31 @@ def fast_cxl_config():
     )
 
 
-def profile(app_name: str, config):
-    machine = Machine(config)
-    workload = build_app(app_name, num_ops=8000, seed=3)
-    spec = ProfileSpec(
-        apps=[AppSpec(workload=workload, core=0,
-                      membind=machine.cxl_node.node_id)],
-        epoch_cycles=25_000.0,
-    )
-    result = PathFinder(machine, spec).run()
-    totals = {}
-    for e in result.epochs:
-        for k, v in e.snapshot.delta.items():
-            totals[k] = totals.get(k, 0.0) + v
+def _summary(run):
     pf_total = 0.0
-    for e in result.epochs:
+    for e in run.result.epochs:
         for family in ("DRd", "RFO", "HWPF", "DWr"):
             pf_total += sum(e.stalls.aggregate(family).values())
-    flow = result.flows[0]
-    runtime = flow.ended_at or result.total_cycles
     return {
-        "runtime": runtime,
-        "totals": totals,
+        "runtime": runtime(run.result),
+        "totals": run.totals,
         "pf_total": pf_total,
     }
 
 
 @pytest.fixture(scope="module")
 def runs():
-    out = {}
-    slow = spr_config(num_cores=2)
-    fast = fast_cxl_config()
-    for app in APPS:
-        out[app] = {
-            "cxl": profile(app, slow),
-            "fast": profile(app, fast),
-        }
-    return out
+    configs = {"cxl": spr_config(num_cores=2), "fast": fast_cxl_config()}
+    runs = iter(profile([
+        pinned_job(build_app(app, num_ops=8000, seed=3), "cxl", config,
+                   tag=f"{app}@{kind}")
+        for app in APPS for kind, config in configs.items()
+    ]))
+    return {app: {kind: _summary(next(runs)) for kind in configs}
+            for app in APPS}
 
 
-def test_ablation_attribution_error(runs, benchmark):
-    once(benchmark, lambda: None)
+def test_ablation_attribution_error(runs):
     rows = []
     pf_errors, naive_errors = [], []
     for app, pair in runs.items():
@@ -92,27 +76,25 @@ def test_ablation_attribution_error(runs, benchmark):
         pf_errors.append(pf_err)
         naive_errors.append(naive_err)
         rows.append([app, truth, pf, naive, pf_err * 100, naive_err * 100])
-    print_table(
+    record(Table(
         "Ablation: CXL-induced stall attribution vs differential truth",
         ["app", "truth (cyc)", "PFEstimator", "naive",
          "PF err %", "naive err %"],
         rows,
-    )
+    ))
     assert rows, "differential truth collapsed to zero"
     # PFEstimator tracks the truth more closely than the naive splitter
     # on average (the section 5.3 claim).
     assert sum(pf_errors) / len(pf_errors) < sum(naive_errors) / len(naive_errors)
 
 
-def test_ablation_truth_is_substantial(runs, benchmark):
+def test_ablation_truth_is_substantial(runs):
     """Sanity: moving CXL to DDR speed matters (else the ablation is moot)."""
-    once(benchmark, lambda: None)
     for app, pair in runs.items():
         assert pair["cxl"]["runtime"] > 1.2 * pair["fast"]["runtime"], app
 
 
-def test_ablation_pf_attribution_within_factor_two(runs, benchmark):
-    once(benchmark, lambda: None)
+def test_ablation_pf_attribution_within_factor_two(runs):
     for app, pair in runs.items():
         truth = pair["cxl"]["runtime"] - pair["fast"]["runtime"]
         pf = pair["cxl"]["pf_total"]
@@ -120,13 +102,12 @@ def test_ablation_pf_attribution_within_factor_two(runs, benchmark):
             assert 0.3 < pf / truth < 3.0, app
 
 
-def test_ablation_tma_cannot_attribute_to_cxl(runs, benchmark):
+def test_ablation_tma_cannot_attribute_to_cxl(runs):
     """The TMA baseline (section 2.3's prior solution): both the real-CXL
     and the DDR-speed counterfactual produce the *same* bucket names -
     'dram_bound' - so TMA reports that the app is memory bound without
     ever saying the CXL DIMM is why.  PathFinder's breakdown names the
     FlexBus+MC / CXL_DIMM components explicitly."""
-    once(benchmark, lambda: None)
     from repro.baselines import topdown
 
     rows = []
@@ -137,12 +118,12 @@ def test_ablation_tma_cannot_attribute_to_cxl(runs, benchmark):
             [app, slow.dominant(), slow.dram_bound * 100,
              fast.dominant(), fast.dram_bound * 100]
         )
-    print_table(
+    record(Table(
         "Ablation: TMA view of the same runs (CXL vs DDR-speed device)",
         ["app", "CXL dominant", "dram-bound %", "fast dominant",
          "dram-bound %"],
         rows,
-    )
+    ))
     for app, pair in runs.items():
         slow = topdown(pair["cxl"]["totals"], 0, pair["cxl"]["runtime"])
         # TMA's vocabulary has no CXL bucket at all.

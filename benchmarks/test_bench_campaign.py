@@ -15,35 +15,22 @@ import time
 import pytest
 
 from repro import RunOptions, api
-from repro.core import AppSpec, ProfileSpec
-from repro.exec import CampaignJob, ResultCache, cxl_node_id, local_node_id
-from repro.sim import spr_config
+from repro.exec import ResultCache
+from repro.experiments import pinned_job
 from repro.workloads import build_app
 
-from .helpers import CHARACTERIZATION_APPS, once, print_table
+from .helpers import CHARACTERIZATION_APPS, Table, record
 
 GRID_APPS = CHARACTERIZATION_APPS + ("531.deepsjeng_r", "549.fotonik3d_r")
 OPS = 1500
 
 
 def make_grid():
-    config = spr_config(num_cores=2)
-    jobs = []
-    for name in GRID_APPS:
-        for node in ("local", "cxl"):
-            node_id = (
-                local_node_id(config) if node == "local"
-                else cxl_node_id(config)
-            )
-            workload = build_app(name, num_ops=OPS, seed=17)
-            spec = ProfileSpec(
-                apps=[AppSpec(workload=workload, core=0, membind=node_id)],
-                epoch_cycles=25_000.0,
-            )
-            jobs.append(
-                CampaignJob(spec=spec, config=config, tag=f"{name}@{node}")
-            )
-    return jobs
+    return [
+        pinned_job(build_app(name, num_ops=OPS, seed=17), node,
+                   tag=f"{name}@{node}")
+        for name in GRID_APPS for node in ("local", "cxl")
+    ]
 
 
 def _tag_counters(campaign):
@@ -65,31 +52,31 @@ def warm_cache(tmp_path_factory):
     return cache, cold, cold_wall
 
 
-def test_campaign_grid_completes(warm_cache, benchmark):
-    once(benchmark, lambda: None)
+def test_campaign_grid_completes(warm_cache):
     _cache, cold, cold_wall = warm_cache
     assert len(cold.jobs) == len(GRID_APPS) * 2 == 16
     assert not cold.failed
     assert cold.hit_rate == 0.0
-    print_table(
-        "16-job campaign, cold serial",
+    record(Table(
+        "16-job campaign: cold serial",
         ["jobs", "wall (s)", "events"],
         [[len(cold.jobs), cold_wall, cold.summary()["total_events"]]],
-    )
+        timing=True,
+    ))
 
 
-def test_campaign_rerun_hits_cache_and_is_faster(warm_cache, benchmark):
-    once(benchmark, lambda: None)
+def test_campaign_rerun_hits_cache_and_is_faster(warm_cache):
     cache, cold, cold_wall = warm_cache
     t0 = time.perf_counter()
     warm = api.run_many(make_grid(), parallel=False,
                         options=RunOptions(cache=cache, retries=0))
     warm_wall = time.perf_counter() - t0
-    print_table(
-        "16-job campaign, warm rerun",
+    record(Table(
+        "16-job campaign: warm rerun",
         ["hit rate", "cold wall (s)", "warm wall (s)", "speedup"],
         [[warm.hit_rate, cold_wall, warm_wall, cold_wall / warm_wall]],
-    )
+        timing=True,
+    ))
     assert warm.hit_rate >= 0.9
     assert not warm.failed
     assert warm_wall < cold_wall / 5.0
@@ -101,8 +88,7 @@ def test_campaign_rerun_hits_cache_and_is_faster(warm_cache, benchmark):
     (os.cpu_count() or 1) < 4,
     reason="parallel speedup needs >=4 cores",
 )
-def test_campaign_parallel_speedup(warm_cache, benchmark):
-    once(benchmark, lambda: None)
+def test_campaign_parallel_speedup(warm_cache):
     _cache, cold, cold_wall = warm_cache
     t0 = time.perf_counter()
     parallel = api.run_many(
@@ -110,20 +96,20 @@ def test_campaign_parallel_speedup(warm_cache, benchmark):
         options=RunOptions(cache=False, retries=0),
     )
     parallel_wall = time.perf_counter() - t0
-    print_table(
-        "16-job campaign, 4 workers vs serial",
+    record(Table(
+        "16-job campaign: 4 workers vs serial",
         ["serial (s)", "parallel (s)", "ratio"],
         [[cold_wall, parallel_wall, parallel_wall / cold_wall]],
-    )
+        timing=True,
+    ))
     assert not parallel.failed
     assert parallel_wall <= 0.45 * cold_wall
     assert _tag_counters(parallel) == _tag_counters(cold)
 
 
-def test_campaign_parallel_matches_serial_counters(warm_cache, benchmark):
+def test_campaign_parallel_matches_serial_counters(warm_cache):
     """Even on a small box, a 2-worker pool over a 4-job slice reproduces
     the serial counters (process isolation does not leak into results)."""
-    once(benchmark, lambda: None)
     _cache, cold, _cold_wall = warm_cache
     slice_jobs = make_grid()[:4]
     parallel = api.run_many(

@@ -13,7 +13,7 @@ from repro.sim import Machine, spr_config
 from repro.tiering import TPP, Colloid, ColloidConfig, DynamicColloid, TPPConfig
 from repro.workloads import HotColdAccess
 
-from .helpers import once, print_table
+from .helpers import Table, record
 
 
 def run_variant(variant: str, seed: int = 31):
@@ -62,40 +62,36 @@ def variants():
             ("none", "tpp", "tpp+colloid", "tpp+dynamic")}
 
 
-def test_colloid_table(variants, benchmark):
-    once(benchmark, lambda: None)
+def test_colloid_table(variants):
     rows = [
         [name, data["runtime"], data["throughput"] * 1000,
          data["tpp"].stats.promotions]
         for name, data in variants.items()
     ]
-    print_table(
+    record(Table(
         "Tiering variants on hot/cold GUPS",
         ["variant", "cycles", "ops/kcyc", "promotions"],
         rows,
-    )
+    ))
     # Any tiering beats none.
     assert variants["tpp"]["runtime"] < variants["none"]["runtime"]
 
 
-def test_colloid_ramps_budget(variants, benchmark):
-    once(benchmark, lambda: None)
+def test_colloid_ramps_budget(variants):
     colloid = variants["tpp+colloid"]["controller"]
     assert colloid.decisions, "control law never ran"
     # Starting budget was 16; CXL was slower so it must have ramped.
     assert variants["tpp+colloid"]["tpp"].config.promote_per_epoch > 16
 
 
-def test_dynamic_improves_or_matches_colloid(variants, benchmark):
+def test_dynamic_improves_or_matches_colloid(variants):
     """Paper: the PathFinder-assisted variant is ~1.1x better for GUPS."""
-    once(benchmark, lambda: None)
     dynamic = variants["tpp+dynamic"]["throughput"]
     colloid = variants["tpp+colloid"]["throughput"]
     assert dynamic >= 0.95 * colloid
 
 
-def test_dynamic_selected_a_family(variants, benchmark):
-    once(benchmark, lambda: None)
+def test_dynamic_selected_a_family(variants):
     controller = variants["tpp+dynamic"]["controller"]
     assert controller.chosen_family
     assert set(controller.chosen_family) <= {"DRd", "RFO", "HWPF"}

@@ -14,7 +14,14 @@ import pytest
 
 from repro.sim import emr_config, spr_config
 
-from .helpers import CHARACTERIZATION_APPS, geomean, local_vs_cxl, once, print_table, ratio
+from .helpers import (
+    CHARACTERIZATION_APPS,
+    Table,
+    geomean,
+    local_vs_cxl,
+    ratio,
+    record,
+)
 
 APPS = CHARACTERIZATION_APPS[:4]
 
@@ -40,8 +47,7 @@ def _stall_ratios(runs, metric):
     return out
 
 
-def test_fig14_same_trends_smaller_deltas(spr_runs, emr_runs, benchmark):
-    once(benchmark, lambda: None)
+def test_fig14_same_trends_smaller_deltas(spr_runs, emr_runs):
     rows = []
     for metric, label in (
         ("l1_stall_cycles", "L1D stall"),
@@ -51,11 +57,11 @@ def test_fig14_same_trends_smaller_deltas(spr_runs, emr_runs, benchmark):
         spr_r = geomean(_stall_ratios(spr_runs, metric))
         emr_r = geomean(_stall_ratios(emr_runs, metric))
         rows.append([label, spr_r, emr_r])
-    print_table(
+    record(Table(
         "Figs 14-15: CXL/local stall ratios, SPR vs EMR",
         ["metric", "SPR ratio", "EMR ratio"],
         rows,
-    )
+    ))
     # Same direction on both machines: CXL increases stalls.
     for metric in ("l1_stall_cycles", "l2_stall_cycles"):
         emr_ratios = _stall_ratios(emr_runs, metric)
@@ -63,9 +69,8 @@ def test_fig14_same_trends_smaller_deltas(spr_runs, emr_runs, benchmark):
             assert geomean(emr_ratios) > 1.0
 
 
-def test_fig14_emr_latency_gap_smaller(spr_runs, emr_runs, benchmark):
+def test_fig14_emr_latency_gap_smaller(spr_runs, emr_runs):
     """The CZ120's lower device latency narrows the response-time gap."""
-    once(benchmark, lambda: None)
     def mean_cxl_latency(runs):
         vals = []
         for pair in runs.values():
@@ -76,14 +81,13 @@ def test_fig14_emr_latency_gap_smaller(spr_runs, emr_runs, benchmark):
 
     spr_lat = mean_cxl_latency(spr_runs)
     emr_lat = mean_cxl_latency(emr_runs)
-    print_table("CXL load latency", ["machine", "cycles"],
-                [["SPR", spr_lat], ["EMR", emr_lat]])
+    record(Table("CXL load latency", ["machine", "cycles"],
+                 [["SPR", spr_lat], ["EMR", emr_lat]]))
     assert emr_lat < spr_lat
 
 
-def test_fig15_emr_llc_absorbs_more(spr_runs, emr_runs, benchmark):
+def test_fig15_emr_llc_absorbs_more(spr_runs, emr_runs):
     """Larger EMR LLC -> fewer CXL-bound LLC misses for the same apps."""
-    once(benchmark, lambda: None)
     def cxl_misses(runs):
         return sum(
             pair["cxl"].cha().tor_inserts("DRd", "miss_cxl")
@@ -93,13 +97,12 @@ def test_fig15_emr_llc_absorbs_more(spr_runs, emr_runs, benchmark):
 
     spr_misses = cxl_misses(spr_runs)
     emr_misses = cxl_misses(emr_runs)
-    print_table("CXL-bound LLC misses", ["machine", "misses"],
-                [["SPR", spr_misses], ["EMR", emr_misses]])
+    record(Table("CXL-bound LLC misses", ["machine", "misses"],
+                 [["SPR", spr_misses], ["EMR", emr_misses]]))
     assert emr_misses <= spr_misses
 
 
-def test_fig16_imc_bypass_holds_on_emr(emr_runs, benchmark):
-    once(benchmark, lambda: None)
+def test_fig16_imc_bypass_holds_on_emr(emr_runs):
     for app, pair in emr_runs.items():
         assert pair["cxl"].imc().rpq_inserts == 0
         assert pair["local"].imc().rpq_inserts > 0

@@ -11,14 +11,11 @@
 
 import dataclasses
 
-import pytest
-
-from repro.core import AppSpec, PathFinder, ProfileSpec
 from repro.sim import DevLoadThrottler, Machine, QoSConfig, spr_config
 from repro.sim.dram import DRAMTiming
 from repro.workloads import SequentialStream
 
-from .helpers import once, print_table
+from .helpers import Table, record
 
 
 def _pool_run(num_devices: int) -> float:
@@ -35,15 +32,13 @@ def _pool_run(num_devices: int) -> float:
     return machine.now
 
 
-def test_pooling_scales_bandwidth(benchmark):
-    results = once(
-        benchmark, lambda: {n: _pool_run(n) for n in (1, 2)}
-    )
-    print_table(
+def test_pooling_scales_bandwidth():
+    results = {n: _pool_run(n) for n in (1, 2)}
+    record(Table(
         "Extension: CXL pooling (striped stream)",
         ["devices", "cycles", "speedup"],
         [[n, t, results[1] / t] for n, t in sorted(results.items())],
-    )
+    ))
     assert results[2] < results[1]
 
 
@@ -75,11 +70,9 @@ def _qos_run(enabled: bool):
     }
 
 
-def test_qos_throttling_tames_device_queue(benchmark):
-    results = once(
-        benchmark, lambda: {e: _qos_run(e) for e in (False, True)}
-    )
-    print_table(
+def test_qos_throttling_tames_device_queue():
+    results = {e: _qos_run(e) for e in (False, True)}
+    record(Table(
         "Extension: DevLoad QoS throttling (media-bound device)",
         ["throttle", "cycles", "device queue", "windows throttled"],
         [
@@ -87,7 +80,7 @@ def test_qos_throttling_tames_device_queue(benchmark):
              d["throttled_windows"]]
             for e, d in results.items()
         ],
-    )
+    ))
     assert results[True]["throttled_windows"] > 0
     assert results[True]["device_queue"] <= results[False]["device_queue"]
 
@@ -105,14 +98,12 @@ def _flit_run(mode: str) -> float:
     return machine.now
 
 
-def test_flit_mode_efficiency(benchmark):
-    results = once(
-        benchmark, lambda: {m: _flit_run(m) for m in ("68B", "256B", "PBR")}
-    )
-    print_table(
+def test_flit_mode_efficiency():
+    results = {m: _flit_run(m) for m in ("68B", "256B", "PBR")}
+    record(Table(
         "Extension: flit-mode efficiency on a write-heavy stream",
         ["mode", "cycles"],
         [[m, t] for m, t in results.items()],
-    )
+    ))
     assert results["256B"] <= results["68B"] * 1.02
     assert results["PBR"] >= results["256B"] * 0.98

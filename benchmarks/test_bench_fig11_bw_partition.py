@@ -13,103 +13,28 @@ CXL DIMM so the FlexBus+MC saturates.  Paper headlines:
 
 import pytest
 
-from repro.core import AppSpec, ProfileSpec
-from repro.exec import CampaignJob, cxl_node_id
-from repro.sim import spr_config
-from repro.tsdb import pearsonr
-from repro.workloads import GUPS, MBW
+from repro.experiments import case5_bandwidth
 
-from .helpers import once, print_table, run_job
-
-
-def _run_instances(kind: str):
-    config = spr_config(num_cores=4)
-    # Different per-instance demand profiles (the paper's four MBW
-    # instances run at 500/700/1000/3700 MB/s solo): instances differ in
-    # cacheability, so their CXL request rates differ even at saturation.
-    # Instances differ in memory intensity, like the paper's MBW/GUPS
-    # programs with 500-3700 MB/s solo demands: MBW instances touch a
-    # line in 1..8 accesses (different compute density), GUPS instances
-    # differ in dependence (pointer-chased updates have MLP ~ 1).
-    apps = []
-    workloads = []
-    bytes_per_op = []
-    if kind == "mbw":
-        for i, (gap, apl) in enumerate(((6.0, 8), (4.0, 4), (2.0, 2), (0.5, 1))):
-            w = MBW(name=f"mbw{i}", num_ops=8000, working_set_bytes=1 << 22,
-                    rate_gap=gap, seed=60 + i, accesses_per_line=apl)
-            workloads.append(w)
-            bytes_per_op.append(64.0 / apl)
-    else:
-        for i, (gap, dep) in enumerate(
-            ((6.0, True), (3.0, True), (2.0, False), (0.5, False))
-        ):
-            w = GUPS(name=f"gups{i}", num_ops=6000, working_set_bytes=1 << 22,
-                     gap=gap, seed=70 + i, dependent=dep)
-            workloads.append(w)
-            bytes_per_op.append(64.0)
-    for i, w in enumerate(workloads):
-        apps.append(AppSpec(workload=w, core=i, membind=cxl_node_id(config)))
-    spec = ProfileSpec(apps=apps, epoch_cycles=25_000.0, max_epochs=80)
-    run = run_job(CampaignJob(spec=spec, config=config, tag=f"bwpart@{kind}"))
-    result = run.result
-    # Per-flow request frequency (PFBuilder: CXL hits per core) and
-    # application bandwidth (ops completed / lifetime).
-    freqs, bandwidths = [], []
-    flows_by_core = {f.core_id: f for f in result.flows}
-    for i, app in enumerate(apps):
-        # Per-core CXL request counts from the ocr counters (what
-        # PFBuilder reports as each mFlow's CXL memory request frequency).
-        totals = {}
-        for e in result.epochs:
-            for (scope, event), v in e.snapshot.delta.items():
-                if scope == f"core{i}" and event.endswith(".cxl_dram"):
-                    totals[event] = totals.get(event, 0.0) + v
-        cxl_requests = sum(totals.values())
-        flow = flows_by_core[i]
-        lifetime = (flow.ended_at or result.total_cycles) - flow.created_at
-        freqs.append(cxl_requests / lifetime)
-        # Application-reported bandwidth: buffer bytes it processed over
-        # its lifetime (what MBW/GUPS print at exit).
-        bandwidths.append(workloads[i].num_ops * bytes_per_op[i] / lifetime)
-    culprits = [
-        e.queues.culprit() for e in result.epochs if e.queues.culprit()
-    ]
-    return {
-        "freqs": freqs,
-        "bandwidths": bandwidths,
-        "culprits": culprits,
-        "result": result,
-    }
+from .helpers import record
 
 
 @pytest.fixture(scope="module")
-def mbw():
-    return _run_instances("mbw")
+def case():
+    return case5_bandwidth()
 
 
-@pytest.fixture(scope="module")
-def gups():
-    return _run_instances("gups")
-
-
-def test_fig11a_nonuniform_degradation(mbw, benchmark):
-    once(benchmark, lambda: None)
-    rows = [
-        [f"MBW-{i+1}", mbw["freqs"][i], mbw["bandwidths"][i]]
-        for i in range(4)
-    ]
-    print_table("Fig 11-a mFlow CXL request freq / bandwidth (per cycle)",
-                ["flow", "req freq", "app BW B/cyc"], rows)
-    bandwidths = mbw["bandwidths"]
+def test_fig11a_nonuniform_degradation(case):
+    bandwidths = record(case.tables["fig11a"]).column("app BW B/cyc")
     # All four got bandwidth, and the partition is non-uniform.
     assert all(b > 0 for b in bandwidths)
     assert max(bandwidths) > 1.5 * min(bandwidths)
 
 
-def test_fig11_flexbus_is_culprit_under_saturation(mbw, benchmark):
-    once(benchmark, lambda: None)
-    culprit_components = [c.component for c in mbw["culprits"]]
+def test_fig11_flexbus_is_culprit_under_saturation(case):
+    culprit_components = [
+        e.queues.culprit().component
+        for e in case.results["bwpart@mbw"].epochs if e.queues.culprit()
+    ]
     assert culprit_components, "no culprits detected"
     flexbus_epochs = culprit_components.count("FlexBus+MC")
     # Under 4-way saturation PFAnalyzer should flag the FlexBus+MC in a
@@ -117,14 +42,8 @@ def test_fig11_flexbus_is_culprit_under_saturation(mbw, benchmark):
     assert flexbus_epochs >= len(culprit_components) // 4
 
 
-def test_fig11b_frequency_bandwidth_correlation(mbw, gups, benchmark):
-    once(benchmark, lambda: None)
-    rows = []
-    for kind, data in (("MBW", mbw), ("GUPS", gups)):
-        r = pearsonr(data["freqs"], data["bandwidths"])
-        rows.append([kind, r])
-    print_table("Fig 11-b Pearson(request freq, bandwidth)",
-                ["workload", "r"], rows)
+def test_fig11b_frequency_bandwidth_correlation(case):
+    r = dict(record(case.tables["fig11b"]).rows)
     # Paper: r = 0.998.  Demand a strong positive correlation.
-    assert pearsonr(mbw["freqs"], mbw["bandwidths"]) > 0.9
-    assert pearsonr(gups["freqs"], gups["bandwidths"]) > 0.9
+    assert r["MBW"] > 0.9
+    assert r["GUPS"] > 0.9

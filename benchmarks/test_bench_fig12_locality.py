@@ -9,151 +9,54 @@ the CXL-bound neighbour disturbs bwaves' locality more.
 
 import pytest
 
-from repro.core import AppSpec, PFMaterializer, ProfileSpec
-from repro.exec import CampaignJob, cxl_node_id, local_node_id
-from repro.sim import spr_config
-from repro.workloads import ZipfAccess, build_app
+from repro.experiments import (
+    FIG12_LAUNCH_AT,
+    beyond_llc_rate,
+    case6_locality,
+    victim_locality,
+)
 
-from .helpers import once, print_table, run_job
-
-LAUNCH_AT = 60_000.0
-EPOCH = 10_000.0
-
-
-def run_scenario(neighbours):
-    """The monitored app on core 0; ``neighbours`` = [(app, node, core), ...]
-    launched mid-run.
-
-    The victim stands in for 503.bwaves_r with a skewed-reuse profile over
-    bwaves' (scaled) working set: at simulation scale a pure cold stream
-    has no cache-resident state for a neighbour to disturb, so the victim
-    needs LLC-resident reuse for the locality signal to exist - the same
-    role bwaves' wavefront reuse plays at full scale.
-    """
-    # A smaller per-core L2 keeps the victim's footprint straddling the
-    # L2/LLC boundary, where LLC locality is observable and disturbable.
-    config = spr_config(num_cores=4, l2_size=512 * 1024, llc_size=4 << 20)
-    bwaves = ZipfAccess(
-        name="bwaves_like", num_ops=30000, working_set_bytes=4 << 20,
-        theta=0.6, read_ratio=0.9, gap=3.0, seed=9,
-    )
-    apps = [AppSpec(workload=bwaves, core=0, membind=local_node_id(config))]
-    for app_name, node, core in neighbours:
-        node_id = (
-            cxl_node_id(config) if node == "cxl" else local_node_id(config)
-        )
-        apps.append(
-            AppSpec(
-                workload=build_app(app_name, num_ops=12000, seed=13 + core),
-                core=core,
-                membind=node_id,
-                start_at=LAUNCH_AT,
-            )
-        )
-    spec = ProfileSpec(apps=apps, epoch_cycles=EPOCH, max_epochs=80)
-    tag = "locality+" + ("-".join(n for n, _, _ in neighbours) or "solo")
-    run = run_job(CampaignJob(spec=spec, config=config, tag=tag))
-    result = run.result
-    # Re-ingest the session offline: the materializer's time-series view
-    # is derived purely from snapshots + path maps, so a cache-hit run
-    # rebuilds it identically.  The victim's pid comes from the session's
-    # flows (stable across cache hits), not the fresh AppSpec.
-    materializer = PFMaterializer()
-    for e in result.epochs:
-        materializer.ingest(e.snapshot, e.path_map)
-    pid = next(f.pid for f in result.flows if f.app_name == "bwaves_like")
-    return materializer, result, pid
+from .helpers import record
 
 
 @pytest.fixture(scope="module")
-def scenarios():
-    return {
-        "solo": run_scenario([]),
-        "lbm_local": run_scenario([("519.lbm_r", "local", 1)]),
-        "roms_cxl": run_scenario([("554.roms_r", "cxl", 1)]),
-        "three_apps": run_scenario(
-            [("519.lbm_r", "local", 1), ("505.mcf_r", "local", 2),
-             ("554.roms_r", "cxl", 3)]
-        ),
-    }
+def case():
+    return case6_locality()
 
 
-def _llc_miss_rate_after(materializer, pid):
-    """bwaves' LLC miss pressure after the disturbance (from path records:
-    DRAM+CXL-served requests vs all beyond-L2 requests)."""
-    db = materializer.db
-    out = {}
-    for dst in ("LLC", "CXL", "DRAM"):
-        q = (
-            db.from_("path_set")
-            .where(pid=str(pid), path="DRd", dst=dst)
-            .range(start=LAUNCH_AT)
-        )
-        out[dst] = q.sum("hits") if len(q) else 0.0
-    served_beyond = out["CXL"] + out["DRAM"]
-    total = out["LLC"] + served_beyond
-    return served_beyond / total if total > 0 else 0.0
+def _victim(case, scenario):
+    return victim_locality(case.results[f"locality:{scenario}"])
 
 
-def test_fig12_llc_hits_shift_on_disturbance(scenarios, benchmark):
-    once(benchmark, lambda: None)
-    rows = []
-    for name, (materializer, result, pid) in scenarios.items():
-        shift_ok = True
-        try:
-            before, after = materializer.locality_shift(
-                pid, LAUNCH_AT, dst="LLC"
-            )
-        except ValueError:
-            before = after = 0.0
-            shift_ok = False
-        rows.append([name, before, after])
-    print_table(
-        "Fig 12 bwaves LLC-hit rate before/after launch",
-        ["scenario", "before", "after"],
-        rows,
-    )
+def test_fig12_llc_hits_shift_on_disturbance(case):
+    record(case.tables["shift"])
     # The materializer produced a usable before/after series for the
     # disturbed scenarios.
-    for name in ("lbm_local", "roms_cxl", "three_apps"):
-        materializer, _result, pid = scenarios[name]
+    for scenario in ("lbm_local", "roms_cxl", "three_apps"):
+        materializer, pid = _victim(case, scenario)
         before, after = materializer.locality_shift(
-            pid, LAUNCH_AT, dst="LLC"
+            pid, FIG12_LAUNCH_AT, dst="LLC"
         )
         assert before >= 0 and after >= 0
 
 
-def test_fig12_lbm_friendlier_than_roms(scenarios, benchmark):
+def test_fig12_lbm_friendlier_than_roms(case):
     """Paper: bwaves sees ~20.6% fewer LLC misses with lbm than with roms."""
-    once(benchmark, lambda: None)
-    miss_lbm = _llc_miss_rate_after(*_pp(scenarios["lbm_local"]))
-    miss_roms = _llc_miss_rate_after(*_pp(scenarios["roms_cxl"]))
-    print_table(
-        "Fig 12 bwaves beyond-LLC serve rate after launch",
-        ["neighbour", "miss rate"],
-        [["lbm (local)", miss_lbm], ["roms (cxl)", miss_roms]],
-    )
+    miss_lbm, miss_roms = record(case.tables["beyond"]).column("miss rate")
     assert miss_lbm <= miss_roms * 1.1
 
 
-def test_fig12_three_apps_add_interference(scenarios, benchmark):
-    once(benchmark, lambda: None)
-    solo = _llc_miss_rate_after(*_pp(scenarios["solo"]))
-    three = _llc_miss_rate_after(*_pp(scenarios["three_apps"]))
+def test_fig12_three_apps_add_interference(case):
+    solo = beyond_llc_rate(*_victim(case, "solo"))
+    three = beyond_llc_rate(*_victim(case, "three_apps"))
     # Additional co-runners cannot improve bwaves' LLC locality.
     assert three >= solo * 0.9
 
 
-def test_fig12_windows_detect_phase_change(scenarios, benchmark):
+def test_fig12_windows_detect_phase_change(case):
     """The clustering workflow finds more than one stable phase once the
     neighbour launches."""
-    once(benchmark, lambda: None)
-    materializer, _result, pid = scenarios["roms_cxl"]
+    materializer, pid = _victim(case, "roms_cxl")
     report = materializer.locality(pid, component="LLC")
     assert len(report.hits_series) >= 5
     assert len(report.windows) >= 1
-
-
-def _pp(scenario):
-    materializer, _result, pid = scenario
-    return materializer, pid

@@ -12,208 +12,101 @@ Paper configuration and headlines:
 * Fig 13-b: CHA and FlexBus+MC latencies drop (GUPS FlexBus+MC latency
   down ~79-84%);
 * culprit-path queueing collapses (GUPS culprit queue down ~96%).
-"""
 
-import functools
+The local:CXL interleave sweep below is the axis TPP moves along: the
+same app with a growing share of its pages on local memory.
+"""
 
 import pytest
 
+from repro import api
 from repro.core import AppSpec, ProfileSpec
 from repro.exec import CampaignJob, cxl_node_id, local_node_id
+from repro.experiments import Table, case7_tpp, pinned_job, run_jobs, runtime
 from repro.sim import spr_config
-from repro.tiering import TPP, TPPConfig
-from repro.workloads import HotColdAccess, ZipfAccess, build_app
+from repro.workloads import build_app
 
-from .helpers import once, print_table, run_job
-
-
-def _attach_tpp(machine, spec, enabled=True):
-    """Setup hook: hang the tiering engine off the job's machine.  TPP
-    activity reaches the result via its ``tpp.*`` PMU counters."""
-    TPP(
-        machine,
-        TPPConfig(epoch_cycles=10_000.0, promote_per_epoch=128,
-                  hot_threshold=1.5),
-        enabled=enabled,
-    )
-
-
-def run_tiered(workload_fn, local_ratio: float, tpp_enabled: bool):
-    config = spr_config(num_cores=2)
-    workload = workload_fn()
-    app = AppSpec(
-        workload=workload,
-        core=0,
-        interleave=(
-            local_node_id(config), cxl_node_id(config), local_ratio
-        ),
-    )
-    spec = ProfileSpec(apps=[app], epoch_cycles=25_000.0, max_epochs=120)
-    run = run_job(
-        CampaignJob(
-            spec=spec,
-            config=config,
-            tag=f"tpp-{workload.name}-{'on' if tpp_enabled else 'off'}",
-            setup=functools.partial(_attach_tpp, enabled=tpp_enabled),
-        )
-    )
-    result = run.result
-    flow_end = max(
-        (f.ended_at or result.total_cycles) for f in result.flows
-    )
-    totals = {}
-    for e in result.epochs:
-        for k, v in e.snapshot.delta.items():
-            totals[k] = totals.get(k, 0.0) + v
-
-    def t(scope, event):
-        return totals.get((scope, event), 0.0)
-
-    culprit_queues = [
-        e.queues.culprit().queue_length
-        for e in result.epochs
-        if e.queues.culprit() is not None
-    ]
-    # Per-component queue means over the final third of the run (post
-    # TPP warm-up), for same-component comparisons.
-    tail = result.epochs[-max(1, len(result.epochs) // 3):]
-    tail_queues = {}
-    for component in ("FlexBus+MC", "L1D", "LFB", "L2"):
-        tail_queues[component] = sum(
-            e.queues.queue(component, "DRd") for e in tail
-        ) / len(tail)
-    return {
-        "runtime": flow_end,
-        "promotions": totals.get(("tpp", "pages_promoted"), 0.0),
-        "local_hits": {
-            "DRd": t("core0", "ocr.demand_data_rd.local_dram"),
-            "RFO": t("core0", "ocr.rfo.local_dram"),
-            "HWPF": t("core0", "ocr.l2_hw_pf_drd.local_dram"),
-        },
-        "cxl_hits": {
-            "DRd": t("core0", "ocr.demand_data_rd.cxl_dram"),
-            "RFO": t("core0", "ocr.rfo.cxl_dram"),
-            "HWPF": t("core0", "ocr.l2_hw_pf_drd.cxl_dram"),
-        },
-        "m2p_loads": sum(
-            v for (s, e_), v in totals.items()
-            if e_ == "unc_m2p_txc_inserts.bl"
-        ),
-        "m2p_stores": sum(
-            v for (s, e_), v in totals.items()
-            if e_ == "unc_m2p_txc_inserts.ak"
-        ),
-        "late_culprit": culprit_queues[-1] if culprit_queues else 0.0,
-        "tail_queues": tail_queues,
-    }
-
-
-def gups_workload():
-    return HotColdAccess(
-        name="gups-hot", num_ops=16000, working_set_bytes=3 << 20,
-        hot_fraction=1.0 / 3.0, hot_probability=0.9, read_ratio=0.5,
-        gap=3.0, seed=21,
-    )
-
-
-def ycsb_workload():
-    return ZipfAccess(
-        name="ycsb-c", num_ops=16000, working_set_bytes=2 << 20,
-        theta=0.99, read_ratio=1.0, gap=5.0, seed=22,
-    )
-
-
-def fotonik_workload():
-    return build_app("649.fotonik3d_s", num_ops=16000, seed=23)
+from .helpers import record
 
 
 @pytest.fixture(scope="module")
-def gups_pair():
-    return {
-        enabled: run_tiered(gups_workload, 0.5, enabled)
-        for enabled in (False, True)
-    }
+def case():
+    return case7_tpp()
 
 
-@pytest.fixture(scope="module")
-def ycsb_pair():
-    return {
-        enabled: run_tiered(ycsb_workload, 0.8, enabled)  # 4:1 split
-        for enabled in (False, True)
-    }
-
-
-@pytest.fixture(scope="module")
-def fotonik_pair():
-    return {
-        enabled: run_tiered(fotonik_workload, 2.0 / 3.0, enabled)  # 2:1
-        for enabled in (False, True)
-    }
-
-
-def test_fig13_speedups(gups_pair, ycsb_pair, fotonik_pair, benchmark):
-    once(benchmark, lambda: None)
-    rows = []
-    for name, pair, paper in (
-        ("GUPS", gups_pair, "3.0x tput"),
-        ("YCSB-C", ycsb_pair, "2.5% latency"),
-        ("fotonik3d", fotonik_pair, "14.3% time"),
-    ):
-        off = pair[False]["runtime"]
-        on = pair[True]["runtime"]
-        rows.append([name, off, on, off / on, paper])
-    print_table(
-        "Case 7 runtime, TPP off vs on",
-        ["app", "off (cyc)", "on (cyc)", "speedup", "paper"],
-        rows,
-    )
+def test_fig13_speedups(case):
+    table = record(case.tables["runtime"])
+    off = dict(zip(table.column("app"), table.column("off (cyc)")))
+    on = dict(zip(table.column("app"), table.column("on (cyc)")))
     # GUPS benefits the most (hot set fits local memory); paper: 3.0x.
-    assert gups_pair[False]["runtime"] > 1.2 * gups_pair[True]["runtime"]
+    assert off["GUPS"] > 1.2 * on["GUPS"]
     # YCSB-C and fotonik see smaller but non-negative improvements.
-    assert ycsb_pair[True]["runtime"] <= ycsb_pair[False]["runtime"] * 1.05
-    assert fotonik_pair[True]["runtime"] <= fotonik_pair[False]["runtime"] * 1.05
+    assert on["YCSB-C"] <= off["YCSB-C"] * 1.05
+    assert on["fotonik3d"] <= off["fotonik3d"] * 1.05
 
 
-def test_fig13a_hit_shift(gups_pair, benchmark):
-    once(benchmark, lambda: None)
-    off, on = gups_pair[False], gups_pair[True]
-    rows = []
-    for family in ("DRd", "RFO", "HWPF"):
-        rows.append([
-            family,
-            off["local_hits"][family], on["local_hits"][family],
-            off["cxl_hits"][family], on["cxl_hits"][family],
-        ])
-    rows.append(["M2PCIe loads", off["m2p_loads"], on["m2p_loads"], "", ""])
-    rows.append(["M2PCIe stores", off["m2p_stores"], on["m2p_stores"], "", ""])
-    print_table(
-        "Fig 13-a GUPS hit shift (TPP off -> on)",
-        ["path", "local off", "local on", "cxl off", "cxl on"],
-        rows,
-    )
+def test_fig13a_hit_shift(case):
+    rows = {row[0]: row[1:] for row in record(case.tables["fig13a"]).rows}
+    local_off, local_on, cxl_off, cxl_on = rows["DRd"]
     # Local DRd hits rise, CXL DRd hits fall (paper: 7.4x up / -87%).
-    assert on["local_hits"]["DRd"] > off["local_hits"]["DRd"]
-    assert on["cxl_hits"]["DRd"] < 0.7 * max(off["cxl_hits"]["DRd"], 1.0)
+    assert local_on > local_off
+    assert cxl_on < 0.7 * max(cxl_off, 1.0)
     # M2PCIe traffic to the CXL DIMM collapses (paper: ~-84%).
-    assert on["m2p_loads"] < 0.7 * max(off["m2p_loads"], 1.0)
+    loads_off, loads_on = rows["M2PCIe loads"][:2]
+    assert loads_on < 0.7 * max(loads_off, 1.0)
 
 
-def test_fig13b_culprit_queue_drops(gups_pair, benchmark):
+def test_fig13b_culprit_queue_drops(case):
     """The TPP-off culprit is the CXL path (FlexBus+MC); with TPP on,
     queueing at that same component collapses (paper: GUPS -96%)."""
-    once(benchmark, lambda: None)
-    off = gups_pair[False]["tail_queues"]
-    on = gups_pair[True]["tail_queues"]
-    rows = [
-        [component, off[component], on[component]]
-        for component in ("FlexBus+MC", "LFB", "L2")
-    ]
-    print_table("Fig 13-b DRd queue length (late epochs), TPP off vs on",
-                ["component", "off", "on"], rows)
-    assert on["FlexBus+MC"] < 0.5 * max(off["FlexBus+MC"], 0.01)
+    rows = {row[0]: row[1:] for row in record(case.tables["fig13b"]).rows}
+    off, on = rows["FlexBus+MC"]
+    assert on < 0.5 * max(off, 0.01)
 
 
-def test_fig13_tpp_actually_migrated(gups_pair, benchmark):
-    once(benchmark, lambda: None)
-    assert gups_pair[True]["promotions"] > 0
-    assert gups_pair[False]["promotions"] == 0
+def test_fig13_tpp_actually_migrated(case):
+    promoted = {
+        state: api.counters(case.results[f"tpp:GUPS:{state}"]).get(
+            ("tpp", "pages_promoted"), 0.0)
+        for state in ("off", "on")
+    }
+    assert promoted["on"] > 0
+    assert promoted["off"] == 0
+
+
+def _interleave_job(local_ratio: float) -> CampaignJob:
+    """519.lbm_r with ``local_ratio`` of its pages on local memory; the
+    endpoints are plain membind placements."""
+    workload = build_app("519.lbm_r", num_ops=4000, seed=1)
+    tag = f"local{int(local_ratio * 100):03d}"
+    if local_ratio in (0.0, 1.0):
+        return pinned_job(workload, "local" if local_ratio else "cxl",
+                          tag=tag)
+    config = spr_config(num_cores=2)
+    app = AppSpec(workload=workload, core=0, interleave=(
+        local_node_id(config), cxl_node_id(config), local_ratio))
+    spec = ProfileSpec(apps=[app], epoch_cycles=25_000.0)
+    return CampaignJob(spec=spec, config=config, tag=tag)
+
+
+def test_interleave_sweep():
+    ratios = (0.0, 0.25, 0.5, 0.75, 1.0)
+    jobs = [_interleave_job(ratio) for ratio in ratios]
+    results = run_jobs(jobs)
+    rows = []
+    for ratio, job in zip(ratios, jobs):
+        result = results[job.tag]
+        counters = api.counters(result)
+        rows.append([ratio, round(runtime(result))] + [
+            round(sum(v for (_s, e), v in counters.items()
+                      if e.endswith(suffix)))
+            for suffix in (".local_dram", ".cxl_dram")
+        ])
+    table = record(Table(
+        "Sweep: interleave",
+        ["local_ratio", "runtime", "local_dram_hits", "cxl_dram_hits"], rows,
+    ))
+    # More local pages: less CXL traffic and a shorter run.
+    for column in ("runtime", "cxl_dram_hits"):
+        values = table.column(column)
+        assert values == sorted(values, reverse=True), column

@@ -14,16 +14,16 @@ magnitude) of every headline.
 
 import pytest
 
+from repro.experiments import runtime
 from repro.workloads import build_app
 
 from .helpers import (
     CHARACTERIZATION_APPS,
+    Table,
     geomean,
     local_vs_cxl,
-    once,
-    print_table,
-    profile_apps,
     ratio,
+    record,
 )
 
 
@@ -77,8 +77,7 @@ def profile_apps_from_ops(ops, node, vpn_base):
     return CorePMUView(totals, 0)
 
 
-def test_fig2a_sb_stalls(runs, benchmark):
-    once(benchmark, lambda: None)
+def test_fig2a_sb_stalls(runs):
     rows, ratios = [], []
     for app, pair in runs.items():
         local = pair["local"].core()
@@ -89,25 +88,24 @@ def test_fig2a_sb_stalls(runs, benchmark):
         rows.append([app, total_local, total_cxl, r])
         if r > 0:
             ratios.append(r)
-    print_table("Fig 2-a SB stall cycles (RD+WR)",
-                ["app", "local", "cxl", "cxl/local"], rows)
+    record(Table("Fig 2-a SB stall cycles (RD+WR)",
+                 ["app", "local", "cxl", "cxl/local"], rows))
     # Paper: ~1.9x more SB stalls on average; require a clear increase.
     assert geomean(ratios) > 1.2
 
 
-def test_fig2a_wr_only(benchmark):
-    views = once(benchmark, _wr_only_runs)
+def test_fig2a_wr_only():
+    views = _wr_only_runs()
     local = views["local"].sb_stall_rd_wr + views["local"].sb_stall_wr_only
     cxl = views["cxl"].sb_stall_rd_wr + views["cxl"].sb_stall_wr_only
-    print_table("Fig 2-a SB stall cycles (WR-only)",
-                ["node", "stall"], [["local", local], ["cxl", cxl]])
+    record(Table("Fig 2-a SB stall cycles (WR-only)",
+                 ["node", "stall"], [["local", local], ["cxl", cxl]]))
     assert cxl > 1.2 * local  # paper: ~2.0x
     # WR-only: the bound_on_stores flavour dominates.
     assert views["cxl"].sb_stall_wr_only > 0
 
 
-def test_fig2b_l1d_stalls_and_response(runs, benchmark):
-    once(benchmark, lambda: None)
+def test_fig2b_l1d_stalls_and_response(runs):
     rows, stall_ratios = [], []
     for app, pair in runs.items():
         local, cxl = pair["local"].core(), pair["cxl"].core()
@@ -117,16 +115,15 @@ def test_fig2b_l1d_stalls_and_response(runs, benchmark):
                      r_stall, r_resp])
         if r_stall > 0:
             stall_ratios.append(r_stall)
-    print_table(
+    record(Table(
         "Fig 2-b L1D stall / response",
         ["app", "stall local", "stall cxl", "stall x", "response x"],
         rows,
-    )
+    ))
     assert geomean(stall_ratios) > 1.3  # paper: ~2.1x
 
 
-def test_fig2c_l1d_hit_reduction(runs, benchmark):
-    once(benchmark, lambda: None)
+def test_fig2c_l1d_hit_reduction(runs):
     rows, deltas = [], []
     for app, pair in runs.items():
         local, cxl = pair["local"].core(), pair["cxl"].core()
@@ -135,14 +132,13 @@ def test_fig2c_l1d_hit_reduction(runs, benchmark):
         change = (cxl.l1_hits - local.l1_hits) / local.l1_hits
         rows.append([app, local.l1_hits, cxl.l1_hits, change * 100])
         deltas.append(change)
-    print_table("Fig 2-c L1D DRd hits",
-                ["app", "local", "cxl", "change %"], rows)
+    record(Table("Fig 2-c L1D DRd hits",
+                 ["app", "local", "cxl", "change %"], rows))
     # Paper: 22.8% fewer hits on average; require net reduction.
     assert sum(deltas) / len(deltas) < 0.05
 
 
-def test_fig2d_lfb_behaviour(runs, benchmark):
-    once(benchmark, lambda: None)
+def test_fig2d_lfb_behaviour(runs):
     rows = []
     increases = 0
     for app, pair in runs.items():
@@ -153,18 +149,17 @@ def test_fig2d_lfb_behaviour(runs, benchmark):
         )
         if cxl.lfb_full_stall > local.lfb_full_stall:
             increases += 1
-    print_table(
+    record(Table(
         "Fig 2-d LFB hits / full-stall",
         ["app", "fb_hit local", "fb_hit cxl", "stall local", "stall cxl"],
         rows,
-    )
+    ))
     # Paper: most apps see more LFB stall under CXL (some see less -
     # long-reuse-distance apps benefit).
     assert increases >= len(runs) // 2
 
 
-def test_fig2e_l2_stalls(runs, benchmark):
-    once(benchmark, lambda: None)
+def test_fig2e_l2_stalls(runs):
     rows, ratios = [], []
     for app, pair in runs.items():
         local, cxl = pair["local"].core(), pair["cxl"].core()
@@ -172,13 +167,12 @@ def test_fig2e_l2_stalls(runs, benchmark):
         rows.append([app, local.l2_stall_cycles, cxl.l2_stall_cycles, r])
         if r > 0:
             ratios.append(r)
-    print_table("Fig 2-e L2-miss stall cycles",
-                ["app", "local", "cxl", "cxl/local"], rows)
+    record(Table("Fig 2-e L2-miss stall cycles",
+                 ["app", "local", "cxl", "cxl/local"], rows))
     assert geomean(ratios) > 1.3  # paper: ~2.7x
 
 
-def test_fig2f_l2_operation_breakdown(runs, benchmark):
-    once(benchmark, lambda: None)
+def test_fig2f_l2_operation_breakdown(runs):
     rows = []
     hit_reductions = []
     for app, pair in runs.items():
@@ -190,11 +184,33 @@ def test_fig2f_l2_operation_breakdown(runs, benchmark):
             if lh > 0:
                 hit_reductions.append((ch - lh) / lh)
         rows.append(row)
-    print_table(
+    record(Table(
         "Fig 2-f L2 hits per path",
         ["app", "DRd loc", "DRd cxl", "RFO loc", "RFO cxl",
          "HWPF loc", "HWPF cxl"],
         rows,
-    )
+    ))
     # Paper: hits drop on average across paths (trend, not uniform).
     assert sum(hit_reductions) / max(1, len(hit_reductions)) < 0.2
+
+
+def test_local_vs_cxl_slowdown(runs):
+    """Whole-run slowdown of each app when its memory moves to CXL."""
+
+    def hits(run, suffix):
+        return round(sum(v for (_s, e), v in run.totals.items()
+                         if e.endswith(suffix)))
+
+    rows = []
+    for app, pair in runs.items():
+        local, cxl = (runtime(pair[node].result) for node in ("local", "cxl"))
+        rows.append([app, round(local), round(cxl), cxl / local,
+                     hits(pair["local"], ".local_dram"),
+                     hits(pair["cxl"], ".cxl_dram")])
+    table = record(Table(
+        "Sweep: local vs CXL",
+        ["app", "runtime_local", "runtime_cxl", "slowdown",
+         "local_dram_hits", "cxl_dram_hits"],
+        rows,
+    ))
+    assert all(slowdown > 1.0 for slowdown in table.column("slowdown"))

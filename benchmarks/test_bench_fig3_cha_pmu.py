@@ -13,11 +13,11 @@ import pytest
 
 from .helpers import (
     CHARACTERIZATION_APPS,
+    Table,
     geomean,
     local_vs_cxl,
-    once,
-    print_table,
     ratio,
+    record,
 )
 
 
@@ -26,8 +26,7 @@ def runs():
     return local_vs_cxl(CHARACTERIZATION_APPS, ops=8000)
 
 
-def test_fig3a_llc_stall_and_response(runs, benchmark):
-    once(benchmark, lambda: None)
+def test_fig3a_llc_stall_and_response(runs):
     rows, stall_ratios = [], []
     for app, pair in runs.items():
         local, cxl = pair["local"].core(), pair["cxl"].core()
@@ -35,13 +34,12 @@ def test_fig3a_llc_stall_and_response(runs, benchmark):
         rows.append([app, local.l3_stall_cycles, cxl.l3_stall_cycles, r])
         if r > 0:
             stall_ratios.append(r)
-    print_table("Fig 3-a core LLC stall cycles",
-                ["app", "local", "cxl", "cxl/local"], rows)
+    record(Table("Fig 3-a core LLC stall cycles",
+                 ["app", "local", "cxl", "cxl/local"], rows))
     assert geomean(stall_ratios) > 1.3   # paper: ~2.1x
 
 
-def test_fig3b_llc_hit_miss_breakdown(runs, benchmark):
-    once(benchmark, lambda: None)
+def test_fig3b_llc_hit_miss_breakdown(runs):
     rows = []
     hit_changes, miss_ratios = [], []
     for app, pair in runs.items():
@@ -56,19 +54,18 @@ def test_fig3b_llc_hit_miss_breakdown(runs, benchmark):
             if lm > 0:
                 miss_ratios.append(cm / lm)
         rows.append(row)
-    print_table(
+    record(Table(
         "Fig 3-b LLC hit/miss per path",
         ["app", "DRd h-loc", "h-cxl", "m-loc", "m-cxl",
          "RFO h-loc", "h-cxl", "m-loc", "m-cxl",
          "HWPF h-loc", "h-cxl", "m-loc", "m-cxl"],
         rows,
-    )
+    ))
     # Misses should not collapse under CXL (paper: they rise 4-5x).
     assert geomean(miss_ratios) > 0.7
 
 
-def test_fig3c_miss_serve_locations(runs, benchmark):
-    once(benchmark, lambda: None)
+def test_fig3c_miss_serve_locations(runs):
     rows = []
     for app, pair in runs.items():
         for node in ("local", "cxl"):
@@ -76,11 +73,11 @@ def test_fig3c_miss_serve_locations(runs, benchmark):
             targets = cha.miss_targets("DRd")
             rows.append([app, node, targets["miss_local_ddr"],
                          targets["miss_remote_ddr"], targets["miss_cxl"]])
-    print_table(
+    record(Table(
         "Fig 3-c where LLC DRd misses are served",
         ["app", "node", "local DDR", "remote DDR", "CXL"],
         rows,
-    )
+    ))
     for app, pair in runs.items():
         local_targets = pair["local"].cha().miss_targets("DRd")
         cxl_targets = pair["cxl"].cha().miss_targets("DRd")
@@ -94,8 +91,7 @@ def test_fig3c_miss_serve_locations(runs, benchmark):
             assert cxl_targets["miss_cxl"] / total_cxl > 0.9
 
 
-def test_fig3de_occupancy(runs, benchmark):
-    once(benchmark, lambda: None)
+def test_fig3de_occupancy(runs):
     rows, miss_occ_ratios = [], []
     for app, pair in runs.items():
         local, cxl = pair["local"].cha(), pair["cxl"].cha()
@@ -105,17 +101,16 @@ def test_fig3de_occupancy(runs, benchmark):
             rows.append([app, family, lo, co, ratio(co, lo)])
             if lo > 0:
                 miss_occ_ratios.append(co / lo)
-    print_table(
+    record(Table(
         "Fig 3-d/e TOR miss occupancy (cycle-integrated)",
         ["app", "path", "local", "cxl", "cxl/local"],
         rows,
-    )
+    ))
     # Paper: miss occupancy up 1.1-4.8x under CXL.
     assert geomean(miss_occ_ratios) > 1.5
 
 
-def test_fig3f_socket_level_operation_breakdown(runs, benchmark):
-    once(benchmark, lambda: None)
+def test_fig3f_socket_level_operation_breakdown(runs):
     rows = []
     hit_changes = []
     for app, pair in runs.items():
@@ -128,18 +123,17 @@ def test_fig3f_socket_level_operation_breakdown(runs, benchmark):
             if lh > 0 and family != "DWr":
                 hit_changes.append((ch - lh) / lh)
         rows.append(row)
-    print_table(
+    record(Table(
         "Fig 3-f socket TOR hits per path",
         ["app", "DRd loc", "cxl", "RFO loc", "cxl", "HWPF loc", "cxl",
          "DWr loc", "cxl"],
         rows,
-    )
+    ))
     # Paper: hits reduced 44-55% on average under CXL.
     assert sum(hit_changes) / max(1, len(hit_changes)) < 0.1
 
 
-def test_fig3_coherence_state_machine_visible(runs, benchmark):
-    once(benchmark, lambda: None)
+def test_fig3_coherence_state_machine_visible(runs):
     any_transitions = False
     for app, pair in runs.items():
         transitions = pair["cxl"].cha().state_transitions()

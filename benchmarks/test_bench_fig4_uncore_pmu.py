@@ -11,7 +11,7 @@ Paper headlines:
 
 import pytest
 
-from .helpers import CHARACTERIZATION_APPS, local_vs_cxl, once, print_table
+from .helpers import CHARACTERIZATION_APPS, Table, local_vs_cxl, record
 
 
 @pytest.fixture(scope="module")
@@ -19,8 +19,7 @@ def runs():
     return local_vs_cxl(CHARACTERIZATION_APPS[:4], ops=8000)
 
 
-def test_fig4a_pending_queue_occupancy(runs, benchmark):
-    once(benchmark, lambda: None)
+def test_fig4a_pending_queue_occupancy(runs):
     rows = []
     for app, pair in runs.items():
         for node in ("local", "cxl"):
@@ -33,11 +32,11 @@ def test_fig4a_pending_queue_occupancy(runs, benchmark):
                 imc.wpq_occupancy / cycles,
                 imc.rpq_inserts,
             ])
-    print_table(
+    record(Table(
         "Fig 4-a IMC RPQ/WPQ mean occupancy",
         ["app", "node", "RPQ occ/cyc", "WPQ occ/cyc", "RPQ inserts"],
         rows,
-    )
+    ))
     for app, pair in runs.items():
         local_imc = pair["local"].imc()
         cxl_imc = pair["cxl"].imc()
@@ -47,8 +46,7 @@ def test_fig4a_pending_queue_occupancy(runs, benchmark):
         assert local_imc.rpq_inserts > 0
 
 
-def test_fig4b_load_store_commands(runs, benchmark):
-    once(benchmark, lambda: None)
+def test_fig4b_load_store_commands(runs):
     rows = []
     slowdowns = []
     for app, pair in runs.items():
@@ -65,17 +63,16 @@ def test_fig4b_load_store_commands(runs, benchmark):
         cxl_rate = (cxl_loads + cxl_stores) / cxl.cycles
         if local_rate > 0:
             slowdowns.append(cxl_rate / local_rate)
-    print_table(
+    record(Table(
         "Fig 4-b DIMM load/store commands (IMC CAS vs M2PCIe)",
         ["app", "local loads", "local stores", "cxl loads", "cxl stores"],
         rows,
-    )
+    ))
     assert sum(slowdowns) / len(slowdowns) < 0.9
 
 
-def test_fig4b_total_accesses_roughly_equal(runs, benchmark):
+def test_fig4b_total_accesses_roughly_equal(runs):
     """The same program moves roughly the same lines either way."""
-    once(benchmark, lambda: None)
     for app, pair in runs.items():
         local_total = pair["local"].imc().cas_all
         cxl_m2p = pair["cxl"].m2pcie()

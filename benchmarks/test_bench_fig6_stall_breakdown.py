@@ -15,92 +15,60 @@ FlexBus+MC and CXL DIMM per path.  Headline shapes:
 
 import pytest
 
-from repro.core import STALL_COMPONENTS
+from repro.experiments import FIG6_APPS, case2_stall_breakdown, stall_totals
 
-from .helpers import once, print_table, run_app
-
-APPS = ("fft", "raytrace", "barnes", "freqmine", "bfs", "505.mcf_r")
+from .helpers import record
 
 
 @pytest.fixture(scope="module")
-def breakdowns():
-    out = {}
-    for app in APPS:
-        run = run_app(app, "cxl", ops=8000)
-        agg = {c: 0.0 for c in STALL_COMPONENTS}
-        for e in run.result.epochs:
-            for c, v in e.stalls.aggregate("DRd").items():
-                agg[c] += v
-        hwpf = {c: 0.0 for c in STALL_COMPONENTS}
-        for e in run.result.epochs:
-            for c, v in e.stalls.aggregate("HWPF").items():
-                hwpf[c] += v
-        out[app] = {"run": run, "DRd": agg, "HWPF": hwpf}
-    return out
+def case():
+    return case2_stall_breakdown()
 
 
-def _shares(agg):
-    total = sum(agg.values())
-    if total <= 0:
-        return {c: 0.0 for c in agg}
-    return {c: v / total for c, v in agg.items()}
+def _stalls(case, app, family="DRd"):
+    return stall_totals(case.results[f"{app}@cxl"], family)
 
 
-def test_fig6_breakdown_table(breakdowns, benchmark):
-    once(benchmark, lambda: None)
-    rows = []
-    for app, data in breakdowns.items():
-        shares = _shares(data["DRd"])
-        rows.append([app] + [100 * shares[c] for c in STALL_COMPONENTS])
-    print_table(
-        "Fig 6 DRd CXL-induced stall shares (%)",
-        ["app"] + list(STALL_COMPONENTS),
-        rows,
-    )
-    for app, data in breakdowns.items():
-        total = sum(data["DRd"].values())
+def test_fig6_breakdown_table(case):
+    record(case.tables["shares"])
+    for app in FIG6_APPS:
+        total = sum(_stalls(case, app).values())
         assert total > 0, f"{app}: no CXL-induced DRd stalls attributed"
 
 
-def test_fig6_uncore_dominates(breakdowns, benchmark):
+def test_fig6_uncore_dominates(case):
     """FlexBus+MC + CXL DIMM (+CHA) carry most of the attributed stall."""
-    once(benchmark, lambda: None)
-    dominant = 0
-    for app, data in breakdowns.items():
-        shares = _shares(data["DRd"])
-        uncore = shares["FlexBus+MC"] + shares["CXL_DIMM"] + shares["CHA"]
-        if uncore > 0.5:
-            dominant += 1
-    assert dominant >= len(APPS) // 2
+    table = case.tables["shares"]
+    uncore = [
+        flexbus + dimm + cha for flexbus, dimm, cha in zip(
+            table.column("FlexBus+MC"), table.column("CXL_DIMM"),
+            table.column("CHA"))
+    ]
+    assert sum(1 for share in uncore if share > 50) >= len(FIG6_APPS) // 2
 
 
-def test_fig6_stalls_diminish_toward_core(breakdowns, benchmark):
+def test_fig6_stalls_diminish_toward_core(case):
     """fft-style apps: core-side (L1D) attribution well below uncore."""
-    once(benchmark, lambda: None)
-    for app, data in breakdowns.items():
-        agg = data["DRd"]
+    for app in FIG6_APPS:
+        agg = _stalls(case, app)
         uncore = agg["FlexBus+MC"] + agg["CXL_DIMM"]
         if uncore <= 0:
             continue
         assert agg["L1D"] <= uncore, app
 
 
-def test_fig6_hwpf_stalls_present_for_streaming(breakdowns, benchmark):
+def test_fig6_hwpf_stalls_present_for_streaming(case):
     """Prefetch-heavy apps accumulate HWPF-path stall at FlexBus+MC."""
-    once(benchmark, lambda: None)
-    streaming = [a for a in ("fft", "bfs") if a in breakdowns]
     assert any(
-        breakdowns[a]["HWPF"]["FlexBus+MC"] + breakdowns[a]["HWPF"]["CXL_DIMM"] > 0
-        for a in streaming
+        hwpf["FlexBus+MC"] + hwpf["CXL_DIMM"] > 0
+        for hwpf in (_stalls(case, a, "HWPF") for a in ("fft", "bfs"))
     )
 
 
-def test_fig6_dwr_stall_only_at_sb(breakdowns, benchmark):
+def test_fig6_dwr_stall_only_at_sb(case):
     """The DWr path books in-core stall exclusively at the SB."""
-    once(benchmark, lambda: None)
-    for app, data in breakdowns.items():
-        run = data["run"]
-        for e in run.result.epochs:
+    for app in FIG6_APPS:
+        for e in case.results[f"{app}@cxl"].epochs:
             dwr = e.stalls.aggregate("DWr")
             for component in ("L1D", "LFB", "L2", "LLC"):
                 assert dwr[component] == 0.0

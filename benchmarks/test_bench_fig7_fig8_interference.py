@@ -14,117 +14,47 @@ load sweeps 20% -> 100%.  Paper headlines:
 
 import pytest
 
-from repro.core import AppSpec, ProfileSpec, STALL_COMPONENTS
-from repro.exec import CampaignJob
-from repro.sim import spr_config
-from repro.workloads import InterleavedFlows, SequentialStream
+from repro.experiments import FIG7_LOADS, case3_interference, stall_totals
 
-from .helpers import once, print_table, run_job
-
-LOADS = (0.2, 0.4, 0.6, 0.8, 1.0)
-
-
-def _install_mixed_regions(machine, spec):
-    """Pre-place the mixed workload's two flows on their tiers; the spec's
-    membind only covers the (empty) wrapper region."""
-    mixed = spec.apps[0].workload
-    mixed.primary.install(machine, machine.local_node.node_id)
-    mixed.secondary.install(machine, machine.cxl_node.node_id)
-
-
-def run_mixed(cxl_load: float):
-    config = spr_config(num_cores=2)
-    local = SequentialStream(
-        name="localflow", num_ops=5000, working_set_bytes=1 << 21,
-        read_ratio=0.8, gap=3.0, accesses_per_line=2, seed=3,
-    )
-    cxl_ops = max(1, int(5000 * cxl_load))
-    cxl = SequentialStream(
-        name="cxlflow", num_ops=cxl_ops, working_set_bytes=1 << 21,
-        read_ratio=0.8, gap=3.0, accesses_per_line=2, seed=17,
-    )
-    mixed = InterleavedFlows(local, cxl, secondary_fraction=cxl_load / 2.0)
-    spec = ProfileSpec(
-        apps=[AppSpec(workload=mixed, core=0, membind=0)],
-        epoch_cycles=25_000.0,
-    )
-    run = run_job(
-        CampaignJob(spec=spec, config=config, tag=f"mixed@{cxl_load:.1f}",
-                    setup=_install_mixed_regions),
-        node="mixed",
-    )
-    result = run.result
-    stalls = {c: 0.0 for c in STALL_COMPONENTS}
-    queues = {"L1D": 0.0, "LFB": 0.0, "L2": 0.0, "FlexBus+MC": 0.0}
-    for e in result.epochs:
-        for c, v in e.stalls.aggregate("DRd").items():
-            stalls[c] += v
-        for component in queues:
-            queues[component] += e.queues.queue(component, "DRd")
-    epochs = max(1, len(result.epochs))
-    queues = {c: v / epochs for c, v in queues.items()}
-    return {"stalls": stalls, "queues": queues, "cycles": result.total_cycles}
+from .helpers import record
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    return {load: run_mixed(load) for load in LOADS}
+def case():
+    return case3_interference()
 
 
-def test_fig7_core_stalls_grow_with_cxl_load(sweep, benchmark):
-    once(benchmark, lambda: None)
-    rows = []
-    for load in LOADS:
-        stalls = sweep[load]["stalls"]
-        rows.append([f"{int(load*100)}%", stalls["L1D"] + stalls["LFB"],
-                     stalls["L2"], stalls["LLC"], stalls["FlexBus+MC"],
-                     stalls["CXL_DIMM"]])
-    print_table(
-        "Fig 7 CXL-induced DRd stall vs CXL load",
-        ["load", "L1D+LFB", "L2", "LLC", "FlexBus+MC", "CXL_DIMM"],
-        rows,
-    )
-    lo, hi = sweep[LOADS[0]]["stalls"], sweep[LOADS[-1]]["stalls"]
-    total_lo = sum(lo.values())
-    total_hi = sum(hi.values())
+def _total_stall(case, load):
+    return sum(stall_totals(case.results[f"mixed@{load:.1f}"]).values())
+
+
+def test_fig7_core_stalls_grow_with_cxl_load(case):
+    record(case.tables["fig7"])
+    total_lo = _total_stall(case, FIG7_LOADS[0])
+    total_hi = _total_stall(case, FIG7_LOADS[-1])
     # Paper: in-core CXL-induced stall up 1.7-2.4x from 20% to 100% load.
     assert total_hi > 1.5 * max(total_lo, 1.0)
 
 
-def test_fig7_monotone_trend(sweep, benchmark):
-    once(benchmark, lambda: None)
-    totals = [sum(sweep[load]["stalls"].values()) for load in LOADS]
+def test_fig7_monotone_trend(case):
+    totals = [_total_stall(case, load) for load in FIG7_LOADS]
     # Allow local non-monotonicity but require a rising overall trend.
     assert totals[-1] > totals[0]
     assert totals[-1] >= max(totals) * 0.6
 
 
-def test_fig8_queue_lengths(sweep, benchmark):
-    once(benchmark, lambda: None)
-    rows = []
-    for load in LOADS:
-        queues = sweep[load]["queues"]
-        rows.append([f"{int(load*100)}%", queues["L1D"], queues["LFB"],
-                     queues["L2"], queues["FlexBus+MC"]])
-    print_table(
-        "Fig 8 estimated queue length vs CXL load (DRd)",
-        ["load", "L1D", "LFB", "L2", "FlexBus+MC"],
-        rows,
-    )
-    lo, hi = sweep[LOADS[0]]["queues"], sweep[LOADS[-1]]["queues"]
+def test_fig8_queue_lengths(case):
+    lfb = record(case.tables["fig8"]).column("LFB")
     # LFB queueing rises with CXL load (slow fills hold entries longer).
-    assert hi["LFB"] > lo["LFB"]
+    assert lfb[-1] > lfb[0]
 
 
-def test_fig8_flexbus_stays_uncongested(sweep, benchmark):
+def test_fig8_flexbus_stays_uncongested(case):
     """One core cannot saturate the FlexBus: its queue stays small."""
-    once(benchmark, lambda: None)
-    for load in LOADS:
-        flexbus = sweep[load]["queues"]["FlexBus+MC"]
-        lfb = sweep[load]["queues"]["LFB"]
-        assert flexbus < max(lfb, 1.0) * 10
+    table = case.tables["fig8"]
+    flexbus, lfb = table.column("FlexBus+MC"), table.column("LFB")
+    for flex, fill in zip(flexbus, lfb):
+        assert flex < max(fill, 1.0) * 10
     # And it grows far less than proportionally to load.
-    lo = sweep[LOADS[0]]["queues"]["FlexBus+MC"]
-    hi = sweep[LOADS[-1]]["queues"]["FlexBus+MC"]
-    if lo > 0:
-        assert hi / lo < 25.0
+    if flexbus[0] > 0:
+        assert flexbus[-1] / flexbus[0] < 25.0

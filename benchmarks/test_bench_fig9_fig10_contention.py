@@ -15,148 +15,44 @@ the neighbours' traffic load sweeps 20% -> 100%.  Paper headlines:
 
 import pytest
 
-from repro.core import AppSpec, ProfileSpec, STALL_COMPONENTS
-from repro.exec import CampaignJob, cxl_node_id
-from repro.sim import spr_config
-from repro.workloads import SequentialStream, ZipfAccess, throttled
+from repro.experiments import FIG9_LOADS, case4_contention, ycsb_view
 
-from .helpers import once, print_table, run_job
-
-# load 0.0 = solo YCSB baseline (the reference the paper's -77.4% uses).
-LOADS = (0.0, 0.2, 0.6, 1.0)
-NEIGHBOURS = 7
-
-
-def run_contention(load: float):
-    config = spr_config(num_cores=NEIGHBOURS + 1)
-    cxl = cxl_node_id(config)
-    ycsb = ZipfAccess(
-        name="ycsb", num_ops=4000, working_set_bytes=1 << 23,
-        read_ratio=0.95, gap=2.0, seed=5,
-    )
-    apps = [AppSpec(workload=ycsb, core=0, membind=cxl)]
-    for i in range(NEIGHBOURS if load > 0 else 0):
-        stream = SequentialStream(
-            name=f"neigh{i}", num_ops=12000, working_set_bytes=1 << 22,
-            read_ratio=0.8, gap=0.5, seed=40 + i,
-        )
-        apps.append(
-            AppSpec(
-                workload=throttled(stream, load),
-                core=1 + i,
-                membind=cxl,
-            )
-        )
-    spec = ProfileSpec(apps=apps, epoch_cycles=25_000.0, max_epochs=60)
-    run = run_job(
-        CampaignJob(spec=spec, config=config, tag=f"contention@{load:.1f}")
-    )
-    result = run.result
-    # YCSB throughput: ops completed per cycle until its flow ended.
-    # Flows are matched by app name, not pid - a cache-hit session
-    # replays the recording process's pids.
-    ycsb_flow = next(f for f in result.flows if f.app_name == "ycsb")
-    ycsb_end = ycsb_flow.ended_at or result.total_cycles
-    throughput = ycsb.num_ops / ycsb_end
-    stalls = {c: 0.0 for c in STALL_COMPONENTS}
-    queues = {"L1D": 0.0, "LFB": 0.0, "L2": 0.0, "LLC": 0.0, "FlexBus+MC": 0.0}
-    flex_delay_samples = []
-    epochs_with_ycsb = 0
-    for e in result.epochs:
-        if not any(f.app_name == "ycsb" for f in e.snapshot.flows):
-            continue
-        epochs_with_ycsb += 1
-        core0 = e.stalls.per_core.get(0, {}).get("DRd", {})
-        for c, v in core0.items():
-            stalls[c] += v
-        for component in ("L1D", "LFB", "L2", "LLC"):
-            queues[component] += e.queues.queue(component, "DRd", core_id=0)
-        queues["FlexBus+MC"] += e.queues.queue("FlexBus+MC", "DRd")
-        for est in e.queues.estimates:
-            if est.component == "FlexBus+MC" and est.path == "DRd":
-                flex_delay_samples.append(est.delay)
-    n = max(1, epochs_with_ycsb)
-    queues = {c: v / n for c, v in queues.items()}
-    flex_delay = (
-        sum(flex_delay_samples) / len(flex_delay_samples)
-        if flex_delay_samples
-        else 0.0
-    )
-    return {
-        "throughput": throughput,
-        "stalls": stalls,
-        "queues": queues,
-        "flex_delay": flex_delay,
-    }
+from .helpers import record
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    return {load: run_contention(load) for load in LOADS}
+def case():
+    return case4_contention()
 
 
-def test_fig9a_ycsb_throughput_collapses(sweep, benchmark):
-    once(benchmark, lambda: None)
-    rows = [
-        [f"{int(load*100)}%", sweep[load]["throughput"] * 1000]
-        for load in LOADS
-    ]
-    print_table("Fig 9-a YCSB throughput (ops/kcycle)", ["load", "tput"], rows)
-    solo = sweep[0.0]["throughput"]
-    hi = sweep[LOADS[-1]]["throughput"]
-    # Paper: -77.4% on average vs uncontended; require a large drop.
-    assert hi < 0.6 * solo
+def test_fig9a_ycsb_throughput_collapses(case):
+    tput = record(case.tables["fig9a"]).column("tput")
+    # Paper: -77.4% on average vs uncontended (the 0% row is YCSB solo);
+    # require a large drop.
+    assert tput[-1] < 0.6 * tput[0]
 
 
-def test_fig9h_flexbus_latency_rises(sweep, benchmark):
-    once(benchmark, lambda: None)
-    rows = [
-        [f"{int(load*100)}%", sweep[load]["flex_delay"]] for load in LOADS
-    ]
-    print_table("Fig 9-h FlexBus+MC residency (cycles)", ["load", "delay"], rows)
-    lo = sweep[LOADS[0]]["flex_delay"]
-    hi = sweep[LOADS[-1]]["flex_delay"]
-    assert hi > 1.5 * max(lo, 1.0)  # paper: 4.3x
+def test_fig9h_flexbus_latency_rises(case):
+    delay = record(case.tables["fig9h"]).column("delay")
+    assert delay[-1] > 1.5 * max(delay[0], 1.0)  # paper: 4.3x
 
 
-def test_fig9_core_stalls_rise(sweep, benchmark):
-    once(benchmark, lambda: None)
-    rows = []
-    for load in LOADS:
-        stalls = sweep[load]["stalls"]
-        rows.append([f"{int(load*100)}%", stalls["L1D"] + stalls["LFB"],
-                     stalls["L2"], stalls["LLC"],
-                     stalls["FlexBus+MC"] + stalls["CXL_DIMM"]])
-    print_table(
-        "Fig 9 YCSB DRd CXL-induced stalls under neighbour load",
-        ["load", "L1D+LFB", "L2", "LLC", "uncore"],
-        rows,
+def test_fig9_core_stalls_rise(case):
+    record(case.tables["fig9"])
+    lo, hi = (
+        sum(ycsb_view(case.results[f"contention@{load:.1f}"])
+            ["stalls"].values())
+        for load in (FIG9_LOADS[0], FIG9_LOADS[-1])
     )
-    lo = sum(sweep[LOADS[0]]["stalls"].values())
-    hi = sum(sweep[LOADS[-1]]["stalls"].values())
     assert hi > 1.3 * max(lo, 1.0)  # paper: 1.8-2.9x across components
 
 
-def test_fig10e_flexbus_queue_grows(sweep, benchmark):
-    once(benchmark, lambda: None)
-    rows = []
-    for load in LOADS:
-        queues = sweep[load]["queues"]
-        rows.append([f"{int(load*100)}%", queues["L1D"], queues["LFB"],
-                     queues["L2"], queues["LLC"], queues["FlexBus+MC"]])
-    print_table(
-        "Fig 10 queue lengths under neighbour load",
-        ["load", "L1D", "LFB", "L2", "LLC", "FlexBus+MC"],
-        rows,
-    )
-    lo = sweep[LOADS[0]]["queues"]["FlexBus+MC"]
-    hi = sweep[LOADS[-1]]["queues"]["FlexBus+MC"]
-    assert hi > 2.0 * max(lo, 0.01)  # paper: 4.6x
+def test_fig10e_flexbus_queue_grows(case):
+    flexbus = record(case.tables["fig10"]).column("FlexBus+MC")
+    assert flexbus[-1] > 2.0 * max(flexbus[0], 0.01)  # paper: 4.6x
 
 
-def test_fig10_bottleneck_shifts_to_flexbus(sweep, benchmark):
+def test_fig10_bottleneck_shifts_to_flexbus(case):
     """At full neighbour load the snapshot culprit lives at FlexBus+MC."""
-    once(benchmark, lambda: None)
-    result = run_contention(1.0) if False else None
-    hi = sweep[LOADS[-1]]
-    assert hi["queues"]["FlexBus+MC"] > hi["queues"]["L1D"]
+    table = case.tables["fig10"]
+    assert table.column("FlexBus+MC")[-1] > table.column("L1D")[-1]

@@ -18,7 +18,7 @@ from repro.sim import Machine, spr_config
 from repro.tiering import TPP, TPPConfig
 from repro.workloads import KVClient, KVConfig
 
-from .helpers import once, print_table
+from .helpers import Table, record
 
 REQUESTS = 400
 KV = dict(num_keys=4096, value_bytes=256, zipf_theta=0.9)
@@ -72,23 +72,21 @@ def tpp_pair():
     }
 
 
-def test_kv_latency_table(tiers, benchmark):
-    once(benchmark, lambda: None)
+def test_kv_latency_table(tiers):
     rows = []
     for tier, client in tiers.items():
         p50, p95, p99 = client.percentiles()
         rows.append([tier, client.mean_latency, p50, p95, p99])
-    print_table(
+    record(Table(
         "KV query latency by memory tier (cycles)",
         ["tier", "mean", "p50", "p95", "p99"],
         rows,
-    )
+    ))
     assert tiers["local"].mean_latency < tiers["interleaved"].mean_latency
     assert tiers["interleaved"].mean_latency < tiers["cxl"].mean_latency
 
 
-def test_kv_tail_amplification(tiers, benchmark):
-    once(benchmark, lambda: None)
+def test_kv_tail_amplification(tiers):
     local_p99 = tiers["local"].percentiles(99)[0]
     cxl_p99 = tiers["cxl"].percentiles(99)[0]
     local_p50 = tiers["local"].percentiles(50)[0]
@@ -98,16 +96,15 @@ def test_kv_tail_amplification(tiers, benchmark):
     assert cxl_p99 > 2.0 * local_p99
 
 
-def test_kv_tpp_improves_query_latency(tpp_pair, benchmark):
-    once(benchmark, lambda: None)
+def test_kv_tpp_improves_query_latency(tpp_pair):
     off_client, _ = tpp_pair[False]
     on_client, tpp = tpp_pair[True]
     rows = [
         ["off", off_client.mean_latency, off_client.percentiles(99)[0]],
         ["on", on_client.mean_latency, on_client.percentiles(99)[0]],
     ]
-    print_table("KV latency, TPP off vs on (4:1 interleave)",
-                ["tpp", "mean", "p99"], rows)
+    record(Table("KV latency, TPP off vs on (4:1 interleave)",
+                 ["tpp", "mean", "p99"], rows))
     assert tpp.stats.promotions > 0
     # Paper: YCSB-C query latency improves by 2.5% with TPP.
     assert on_client.mean_latency <= off_client.mean_latency * 1.02

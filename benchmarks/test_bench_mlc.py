@@ -11,7 +11,7 @@ import pytest
 from repro.sim import Machine, spr_config
 from repro.workloads import PointerChase, SequentialStream
 
-from .helpers import once, print_table
+from .helpers import Table, record
 
 PAPER = {
     "local": {"latency_ns": 103.2, "bandwidth_gbs": 131.1},
@@ -64,7 +64,7 @@ def measurements():
     }
 
 
-def test_mlc_table(measurements, benchmark):
+def test_mlc_table(measurements):
     rows = [
         [
             node,
@@ -75,16 +75,14 @@ def test_mlc_table(measurements, benchmark):
         ]
         for node in ("local", "cxl")
     ]
-    print_table(
+    record(Table(
         "MLC probe (section 2.3)",
         ["node", "latency ns", "paper ns", "BW GB/s", "paper GB/s"],
         rows,
-    )
-    once(benchmark, lambda: None)
+    ))
 
 
-def test_latency_gap_shape(measurements, benchmark):
-    once(benchmark, lambda: None)
+def test_latency_gap_shape(measurements):
     local = measurements["local"]["latency_ns"]
     cxl = measurements["cxl"]["latency_ns"]
     # Paper gap is 3.44x; accept anything clearly in that regime.
@@ -94,8 +92,7 @@ def test_latency_gap_shape(measurements, benchmark):
     assert abs(cxl - 355.3) / 355.3 < 0.25
 
 
-def test_bandwidth_gap_shape(measurements, benchmark):
-    once(benchmark, lambda: None)
+def test_bandwidth_gap_shape(measurements):
     local = measurements["local"]["bandwidth_gbs"]
     cxl = measurements["cxl"]["bandwidth_gbs"]
     assert local / cxl > 3.0          # paper: 7.5x (we drive fewer cores)

@@ -18,7 +18,7 @@ from repro.core import AppSpec, PathFinder, ProfileSpec
 from repro.sim import Machine, spr_config
 from repro.workloads import SequentialStream
 
-from .helpers import once, print_table
+from .helpers import Table, record
 
 
 def _workload():
@@ -77,9 +77,8 @@ def runs():
     }
 
 
-def test_overhead_table(runs, benchmark):
-    once(benchmark, lambda: None)
-    print_table(
+def test_overhead_table(runs):
+    record(Table(
         "PathFinder overhead (section 5.9)",
         ["metric", "without", "with"],
         [
@@ -87,29 +86,27 @@ def test_overhead_table(runs, benchmark):
             ["wall seconds", runs["base_wall"], runs["prof_wall"]],
             ["profiler peak MB", "", runs["peak_mb"]],
         ],
-    )
+        timing=True,
+    ))
 
 
-def test_profiling_does_not_perturb_the_application(runs, benchmark):
+def test_profiling_does_not_perturb_the_application(runs):
     """Snapshot-based profiling is out-of-band: the app's simulated
     execution is within a rounding epoch of the unprofiled run."""
-    once(benchmark, lambda: None)
     base = runs["base_cycles"]
     prof = runs["prof_cycles"]
     # The profiled run rounds up to the epoch boundary.
     assert abs(prof - base) <= 25_000.0
 
 
-def test_profiler_memory_is_bounded(runs, benchmark):
+def test_profiler_memory_is_bounded(runs):
     """Paper: ~38 MB resident.  Our per-session structures stay well under
     that even with full epoch retention."""
-    once(benchmark, lambda: None)
     assert runs["peak_mb"] < 64.0
 
 
-def test_profiler_wall_overhead_is_fractional(runs, benchmark):
+def test_profiler_wall_overhead_is_fractional(runs):
     """The analysis layer costs a small fraction of the substrate
     simulation (paper: ~1.3% CPU; snapshot processing is per-epoch, not
     per-event)."""
-    once(benchmark, lambda: None)
     assert runs["prof_wall"] < 1.3 * runs["base_wall"] + 0.5

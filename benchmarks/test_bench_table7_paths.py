@@ -13,37 +13,25 @@ observations:
 
 import pytest
 
+from repro import api
 from repro.core import render_path_map
-from repro.workloads import build_app
+from repro.exec import cxl_node_id
+from repro.experiments import case1_path_classification, merged_path_map
+from repro.pmu.views import M2PCIeView
+from repro.sim import spr_config
 
-from .helpers import once, print_table, profile_apps, run_app
+from .helpers import record
+
+FOTONIK = "649.fotonik3d_s@cxl"
 
 
 @pytest.fixture(scope="module")
-def fotonik():
-    return run_app("649.fotonik3d_s", "cxl", ops=10000)
+def case():
+    return case1_path_classification()
 
 
-@pytest.fixture(scope="module")
-def gcc():
-    return run_app("602.gcc_s", "cxl", ops=12000)
-
-
-def _merged_path_map(run):
-    """PFBuilder over the whole run (sum of epochs) for table printing."""
-    from repro.core.snapshot import Snapshot
-    from repro.core import PFBuilder
-
-    snapshot = Snapshot(
-        t_start=0.0, t_end=run.cycles, delta=run.totals,
-        flows=run.result.flows,
-    )
-    return PFBuilder().build(snapshot)
-
-
-def test_table7_fotonik_rows(fotonik, benchmark):
-    once(benchmark, lambda: None)
-    pm = _merged_path_map(fotonik)
+def test_table7_fotonik_rows(case):
+    pm = merged_path_map(case.results[FOTONIK])
     print(render_path_map(pm, core_id=0))
     # Blind spots match the real PMU (section 5.9).
     assert pm.core_hits(0, "RFO", "L1D") is None
@@ -56,54 +44,26 @@ def test_table7_fotonik_rows(fotonik, benchmark):
     assert share["HWPF"] > 0.3, share
 
 
-def test_table7_fotonik_hwpf_dominates_uncore(fotonik, benchmark):
-    once(benchmark, lambda: None)
-    pm = _merged_path_map(fotonik)
-    uncore_by_family = {
-        family: sum(pm.uncore[family].values())
-        for family in ("DRd", "RFO", "HWPF")
-    }
-    total = sum(uncore_by_family.values())
-    print_table(
-        "Table 7: uncore access share (fotonik3d)",
-        ["family", "uncore hits", "share %"],
-        [[f, v, 100 * v / total if total else 0]
-         for f, v in uncore_by_family.items()],
-    )
+def test_table7_fotonik_hwpf_dominates_uncore(case):
+    table = record(case.tables["uncore"])
+    hits = dict(zip(table.column("family"), table.column("uncore hits")))
     # Paper: HWPF accounts for ~59.3% of uncore accesses.
-    assert uncore_by_family["HWPF"] / total > 0.3
+    assert hits["HWPF"] / sum(hits.values()) > 0.3
 
 
-def test_table7_gcc_snapshot_contrast(gcc, benchmark):
-    once(benchmark, lambda: None)
-    epochs = gcc.result.epochs
-    assert len(epochs) >= 3
-    # Pick the quietest and busiest epochs as the paper's s1/s2.
-    ranked = sorted(epochs, key=lambda e: e.path_map.total_core_requests())
-    s1, s2 = ranked[0], ranked[-1]
-    req1 = s1.path_map.total_core_requests()
-    req2 = s2.path_map.total_core_requests()
-    rows = [
-        ["s1", req1] + [s1.path_map.uncore_hits(f, "CXL_memory")
-                        for f in ("DRd", "RFO", "HWPF")],
-        ["s2", req2] + [s2.path_map.uncore_hits(f, "CXL_memory")
-                        for f in ("DRd", "RFO", "HWPF")],
-    ]
-    print_table(
-        "Table 7: gcc snapshots (phase contrast)",
-        ["snapshot", "core reqs", "CXL DRd", "CXL RFO", "CXL HWPF"],
-        rows,
-    )
+def test_table7_gcc_snapshot_contrast(case):
+    assert len(case.results["602.gcc_s@cxl"].epochs) >= 3
+    # The quietest and busiest epochs stand in for the paper's s1/s2.
+    req1, req2 = record(case.tables["gcc"]).column("core reqs")
     # Paper: snapshot 2 has 5.8x the core-issued requests of snapshot 1.
     assert req2 > 2.0 * max(req1, 1.0)
 
 
-def test_gcc_phases_shift_cxl_mix(gcc, benchmark):
+def test_gcc_phases_shift_cxl_mix(case):
     """The RFO share of CXL hits grows in the write-heavy phase (paper:
     1.1% -> 69.0%)."""
-    once(benchmark, lambda: None)
     shares = []
-    for e in gcc.result.epochs:
+    for e in case.results["602.gcc_s@cxl"].epochs:
         total = e.path_map.cxl_hits()
         if total < 50:
             continue
@@ -112,12 +72,12 @@ def test_gcc_phases_shift_cxl_mix(gcc, benchmark):
     assert max(shares) > 3.0 * (min(shares) + 0.01)
 
 
-def test_path_map_conserves_cxl_traffic(fotonik, benchmark):
+def test_path_map_conserves_cxl_traffic(case):
     """PFBuilder's per-core CXL hits agree with the M2PCIe ground truth."""
-    once(benchmark, lambda: None)
-    pm = _merged_path_map(fotonik)
-    ocr_cxl = pm.cxl_hits()
-    m2p_loads = fotonik.m2pcie().data_responses
+    result = case.results[FOTONIK]
+    ocr_cxl = merged_path_map(result).cxl_hits()
+    node = cxl_node_id(spr_config(num_cores=2))
+    m2p_loads = M2PCIeView(api.counters(result), node).data_responses
     assert m2p_loads > 0
     # ocr counts loads only (DWr acks excluded); allow writeback slack.
     assert abs(ocr_cxl - m2p_loads) / m2p_loads < 0.25

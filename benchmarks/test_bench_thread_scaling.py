@@ -11,7 +11,7 @@ import pytest
 from repro.sim import Machine, spr_config
 from repro.workloads import split_workload
 
-from .helpers import once, print_table
+from .helpers import Table, record
 
 THREADS = (1, 2, 4, 8)
 
@@ -44,8 +44,7 @@ def scaling():
     return {node: run_scaling(node) for node in ("local", "cxl")}
 
 
-def test_thread_scaling_table(scaling, benchmark):
-    once(benchmark, lambda: None)
+def test_thread_scaling_table(scaling):
     rows = []
     for threads in THREADS:
         rows.append([
@@ -53,21 +52,19 @@ def test_thread_scaling_table(scaling, benchmark):
             scaling["local"][threads] * 1000,
             scaling["cxl"][threads] * 1000,
         ])
-    print_table(
+    record(Table(
         "Aggregate throughput vs thread count (ops/kcycle)",
         ["threads", "local", "cxl"],
         rows,
-    )
+    ))
 
 
-def test_local_keeps_scaling(scaling, benchmark):
-    once(benchmark, lambda: None)
+def test_local_keeps_scaling(scaling):
     local = scaling["local"]
     assert local[8] > 2.5 * local[1]
 
 
-def test_cxl_saturates_early(scaling, benchmark):
-    once(benchmark, lambda: None)
+def test_cxl_saturates_early(scaling):
     cxl = scaling["cxl"]
     # Going 4 -> 8 threads buys little once the FlexBus is full.
     assert cxl[8] < 1.6 * cxl[4]

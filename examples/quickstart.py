@@ -39,15 +39,13 @@ def main() -> None:
     print(render_session(result))
 
     # 5. A taste of cross-snapshot analysis (PFMaterializer): how did the
-    #    app's CXL traffic evolve over the run?  The materializer works
-    #    offline from the session's snapshots + path maps.
+    #    app's CXL traffic evolve over the run?  The materializer is built
+    #    from the finished session's snapshots + path maps.
     series = [
         epoch.path_map.cxl_hits() for epoch in result.epochs
     ]
     print(f"\nCXL hits per epoch: {[int(v) for v in series]}")
-    materializer = PFMaterializer()
-    for epoch in result.epochs:
-        materializer.ingest(epoch.snapshot, epoch.path_map)
+    materializer = PFMaterializer.from_result(result)
     pid = next(f.pid for f in result.flows if f.app_name == workload.name)
     locality = materializer.locality(pid, component="CXL")
     print(f"stable phases: {len(locality.windows)}, "

@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     case = sub.add_parser(
-        "case", help="run a compact version of one case study (1-8)"
+        "case", help="run one case study (1-8) and print its tables"
     )
     case.add_argument("--id", type=int, required=True, choices=range(1, 9))
 
@@ -792,7 +792,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "list-events":
         return _cmd_list_events(args)
     if args.command == "case":
-        from .cases import run_case
+        from ..experiments import run_case
 
         run_case(args.id)
         return 0

@@ -11,8 +11,9 @@ interference (Pearson correlation of aligned series).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from ..obs import persist_trace
 from ..pmu.views import CorePMUView, CXLDeviceView, M2PCIeView, cxl_node_ids
 from ..tsdb import (
     TimeSeriesDB,
@@ -26,6 +27,9 @@ from ..tsdb import (
 from .builder import FAMILIES, PFBuilder, PathMap
 from .mflow import MFlow
 from .snapshot import Snapshot
+
+if TYPE_CHECKING:
+    from .profiler import ProfileResult
 
 PATH_SET = "path_set"
 VERTEX_SET = "vertex_set"
@@ -79,6 +83,23 @@ class PFMaterializer:
         self._builder = PFBuilder(socket)
         self.socket = socket
         self._ingested = 0
+
+    @classmethod
+    def from_result(cls, result: "ProfileResult") -> "PFMaterializer":
+        """Materialize a finished session: every epoch's snapshot and path
+        map (an aggregated session's one cumulative epoch), plus its
+        trace's records when it was traced.
+
+        A session document carries all of these, so a cached, pooled or
+        served result materializes the same as an in-process one.
+        """
+        materializer = cls()
+        for epoch in result.session_epochs():
+            materializer.ingest(epoch.snapshot, epoch.path_map)
+        if result.trace is not None:
+            persist_trace(materializer.db, result.trace,
+                          timestamp=result.total_cycles)
+        return materializer
 
     def _insert(
         self,

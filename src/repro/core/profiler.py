@@ -3,10 +3,11 @@
 ``PathFinder.run()`` installs the applications on the machine, then drives
 the simulation in scheduling epochs.  At each epoch boundary it takes a
 PMU snapshot, associates it with the live mFlows, and pushes it through
-the four techniques: PFBuilder (path map), PFEstimator (stall breakdown),
-PFAnalyzer (queue/culprit analysis) and PFMaterializer (time-series
-ingestion).  The per-epoch results are collected into an
-:class:`EpochResult` list that the case studies and the CLI render.
+PFBuilder (path map), PFEstimator (stall breakdown) and PFAnalyzer
+(queue/culprit analysis).  The per-epoch results are collected into an
+:class:`EpochResult` list that the case studies and the CLI render;
+:meth:`PFMaterializer.from_result` builds the time-series view of a
+finished session, and a live run keeps one warm while it runs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from ..sim.warp import WarpController, WarpReport, coerce_fidelity
 from .analyzer import AnalyzerReport, PFAnalyzer
 from .builder import PFBuilder, PathMap
 from .estimator import PFEstimator, StallBreakdown
-from .materializer import PFMaterializer
 from .mflow import MFlow, MFlowRegistry
 from .snapshot import CounterKey, Snapshot, SnapshotTaker
 from .spec import AppSpec, ProfileSpec, ProfilingMode
@@ -137,6 +137,9 @@ class PathFinder:
             self.warp = WarpController(machine, warp_spec, spec.epoch_cycles)
         self.live = None
         self._on_epoch = on_epoch
+        # Only a live run materializes as it goes: its digests read the
+        # rolling state.  Any other session materializes from its result.
+        self.materializer = None
         if live is not None and live is not False:
             # Imported lazily: repro.live imports this module's siblings.
             from ..live import LiveMaterializer, QueueSampler, coerce_live
@@ -144,8 +147,6 @@ class PathFinder:
             self.live = coerce_live(live)
             self.materializer = LiveMaterializer(self.live)
             self._sampler = QueueSampler(machine)
-        else:
-            self.materializer = PFMaterializer()
         self.flows = MFlowRegistry()
         self.recorder: Optional[FlightRecorder] = None
         if spec.trace is not None:
@@ -284,9 +285,9 @@ class PathFinder:
             result.warp = self.warp.report
         if self.recorder is not None:
             result.trace = self.recorder.report()
-            persist_trace(
-                self.materializer.db, result.trace, timestamp=self.machine.now
-            )
+            if self.live is not None:
+                persist_trace(self.materializer.db, result.trace,
+                              timestamp=self.machine.now)
         return result
 
     def _maybe_warp(self, epoch: int, result: ProfileResult) -> int:
@@ -353,7 +354,8 @@ class PathFinder:
 
     def _process(self, epoch: int, snapshot: Snapshot) -> EpochResult:
         epoch_result = analyze_epoch(epoch, snapshot)
-        self.materializer.ingest(snapshot, epoch_result.path_map)
+        if self.live is not None:
+            self.materializer.ingest(snapshot, epoch_result.path_map)
         if logger.isEnabledFor(logging.DEBUG):
             culprit = epoch_result.queues.culprit()
             logger.debug(

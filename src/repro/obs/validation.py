@@ -16,11 +16,14 @@ from typing import Dict, Iterable, List, Optional
 
 from .recorder import TraceReport
 
-#: Measured stages with a directly comparable PFAnalyzer component.
-#: L1D is invisible to the recorder (L1 hits never become MemRequests);
-#: the measured FlexBus+MC interval spans the whole CXL complex including
-#: the device MC, matching the analyzer's single FlexBus+MC estimate, so
-#: the nested CXL_MC stage is informational only.
+#: Measured stages that share a name with a PFAnalyzer component.
+#: L1D is invisible to the recorder (L1 hits never become MemRequests),
+#: and the nested CXL_MC stage is informational only.  FlexBus+MC does
+#: not measure like with like: the recorder's interval is the residency
+#: of the whole CXL complex, unloaded link and media latency included
+#: (646-665 cycles on the seed-7 CXL cells), while the analyzer takes W
+#: from queue occupancy per served flit (2.5-21.7 cycles there), so its
+#: verdict compares a residency with a wait.
 COMPARABLE_STAGES = ("LFB", "L2", "LLC", "FlexBus+MC")
 
 

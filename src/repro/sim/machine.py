@@ -249,6 +249,16 @@ class Machine:
                         port.up_link._server)
         for device in self.cxl_devices.values():
             servers.append(device._mc_server)
+        if self.fabric is not None:
+            # A fabric endpoint and its root port point at each other; a
+            # background injector reaches the fabric and the devices, and
+            # its requests still in flight there call it back.
+            for port in self.m2pcie.values():
+                port.device = None
+            for switch in self.fabric.switches.values():
+                servers += (port._server for port in switch.ports.values())
+            for injector in self.fabric.injectors:
+                injector.fabric = injector.devices = None
         for server in servers:
             server.on_done = server.service_time = None
         for core in self.cores:

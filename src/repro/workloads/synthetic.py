@@ -367,6 +367,38 @@ class InterleavedFlows(Workload):
             yield op
 
 
+class _Throttled(Workload):
+    """``inner``'s op stream at ``load_fraction`` of its offered load.
+
+    A module-level class, so a throttled workload pickles to a campaign
+    worker like any other.
+    """
+
+    def __init__(self, inner: Workload, load_fraction: float) -> None:
+        super().__init__(
+            f"{inner.name}@{int(load_fraction * 100)}%",
+            inner.working_set_bytes,
+            inner.num_ops,
+            inner.seed,
+            vpn_base=inner.vpn_base,
+        )
+        self._inner = inner
+        self.load_fraction = load_fraction
+
+    def ops(self) -> Iterator[MemOp]:
+        # An op at full load takes (gap + ~service); padding the gap by
+        # the inverse load fraction thins the offered request rate.
+        for op in self._inner.ops():
+            extra = (op.gap + 8.0) * (1.0 / self.load_fraction - 1.0)
+            yield MemOp(
+                address=op.address,
+                is_store=op.is_store,
+                gap=op.gap + extra,
+                dependent=op.dependent,
+                software_prefetch=op.software_prefetch,
+            )
+
+
 def throttled(workload: Workload, load_fraction: float) -> Workload:
     """Scale a workload's offered load to ``load_fraction`` of full speed.
 
@@ -375,29 +407,4 @@ def throttled(workload: Workload, load_fraction: float) -> Workload:
     """
     if not 0.0 < load_fraction <= 1.0:
         raise ValueError("load_fraction must be in (0, 1]")
-
-    class _Throttled(Workload):
-        def __init__(self, inner: Workload) -> None:
-            super().__init__(
-                f"{inner.name}@{int(load_fraction * 100)}%",
-                inner.working_set_bytes,
-                inner.num_ops,
-                inner.seed,
-                vpn_base=inner.vpn_base,
-            )
-            self._inner = inner
-
-        def ops(self) -> Iterator[MemOp]:
-            # An op at full load takes (gap + ~service); padding the gap by
-            # the inverse load fraction thins the offered request rate.
-            for op in self._inner.ops():
-                extra = (op.gap + 8.0) * (1.0 / load_fraction - 1.0)
-                yield MemOp(
-                    address=op.address,
-                    is_store=op.is_store,
-                    gap=op.gap + extra,
-                    dependent=op.dependent,
-                    software_prefetch=op.software_prefetch,
-                )
-
-    return _Throttled(workload)
+    return _Throttled(workload, load_fraction)

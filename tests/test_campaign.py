@@ -20,6 +20,7 @@ from repro.core import AppSpec, ProfileSpec
 from repro.exec import CampaignJob, cxl_node_id, local_node_id, run_campaign
 from repro.exec.runner import JobRecord, _drain
 from repro.sim import Machine, spr_config
+from repro.sim.fabric import apply_fabric
 from repro.workloads import SequentialStream, build_app
 
 
@@ -323,22 +324,30 @@ def test_drain_reraises_a_lane_failure():
 
 def test_a_campaign_job_frees_its_machine_by_refcount():
     # With the collector off, only refcounting can free the machine the
-    # job built: it must be gone when the campaign returns, while the
-    # result it produced stays whole.
-    machines = []
-    job = CampaignJob(
-        spec=make_spec(), config=spr_config(),
-        setup=lambda machine, spec: machines.append(weakref.ref(machine)),
-    )
-    gc.collect()
-    gc.disable()
-    try:
-        campaign = run_campaign([job], parallel=False, cache=False)
-        assert machines and machines[0]() is None
-    finally:
-        gc.enable()
-    assert campaign.jobs[0].ok
-    assert api.counters(campaign.results[0])
+    # job built: it must be gone when the campaign returns, leaving no
+    # cyclic garbage behind, while the result it produced stays whole.
+    # A pooled fabric adds switch ports, fabric endpoints and injectors.
+    for config in (spr_config(), apply_fabric(spr_config(), "pooled")):
+        machines = []
+        job = CampaignJob(
+            spec=make_spec(), config=config,
+            setup=lambda machine, spec: machines.append(weakref.ref(machine)),
+        )
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            campaign = run_campaign([job], parallel=False, cache=False)
+            assert machines and machines[0]() is None
+            gc.collect()
+            leaked = collections.Counter(type(o).__name__ for o in gc.garbage)
+            assert not leaked, leaked
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert campaign.jobs[0].ok
+        assert api.counters(campaign.results[0])
 
 
 def test_a_caller_owned_machine_stays_readable():

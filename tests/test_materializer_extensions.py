@@ -2,35 +2,70 @@
 
 import pytest
 
-from repro.core import load_session, save_session
+from repro import RunOptions, api
+from repro.core import (
+    AppSpec,
+    PFMaterializer,
+    ProfileSpec,
+    ProfilingMode,
+    load_session,
+    save_session,
+)
+from repro.core.persistence import result_from_document, result_to_document
+from repro.workloads import SequentialStream
 
 
-def test_compute_bursts_returns_indices(cxl_session):
-    _m, profiler, result = cxl_session
-    bursts = profiler.materializer.compute_bursts(0, z_threshold=1.5)
+@pytest.fixture(scope="module")
+def materialized(cxl_session):
+    _m, _p, result = cxl_session
+    return PFMaterializer.from_result(result), result
+
+
+def test_compute_bursts_returns_indices(materialized):
+    materializer, result = materialized
+    bursts = materializer.compute_bursts(0, z_threshold=1.5)
     assert isinstance(bursts, list)
     for index in bursts:
         assert 0 <= index < result.num_epochs
 
 
-def test_orthogonality_self_is_one(cxl_session):
-    _m, profiler, _result = cxl_session
+def test_orthogonality_self_is_one(materialized):
+    materializer, _result = materialized
     # A core against itself: identical series, r = 1 (or 0 if constant).
-    r = profiler.materializer.orthogonality(0, 0)
+    r = materializer.orthogonality(0, 0)
     assert r == pytest.approx(1.0) or r == 0.0
 
 
-def test_spatial_locality_in_unit_range(cxl_session):
-    _m, profiler, result = cxl_session
-    pid = result.flows[0].pid
-    value = profiler.materializer.spatial_locality(pid)
+def test_spatial_locality_in_unit_range(materialized):
+    materializer, result = materialized
+    value = materializer.spatial_locality(result.flows[0].pid)
     assert 0.0 <= value <= 1.0
 
 
-def test_spatial_locality_unknown_pid(cxl_session):
-    _m, profiler, _result = cxl_session
+def test_spatial_locality_unknown_pid(materialized):
+    materializer, _result = materialized
     with pytest.raises(ValueError):
-        profiler.materializer.spatial_locality(999999)
+        materializer.spatial_locality(999999)
+
+
+def test_from_result_over_a_decoded_session_matches(materialized):
+    materializer, result = materialized
+    decoded = PFMaterializer.from_result(
+        result_from_document(result_to_document(result)))
+    assert decoded.snapshots_ingested == materializer.snapshots_ingested
+    pid = result.flows[0].pid
+    assert decoded.locality(pid) == materializer.locality(pid)
+
+
+def test_from_result_materializes_an_aggregated_session_as_one_point():
+    spec = ProfileSpec(
+        apps=[AppSpec(workload=SequentialStream(
+            num_ops=1500, working_set_bytes=1 << 20, seed=4), core=0,
+            membind=0)],
+        epoch_cycles=10_000.0, mode=ProfilingMode.AGGREGATED,
+    )
+    result = api.run(spec, options=RunOptions(cache=False))
+    assert PFMaterializer.from_result(result).snapshots_ingested == 1
 
 
 # -- persistence ---------------------------------------------------------------

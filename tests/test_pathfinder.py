@@ -7,6 +7,7 @@ from repro.core import (
     PFBuilder,
     PFEstimator,
     PFAnalyzer,
+    PFMaterializer,
     STALL_COMPONENTS,
     render_epoch,
     render_session,
@@ -201,14 +202,15 @@ def test_flexbus_queue_only_for_cxl(local_session):
 
 
 def test_materializer_ingested_all_epochs(cxl_session):
-    _m, profiler, result = cxl_session
-    assert profiler.materializer.snapshots_ingested == result.num_epochs
+    _m, _p, result = cxl_session
+    materializer = PFMaterializer.from_result(result)
+    assert materializer.snapshots_ingested == result.num_epochs
 
 
 def test_locality_workflow(cxl_session):
-    _m, profiler, result = cxl_session
+    _m, _p, result = cxl_session
     pid = result.flows[0].pid
-    report = profiler.materializer.locality(pid, component="CXL")
+    report = PFMaterializer.from_result(result).locality(pid, component="CXL")
     assert len(report.hits_series) == result.num_epochs
     assert report.windows
     assert report.stable_phase_length >= 1
@@ -216,15 +218,16 @@ def test_locality_workflow(cxl_session):
 
 
 def test_locality_unknown_pid_raises(cxl_session):
-    _m, profiler, _r = cxl_session
+    _m, _p, result = cxl_session
     with pytest.raises(ValueError):
-        profiler.materializer.locality(424242)
+        PFMaterializer.from_result(result).locality(424242)
 
 
 def test_flexbus_utilization_series(cxl_session):
-    machine, profiler, result = cxl_session
+    machine, _p, result = cxl_session
     node = machine.cxl_node.node_id
-    series = profiler.materializer.flexbus_utilization_series(node)
+    series = PFMaterializer.from_result(result).flexbus_utilization_series(
+        node)
     assert len(series) == result.num_epochs
     assert any(v > 0 for v in series)
 
