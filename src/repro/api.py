@@ -103,9 +103,9 @@ def run(
     multi-host fabric between the machine's root ports and its devices.
 
     ``live`` (``True`` or a :class:`~repro.live.LiveSpec`) runs the
-    profiler in-process with streaming ingestion: the materializer keeps
-    rolling workflows warm over a capped TSDB and ``on_epoch`` receives
-    one digest dict per epoch while the simulation runs.  Live runs are
+    profiler in-process with streaming ingestion: each epoch is folded
+    into O(1) rolling state and ``on_epoch`` receives one digest dict
+    per epoch while the simulation runs.  Live runs are
     incompatible with ``cache``/``timeout``/``retries`` (the point is
     the in-flight stream, not a cached document); for live streaming
     over HTTP submit ``{"live": true}`` to a serve daemon and read

@@ -1,11 +1,14 @@
 """PFMaterializer: cross-snapshot synthesis (section 4.6).
 
-Every snapshot is compacted into hierarchical records - edges, vertices,
-mFlows and paths - and inserted into the time-series database.  Workflows
-then run Flux-like query pipelines to surface consistent execution
-characteristics: data locality phases (window clustering), predictability
-(Holt-Winters), trends/anomalies (TSA decomposition) and cross-application
-interference (Pearson correlation of aligned series).
+Every snapshot of a finished session is compacted into hierarchical
+records - edges, vertices, mFlows and paths - and inserted into the
+time-series database.  Workflows then run Flux-like query pipelines to
+surface consistent execution characteristics: data locality phases
+(window clustering), predictability (Holt-Winters), trends/anomalies
+(TSA decomposition) and cross-application interference (Pearson
+correlation of aligned series).  :func:`path_rows` builds the path
+records; a live run folds the same rows into rolling state instead
+(``repro.live``).
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from ..tsdb import (
     holt_winters,
     pearsonr,
 )
-from .builder import FAMILIES, PFBuilder, PathMap
-from .mflow import MFlow
+from .builder import FAMILIES, PathMap
 from .snapshot import Snapshot
 
 if TYPE_CHECKING:
@@ -66,22 +68,52 @@ class LocalityReport:
         return abs(self.forecast[0] - actual) <= 0.25 * scale
 
 
+#: A record's tags and numeric fields, as ``TimeSeriesDB.insert`` takes them.
+Row = Tuple[Dict[str, str], Dict[str, float]]
+
+
+def _core_pids(snapshot: Snapshot) -> Dict[int, int]:
+    """The pid of each core's (last) flow in the snapshot."""
+    return {flow.core_id: flow.pid for flow in snapshot.flows}
+
+
+def path_rows(snapshot: Snapshot, path_map: PathMap) -> List[Row]:
+    """One :data:`PATH_SET` row per core, request family and destination
+    (LLC, CXL, DRAM): the destination's ``hits`` and the family's
+    ``core_hits``.  A core with no flow has pid -1."""
+    pids = _core_pids(snapshot)
+    rows: List[Row] = []
+    for core_id, families in path_map.per_core.items():
+        pid = str(pids.get(core_id, -1))
+        view = CorePMUView(snapshot.delta, core_id)
+        for family in FAMILIES:
+            components = families.get(family, {})
+            core_hits = sum(v or 0.0 for v in components.values())
+            for dst, scenario in (
+                ("LLC", "l3_hit"),
+                ("CXL", "cxl_dram"),
+                ("DRAM", "local_dram"),
+            ):
+                hits = (
+                    view.ocr(family, scenario)
+                    if family != "HWPF"
+                    else view.ocr("HWPF", scenario)
+                    + view.ocr("HWPF_L1", scenario)
+                    + view.ocr("HWPF_RFO", scenario)
+                )
+                rows.append((
+                    {"pid": pid, "core": str(core_id), "path": family,
+                     "dst": dst},
+                    {"hits": hits, "core_hits": core_hits},
+                ))
+    return rows
+
+
 class PFMaterializer:
-    """Snapshot digests in, time-series insights out.
+    """Snapshot digests in, time-series insights out."""
 
-    ``db`` defaults to a fresh unbounded :class:`TimeSeriesDB`; streaming
-    callers pass one with a ``max_points`` cap.  Every record lands through
-    the :meth:`_insert` hook so subclasses (``repro.live``'s incremental
-    materializer) can maintain rolling per-series state alongside the
-    batch store without re-deriving the record layout.
-    """
-
-    def __init__(
-        self, socket: int = 0, db: Optional[TimeSeriesDB] = None
-    ) -> None:
-        self.db = db if db is not None else TimeSeriesDB()
-        self._builder = PFBuilder(socket)
-        self.socket = socket
+    def __init__(self) -> None:
+        self.db = TimeSeriesDB()
         self._ingested = 0
 
     @classmethod
@@ -101,60 +133,22 @@ class PFMaterializer:
                           timestamp=result.total_cycles)
         return materializer
 
-    def _insert(
-        self,
-        measurement: str,
-        timestamp: float,
-        tags: Dict[str, str],
-        fields: Dict[str, float],
-    ) -> None:
-        """Single funnel for every materialized record (subclass hook)."""
-        self.db.insert(measurement, timestamp, tags=tags, fields=fields)
-
     # -- ingestion ------------------------------------------------------
 
-    def ingest(self, snapshot: Snapshot, path_map: Optional[PathMap] = None) -> None:
+    def ingest(self, snapshot: Snapshot, path_map: PathMap) -> None:
         """Compact one snapshot into path/vertex/edge/flow records."""
-        if path_map is None:
-            path_map = self._builder.build(snapshot)
         t = snapshot.t_end
-        pid_by_core: Dict[int, MFlow] = {}
-        for flow in snapshot.flows:
-            pid_by_core[flow.core_id] = flow
-        for core_id, families in path_map.per_core.items():
-            flow = pid_by_core.get(core_id)
-            pid = flow.pid if flow else -1
+        insert = self.db.insert
+        for tags, fields in path_rows(snapshot, path_map):
+            insert(PATH_SET, t, tags=tags, fields=fields)
+        pids = _core_pids(snapshot)
+        for core_id in path_map.per_core:
             view = CorePMUView(snapshot.delta, core_id)
-            for family in FAMILIES:
-                components = families.get(family, {})
-                core_hits = sum(v or 0.0 for v in components.values())
-                for dst, scenario in (
-                    ("LLC", "l3_hit"),
-                    ("CXL", "cxl_dram"),
-                    ("DRAM", "local_dram"),
-                ):
-                    hits = (
-                        view.ocr(family, scenario)
-                        if family != "HWPF"
-                        else view.ocr("HWPF", scenario)
-                        + view.ocr("HWPF_L1", scenario)
-                        + view.ocr("HWPF_RFO", scenario)
-                    )
-                    self._insert(
-                        PATH_SET,
-                        t,
-                        tags={
-                            "pid": str(pid),
-                            "core": str(core_id),
-                            "path": family,
-                            "dst": dst,
-                        },
-                        fields={"hits": hits, "core_hits": core_hits},
-                    )
-            self._insert(
+            insert(
                 VERTEX_SET,
                 t,
-                tags={"component": "core", "core": str(core_id), "pid": str(pid)},
+                tags={"component": "core", "core": str(core_id),
+                      "pid": str(pids.get(core_id, -1))},
                 fields={
                     "l1_hits": view.l1_hits,
                     "l1_misses": view.l1_misses,
@@ -169,7 +163,7 @@ class PFMaterializer:
             m2p = M2PCIeView(snapshot.delta, node)
             device = CXLDeviceView(snapshot.delta, node)
             duration = max(snapshot.duration, 1.0)
-            self._insert(
+            insert(
                 EDGE_SET,
                 t,
                 tags={"edge": f"flexbus{node}"},
@@ -181,7 +175,7 @@ class PFMaterializer:
                 },
             )
         for flow in snapshot.flows:
-            self._insert(
+            insert(
                 FLOW_SET,
                 t,
                 tags={

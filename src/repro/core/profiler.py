@@ -7,7 +7,8 @@ PFBuilder (path map), PFEstimator (stall breakdown) and PFAnalyzer
 (queue/culprit analysis).  The per-epoch results are collected into an
 :class:`EpochResult` list that the case studies and the CLI render;
 :meth:`PFMaterializer.from_result` builds the time-series view of a
-finished session, and a live run keeps one warm while it runs.
+finished session; a live run keeps only the rolling state its
+per-epoch digests read.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Dict, List, Mapping, Optional
 
 logger = logging.getLogger(__name__)
 
-from ..obs import FlightRecorder, TraceReport, persist_trace
+from ..obs import FlightRecorder, TraceReport
 from ..sim.machine import Machine
 from ..sim.warp import WarpController, WarpReport, coerce_fidelity
 from .analyzer import AnalyzerReport, PFAnalyzer
@@ -113,12 +114,11 @@ class ProfileResult:
 class PathFinder:
     """The profiler: wraps a machine and a profiling specification.
 
-    With ``live`` (a :class:`repro.live.LiveSpec` or ``True``), the
-    materializer becomes the streaming :class:`~repro.live.LiveMaterializer`
-    (capped TSDB + O(1) rolling workflows), sim queues are delta-sampled
-    each epoch, and each epoch's digest goes to ``on_epoch``, if given,
-    *while the run is in flight* - the path the serve daemon streams
-    from.
+    With ``live`` (a :class:`repro.live.LiveSpec` or ``True``), each
+    epoch is folded into a :class:`~repro.live.LiveMaterializer`'s
+    O(1) rolling state, sim queues are delta-sampled each epoch, and
+    each epoch's digest goes to ``on_epoch``, if given, *while the run
+    is in flight* - the path the serve daemon streams from.
     """
 
     def __init__(
@@ -137,8 +137,8 @@ class PathFinder:
             self.warp = WarpController(machine, warp_spec, spec.epoch_cycles)
         self.live = None
         self._on_epoch = on_epoch
-        # Only a live run materializes as it goes: its digests read the
-        # rolling state.  Any other session materializes from its result.
+        # Only a live run keeps rolling state as it goes: its digests
+        # read it.  Any session materializes from its result.
         self.materializer = None
         if live is not None and live is not False:
             # Imported lazily: repro.live imports this module's siblings.
@@ -285,9 +285,6 @@ class PathFinder:
             result.warp = self.warp.report
         if self.recorder is not None:
             result.trace = self.recorder.report()
-            if self.live is not None:
-                persist_trace(self.materializer.db, result.trace,
-                              timestamp=self.machine.now)
         return result
 
     def _maybe_warp(self, epoch: int, result: ProfileResult) -> int:

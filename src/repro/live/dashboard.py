@@ -2,8 +2,8 @@
 
 ``epoch_digest`` condenses one :class:`~repro.core.profiler.EpochResult`
 plus the live materializer's rolling state into a small JSON-safe dict -
-the unit the ingestion bus publishes, ``/v1/live`` streams and the
-``pathfinder live`` CLI verb renders.
+the unit a served live job appends to its event log, ``/v1/live``
+streams and the ``pathfinder live`` CLI verb renders.
 """
 
 from __future__ import annotations
@@ -30,13 +30,15 @@ def epoch_digest(
     during a fast-forward, so its samples would read 0 inserts at the
     pre-warp occupancy.  The caller still samples every epoch, so the
     next exact epoch's deltas cover only that epoch.
+
+    ``top_counters`` ties on |delta| go by ``(scope, event)``, not by the
+    delta's insertion order, which depends on the hash seed.
     """
     snapshot = epoch_result.snapshot
     culprit = epoch_result.queues.culprit()
     top = sorted(
         ((scope, event, delta) for (scope, event), delta in snapshot.delta.items()),
-        key=lambda item: abs(item[2]),
-        reverse=True,
+        key=lambda item: (-abs(item[2]), item[0], item[1]),
     )[:TOP_K]
     rolling: Dict[str, Dict[str, Any]] = {}
     pids = materializer.tracked_pids()

@@ -1,21 +1,21 @@
-"""Incremental PFMaterializer: batch workflows plus O(1) rolling state.
+"""Rolling state for live digests, folded epoch by epoch.
 
-``LiveMaterializer`` is a drop-in :class:`~repro.core.materializer
-.PFMaterializer` whose backing TSDB keeps at most :data:`MAX_POINTS`
-records per measurement and which additionally maintains, per tagged
-series, the online operators of :mod:`repro.tsdb.operators`:
+``LiveMaterializer`` keeps only what :func:`~repro.live.epoch_digest`
+reads, updated in O(1) per record by the online operators of
+:mod:`repro.tsdb.operators`:
 
 * per ``(pid, path, dst)`` hit series - rolling mean + online
   Holt-Winters forecast (the streaming half of the section 4.6 locality
   workflow);
-* per core - rolling ops-completed mean;
 * per co-resident pid pair - streaming Pearson over epoch-aligned
   LLC-hit series (the streaming half of :meth:`correlate`).
 
-The batch workflows (``locality``, ``correlate``, ...) still run against
-the same db.  Their series functions are folds over the same operators,
-so while no record has been dropped they agree with the rolling views,
-which ``tests/test_live.py`` checks every epoch.
+It folds the same path rows :meth:`PFMaterializer.ingest` stores
+(:func:`~repro.core.materializer.path_rows`), and the batch series
+functions are folds over the same operators, so at every epoch the
+rolling views agree with the batch workflows over the matching prefix
+of ``PFMaterializer.from_result(result)``, which ``tests/test_live.py``
+checks.
 """
 
 from __future__ import annotations
@@ -23,18 +23,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..core.builder import PathMap
-from ..core.materializer import PATH_SET, VERTEX_SET, PFMaterializer
+from ..core.materializer import path_rows
 from ..core.snapshot import Snapshot
-from ..tsdb import (
-    OnlineHoltWinters,
-    RollingMean,
-    StreamingPearson,
-    TimeSeriesDB,
-)
+from ..tsdb import OnlineHoltWinters, RollingMean, StreamingPearson
 from .spec import LiveSpec
-
-#: Records kept per measurement; the oldest go first (see TimeSeriesDB).
-MAX_POINTS = 100_000
 
 
 class _SeriesState:
@@ -57,35 +49,26 @@ class _SeriesState:
         self.count += 1
 
 
-class LiveMaterializer(PFMaterializer):
-    """PFMaterializer that keeps rolling answers warm while ingesting.
+class LiveMaterializer:
+    """Rolling answers kept warm while a live run ingests its epochs.
 
     ``spec.window`` is the rolling means' span; forecasts are one epoch
-    ahead.  The db keeps the newest :data:`MAX_POINTS` records of each
-    measurement.
+    ahead.
     """
 
-    def __init__(self, spec: Optional[LiveSpec] = None, socket: int = 0) -> None:
+    def __init__(self, spec: Optional[LiveSpec] = None) -> None:
         self.spec = spec if spec is not None else LiveSpec()
-        super().__init__(socket=socket, db=TimeSeriesDB(max_points=MAX_POINTS))
         self._paths: Dict[Tuple[str, str, str], _SeriesState] = {}
-        self._core_ops: Dict[str, _SeriesState] = {}
         self._pearson: Dict[Tuple[str, str], StreamingPearson] = {}
-        # Per-epoch scratch: pid -> LLC demand-read hits this epoch.
-        self._epoch_hits: Dict[str, float] = {}
 
     # -- ingestion ------------------------------------------------------
 
-    def _insert(
-        self,
-        measurement: str,
-        timestamp: float,
-        tags: Dict[str, str],
-        fields: Dict[str, float],
-    ) -> None:
-        super()._insert(measurement, timestamp, tags=tags, fields=fields)
+    def ingest(self, snapshot: Snapshot, path_map: PathMap) -> None:
+        """Fold one epoch's path rows into the rolling state."""
         window = self.spec.window
-        if measurement == PATH_SET:
+        # pid -> LLC demand-read hits this epoch.
+        epoch_hits: Dict[str, float] = {}
+        for tags, fields in path_rows(snapshot, path_map):
             key = (tags["pid"], tags["path"], tags["dst"])
             state = self._paths.get(key)
             if state is None:
@@ -94,28 +77,15 @@ class LiveMaterializer(PFMaterializer):
             state.push(hits)
             if tags["path"] == "DRd" and tags["dst"] == "LLC":
                 pid = tags["pid"]
-                self._epoch_hits[pid] = self._epoch_hits.get(pid, 0.0) + hits
-        elif measurement == VERTEX_SET and tags.get("component") == "core":
-            core = tags["core"]
-            state = self._core_ops.get(core)
-            if state is None:
-                state = self._core_ops[core] = _SeriesState(window)
-            state.push(fields.get("ops", 0.0))
-
-    def ingest(self, snapshot: Snapshot, path_map: Optional[PathMap] = None) -> None:
-        self._epoch_hits = {}
-        super().ingest(snapshot, path_map)
-        self._flush_epoch()
-
-    def _flush_epoch(self) -> None:
-        """Advance pairwise correlations with this epoch's aligned hits."""
-        pids = sorted(p for p in self._epoch_hits if p != "-1")
+                epoch_hits[pid] = epoch_hits.get(pid, 0.0) + hits
+        # Advance pairwise correlations with this epoch's aligned hits.
+        pids = sorted(p for p in epoch_hits if p != "-1")
         for i, a in enumerate(pids):
             for b in pids[i + 1 :]:
                 pair = self._pearson.get((a, b))
                 if pair is None:
                     pair = self._pearson[(a, b)] = StreamingPearson()
-                pair.push(self._epoch_hits[a], self._epoch_hits[b])
+                pair.push(epoch_hits[a], epoch_hits[b])
 
     # -- rolling workflows ----------------------------------------------
 
@@ -124,7 +94,7 @@ class LiveMaterializer(PFMaterializer):
     ) -> Dict[str, object]:
         """O(1) streaming view of the locality workflow: current rolling
         mean, next-epoch forecast and the 25%-of-scale predictability
-        verdict, without touching the stored series."""
+        verdict."""
         state = self._paths.get((str(pid), path, dst))
         if state is None:
             return {
@@ -154,10 +124,6 @@ class LiveMaterializer(PFMaterializer):
         a, b = sorted((str(pid_a), str(pid_b)))
         pair = self._pearson.get((a, b))
         return pair.value if pair is not None else 0.0
-
-    def rolling_core_ops(self, core: int) -> float:
-        state = self._core_ops.get(str(core))
-        return state.mean.value if state is not None else 0.0
 
     def tracked_pids(self) -> List[int]:
         pids = {key[0] for key in self._paths if key[0] != "-1"}

@@ -30,6 +30,10 @@ Endpoints::
     POST /v1/shutdown        begin drain-then-exit -> 202
     GET  /healthz | /readyz | /metricsz
 
+Both streams follow an :class:`~repro.serve.jobs.EventLog` by position,
+in one loop: a job's own log, or the daemon-wide log that keeps the
+newest :data:`~repro.serve.jobs.DAEMON_LOG_KEEP` events.
+
 Operational behaviour:
 
 * **admission control** - a full queue rejects submissions with ``429``
@@ -93,13 +97,12 @@ from ..durable.tenants import (
 from ..exec.cache import ResultCache, coerce_cache
 from ..exec.pool import WorkerPool
 from ..exec.runner import CampaignJob
-from ..live.bus import IngestionBus
 from ..live.spec import LiveSpec
 from ..sim.warp import WarpSpec, coerce_fidelity, fidelity_token
 from .executor import JobExecutor
 from .jobs import (
     DONE,
-    TERMINAL_STATES,
+    EventLog,
     JobStore,
     ServeJob,
     counters_from_session,
@@ -108,9 +111,6 @@ from .metrics import ServeMetrics
 
 logger = logging.getLogger(__name__)
 
-#: Events after which a job's stream carries nothing more: a terminal
-#: state, or a hand-off to the journal at a workerless drain.
-_STREAM_END = TERMINAL_STATES + ("handed_off",)
 #: Reading a request (line, headers, body) must finish within this; it
 #: is also how long an open connection may sit idle between requests.
 REQUEST_READ_TIMEOUT_S = 30.0
@@ -255,10 +255,6 @@ class ServeDaemon:
         )
         self.store = JobStore(max_terminal=max_terminal_jobs,
                               max_age_s=job_retention_s)
-        #: Daemon-wide live event fabric: every job event (including the
-        #: per-epoch digests of live jobs) is published here and the
-        #: ``GET /v1/live`` endpoint streams it as NDJSON.
-        self.live_bus = IngestionBus()
         self.metrics = ServeMetrics()
         #: Warm worker pool shared by the daemon's worker threads; jobs
         #: reuse persistent forkserver processes instead of paying one
@@ -381,11 +377,11 @@ class ServeDaemon:
                 if self.journal is not None:
                     self.journal.append(wal.HANDOFF, record.job_id)
                 self.metrics.inc("jobs_handed_off")
-        # Close the live bus first: /v1/live streamers see the close
-        # marker and finish, so wait_closed() (which waits for in-flight
+        # Close the daemon log first: /v1/live streamers write what is
+        # left and finish, so wait_closed() (which waits for in-flight
         # handlers on 3.12+) cannot deadlock on an open stream.  Job
         # streams end too: every job is terminal or handed off by now.
-        self.live_bus.close()
+        self.store.daemon_log.close()
         await self._stop_listening()
         await self._server.wait_closed()
         self._pool.shutdown(wait=True)
@@ -448,7 +444,6 @@ class ServeDaemon:
             record = self.store.new_job(job.key(), job, priority=priority,
                                         tag=tag, tenant=tenant,
                                         job_id=job_id)
-            record.live_sink = self.live_bus.publish
             record.publish("recovered", priority=priority, tenant=tenant)
             self.tenants.on_recovered(tenant)
             self.metrics.inc("jobs_recovered")
@@ -580,7 +575,6 @@ class ServeDaemon:
             if entry is not None:
                 record = self.store.new_job(key, job, priority=priority,
                                             tag=tag, tenant=tenant)
-                record.live_sink = self.live_bus.publish
                 meta = entry.get("meta", {})
                 record.events_executed = int(meta.get("events_executed", 0))
                 record.total_cycles = float(meta.get("total_cycles", 0.0))
@@ -611,7 +605,6 @@ class ServeDaemon:
             )
         record = self.store.new_job(key, job, priority=priority, tag=tag,
                                     tenant=tenant)
-        record.live_sink = self.live_bus.publish
         if self.journal is not None:
             self.journal.append(wal.ADMITTED, record.job_id,
                                 self._journal_document(body, job, priority,
@@ -989,7 +982,7 @@ class ServeDaemon:
 
         The log is replayed from ``seq`` 0, then each event is pushed as
         it is published; the stream ends after the job's terminal event
-        (or its hand-off at a workerless drain).
+        (or its hand-off at a workerless drain), which closes the log.
         """
         record = self.store.get(job_id)
         if record is None:
@@ -997,74 +990,84 @@ class ServeDaemon:
                 writer, 404, {"error": f"no such job: {job_id}"}
             )
             return
-        _start_ndjson(writer)
-        cursor = 0
-        with _wakeup(reader) as (woken, wake):
-            record.wakers.append(wake)
-            try:
-                while not reader.at_eof():
-                    woken.clear()
-                    pending = record.events[cursor:]
-                    cursor += len(pending)
-                    for event in pending:
-                        _write_chunk(writer, event)
-                    await writer.drain()
-                    if pending and pending[-1]["event"] in _STREAM_END:
-                        break
-                    await woken.wait()
-            finally:
-                record.wakers.remove(wake)
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
+        await self._follow(reader, writer, record.events, 0)
 
     async def _handle_live(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
         query: str,
     ) -> None:
-        """Stream the daemon-wide live event fabric as chunked NDJSON.
+        """Stream the daemon-wide event log as chunked NDJSON.
 
         Every job event published while the connection is open is pushed
         as it happens (per-epoch ``epoch`` digests included for live
-        jobs).  ``?max_events=N`` closes the stream after N events --
-        handy for scripted consumers; the stream also ends when the
-        daemon drains.
+        jobs), after a ``hello`` line.  ``?max_events=N`` closes the
+        stream after N events (0 sends only the hello) -- handy for
+        scripted consumers; the stream also ends when the daemon drains.
         """
         params: Dict[str, str] = {}
         for pair in query.split("&"):
             if "=" in pair:
                 name, _, value = pair.partition("=")
                 params[name] = value
-        max_events: Optional[int] = None
-        if params.get("max_events"):
-            try:
-                max_events = int(params["max_events"])
-            except ValueError:
-                await self._respond_json(
-                    writer, 400,
-                    {"error": f"bad max_events: {params['max_events']!r}"},
-                )
-                return
+        raw = params.get("max_events")
+        try:
+            max_events = int(raw) if raw else None
+            if max_events is not None and max_events < 0:
+                raise ValueError(raw)
+        except ValueError:
+            await self._respond_json(
+                writer, 400, {"error": f"bad max_events: {raw!r}"}
+            )
+            return
+        log = self.store.daemon_log
+        await self._follow(reader, writer, log, len(log), limit=max_events,
+                           hello={"event": "hello", "ts": time.time(),
+                                  "draining": self._draining})
+
+    async def _follow(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        log: EventLog,
+        cursor: int,
+        *,
+        limit: Optional[int] = None,
+        hello: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Stream ``log`` from position ``cursor`` as chunked NDJSON.
+
+        ``hello``, if given, goes first, once this stream is registered
+        as a follower.  Then the loop writes whatever is new since its
+        cursor and sleeps until the next append.  It ends when the log
+        closes, after ``limit`` events, or when the client hangs up.
+        Events a slow reader lost to the daemon log's bound are counted
+        as ``live_events_skipped``.
+        """
+        _start_ndjson(writer)
         with _wakeup(reader) as (woken, wake):
-            sub = self.live_bus.subscribe(wake=wake)
+            log.wakers.append(wake)
             try:
-                _start_ndjson(writer)
-                _write_chunk(writer, {"event": "hello", "ts": time.time(),
-                                      "draining": self._draining})
-                sent = 0
+                if hello is not None:
+                    _write_chunk(writer, hello)
                 while not reader.at_eof():
                     woken.clear()
-                    for event in sub.drain_nowait():
+                    closed = log.closed
+                    start, events = log.read(cursor)
+                    if start > cursor:
+                        self.metrics.inc("live_events_skipped",
+                                         by=start - cursor)
+                    if limit is not None:
+                        events = events[:limit]
+                        limit -= len(events)
+                    cursor = start + len(events)
+                    for event in events:
                         _write_chunk(writer, event)
-                        sent += 1
-                        if max_events is not None and sent >= max_events:
-                            break
                     await writer.drain()
-                    if sub.closed or (max_events is not None
-                                      and sent >= max_events):
+                    if closed or limit == 0:
                         break
                     await woken.wait()
             finally:
-                self.live_bus.unsubscribe(sub)
+                log.wakers.remove(wake)
         writer.write(b"0\r\n\r\n")
         await writer.drain()
 

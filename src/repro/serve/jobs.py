@@ -1,12 +1,14 @@
-"""Job model and registry for the profiling daemon.
+"""Job model, registry and event logs for the profiling daemon.
 
 A :class:`ServeJob` is one accepted submission: the declarative
 :class:`~repro.exec.runner.CampaignJob` it wraps, its lifecycle state,
-and an append-only event log that the NDJSON streaming endpoint replays
-to any number of subscribers.  Jobs are mutated from worker threads and
-read from the asyncio loop, so every state transition goes through
-:meth:`ServeJob.publish` / plain attribute writes that are safe under
-the GIL (single writer per job; readers tolerate slightly stale views).
+and its :class:`EventLog`, which ``/v1/jobs/<id>/events`` replays to any
+number of followers.  Every event also goes to the daemon-wide log that
+``/v1/live`` follows, which keeps only the newest events.  Jobs are
+mutated from worker threads and read from the asyncio loop, so every
+state transition goes through :meth:`ServeJob.publish` / plain attribute
+writes that are safe under the GIL (single writer per job; readers
+tolerate slightly stale views).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..exec.runner import CampaignJob
 
@@ -28,6 +30,72 @@ DONE = "done"
 FAILED = "failed"
 
 TERMINAL_STATES = (DONE, FAILED)
+#: Events after which a job's log carries nothing more: a terminal
+#: state, or a hand-off to the journal at a workerless drain.
+STREAM_END = TERMINAL_STATES + ("handed_off",)
+
+#: Events the daemon-wide log holds; a follower further behind skips.
+DAEMON_LOG_KEEP = 1024
+
+
+class EventLog:
+    """Append-only events that streams follow by position.
+
+    Position ``n`` is the ``n``-th event ever appended.  With ``keep``,
+    only the newest ``keep`` are held, and a reader whose cursor fell
+    further behind resumes at the oldest one held.  Each append calls
+    every waker from the appending thread; the wakers only tell a
+    follower to look, so one that is already awake loses nothing.  A
+    closed log wakes its wakers once more and appends nothing after.
+    """
+
+    def __init__(self, keep: Optional[int] = None) -> None:
+        self.keep = keep
+        self.closed = False
+        #: Wake callbacks of the streams following this log.
+        self.wakers: List[Callable[[], None]] = []
+        self._lock = threading.Lock()
+        self._events: List[Dict[str, Any]] = []
+        self._first = 0  # position of _events[0]
+
+    def __len__(self) -> int:
+        """Events ever appended: the position of the next one."""
+        with self._lock:
+            return self._first + len(self._events)
+
+    def append(self, event: Dict[str, Any], close: bool = False) -> None:
+        """Append ``event`` (and close the log with it, if ``close``)."""
+        with self._lock:
+            if self.closed:
+                return
+            events = self._events
+            events.append(event)
+            if self.keep is not None and len(events) >= 2 * self.keep:
+                # Trimmed in bulk, so an append costs O(1) amortised.
+                self._first += len(events) - self.keep
+                del events[:-self.keep]
+            if close:
+                self.closed = True
+        for wake in tuple(self.wakers):
+            wake()
+
+    def close(self) -> None:
+        with self._lock:
+            self.closed = True
+        for wake in tuple(self.wakers):
+            wake()
+
+    def read(self, cursor: int) -> Tuple[int, List[Dict[str, Any]]]:
+        """``(start, events)``: the events held from position ``cursor``
+        on, the first at ``start``, which is past ``cursor`` when the
+        reader fell more than ``keep`` events behind.  Costs O(events
+        returned)."""
+        with self._lock:
+            start = cursor
+            if self.keep is not None:
+                end = self._first + len(self._events)
+                start = max(cursor, end - self.keep)
+            return start, self._events[start - self._first:]
 
 
 def counters_from_session(document: Dict[str, Any]) -> List[List[Any]]:
@@ -75,28 +143,21 @@ class ServeJob:
     #: coordinator can reconstruct the :class:`ProfileResult` remotely.
     #: Deliberately excluded from :meth:`as_dict` (it is large).
     session_document: Optional[Dict[str, Any]] = None
-    #: Append-only NDJSON event log (each entry is one streamed line).
-    events: List[Dict[str, Any]] = field(default_factory=list)
-    #: Optional callable every published event is forwarded to - the
-    #: daemon points this at its live ingestion bus so ``/v1/live``
-    #: streams all jobs' events as they happen.
-    live_sink: Optional[Any] = field(default=None, repr=False, compare=False)
-    #: Wake callbacks of the streams following :attr:`events`; each is
-    #: called (from the publishing thread) after every append.
-    wakers: List[Callable[[], None]] = field(default_factory=list,
-                                             repr=False, compare=False)
+    #: The job's own log (each entry is one streamed NDJSON line); it
+    #: closes with the job's :data:`STREAM_END` event.
+    events: EventLog = field(default_factory=EventLog, repr=False,
+                             compare=False)
+    #: The daemon-wide log every event also goes to (``/v1/live``).
+    daemon_log: Optional[EventLog] = field(default=None, repr=False,
+                                           compare=False)
 
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
     def publish(self, event: str, **data: Any) -> None:
-        """Append one event and wake every stream following the log.
-
-        Streamers read new events by list position; the wake callbacks
-        only tell them to look, so a stream that is already awake loses
-        nothing.
-        """
+        """Append one event to the job's log and the daemon's; a
+        :data:`STREAM_END` event closes the job's log."""
         record = {
             "seq": len(self.events),
             "ts": time.time(),
@@ -105,11 +166,9 @@ class ServeJob:
         }
         record.update(data)
         record["event"] = event
-        self.events.append(record)
-        for wake in tuple(self.wakers):
-            wake()
-        if self.live_sink is not None:
-            self.live_sink(record)
+        self.events.append(record, close=event in STREAM_END)
+        if self.daemon_log is not None:
+            self.daemon_log.append(record)
 
     def as_dict(self, include_counters: bool = True) -> Dict[str, Any]:
         status = {
@@ -152,6 +211,8 @@ class JobStore:
                  max_age_s: Optional[float] = None) -> None:
         if max_terminal < 0:
             raise ValueError("max_terminal must be non-negative")
+        #: Every job's events, newest :data:`DAEMON_LOG_KEEP` held.
+        self.daemon_log = EventLog(keep=DAEMON_LOG_KEEP)
         self._lock = threading.Lock()
         self._jobs: Dict[str, ServeJob] = {}
         self._by_key: Dict[str, str] = {}
@@ -168,7 +229,8 @@ class JobStore:
         if job_id is None:
             job_id = f"j{next(self._ids):05d}-{uuid.uuid4().hex[:8]}"
         record = ServeJob(job_id=job_id, key=key, job=job,
-                          priority=priority, tag=tag, tenant=tenant)
+                          priority=priority, tag=tag, tenant=tenant,
+                          daemon_log=self.daemon_log)
         with self._lock:
             self._jobs[job_id] = record
             self._by_key[key] = job_id

@@ -5,12 +5,9 @@ tagged with its timestamp and stores it in a time-series database, then
 explores execution characteristics with Flux queries.  This module
 provides the storage: each measurement is one list of :class:`Record`
 rows (timestamp + tags + numeric fields) kept sorted by timestamp;
-:class:`Query` (tsdb.query) gives the Flux-like pipeline on top.
-
-An optional ``max_points`` cap bounds a measurement's memory: once it
-holds ``max_points + max(64, max_points // 8)`` records, the oldest are
-dropped down to the cap and counted in ``dropped``, so the O(n)
-front-drop is amortised over many inserts.
+:class:`Query` (tsdb.query) gives the Flux-like pipeline on top.  It
+holds a finished session (``PFMaterializer.from_result``), so nothing
+is ever dropped; a live run keeps rolling state instead (``repro.live``).
 """
 
 from __future__ import annotations
@@ -38,13 +35,10 @@ class Record:
 class Measurement:
     """Records ordered by timestamp; equal timestamps keep insert order."""
 
-    __slots__ = ("name", "max_points", "dropped", "_times", "_records")
+    __slots__ = ("name", "_times", "_records")
 
-    def __init__(self, name: str, max_points: Optional[int] = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.max_points = max_points
-        #: Records dropped by the retention cap (observability counter).
-        self.dropped = 0
         # Parallel to _records: bisect over plain floats, not records.
         self._times: List[float] = []
         self._records: List[Record] = []
@@ -54,12 +48,6 @@ class Measurement:
         at = bisect.bisect_right(times, record.timestamp)
         times.insert(at, record.timestamp)
         self._records.insert(at, record)
-        cap = self.max_points
-        if cap is not None and len(times) >= cap + max(64, cap // 8):
-            excess = len(times) - cap
-            del times[:excess]
-            del self._records[:excess]
-            self.dropped += excess
 
     def range(
         self, start: Optional[float] = None, stop: Optional[float] = None
@@ -81,22 +69,15 @@ class Measurement:
 
 
 class TimeSeriesDB:
-    """A bag of named measurements plus the entry point for queries.
+    """A bag of named measurements plus the entry point for queries."""
 
-    ``max_points`` caps every measurement (see :class:`Measurement`);
-    ``None`` keeps everything.
-    """
-
-    def __init__(self, max_points: Optional[int] = None) -> None:
-        if max_points is not None and max_points < 1:
-            raise ValueError("max_points must be >= 1")
-        self.max_points = max_points
+    def __init__(self) -> None:
         self._measurements: Dict[str, Measurement] = {}
 
     def measurement(self, name: str) -> Measurement:
         table = self._measurements.get(name)
         if table is None:
-            table = Measurement(name, max_points=self.max_points)
+            table = Measurement(name)
             self._measurements[name] = table
         return table
 
@@ -127,8 +108,8 @@ class TimeSeriesDB:
         return measurement in self._measurements
 
     def stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-measurement point counts and retention drops."""
+        """Per-measurement point counts."""
         return {
-            name: {"points": len(table), "dropped": table.dropped}
+            name: {"points": len(table)}
             for name, table in sorted(self._measurements.items())
         }

@@ -16,6 +16,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -250,18 +251,26 @@ def test_two_tenant_contention_completes_in_weight_proportion(tmp_path):
                           tenants=["A:3", "B:1"]) as server:
         # Every terminal event goes out with its finish already counted,
         # so a client woken by ``done`` reads up-to-date tenant counters.
-        bus_publish = server.daemon.live_bus.publish
+        live_log = server.daemon.store.daemon_log
         counted_at_done = []
+        cursor = [len(live_log)]
+        reading = threading.Lock()
 
-        def publish(event):
-            if event["event"] == "done":
-                rows = server.daemon.tenants.snapshot().values()
-                counted_at_done.append(
-                    (sum(row["counters"].get("completed", 0) for row in rows),
-                     sum(row["in_flight"] for row in rows)))
-            bus_publish(event)
+        def check_done():
+            # A waker runs on each appending thread, so it may also find
+            # an event another thread appended.
+            with reading:
+                start, events = live_log.read(cursor[0])
+                cursor[0] = start + len(events)
+                for event in events:
+                    if event["event"] == "done":
+                        rows = server.daemon.tenants.snapshot().values()
+                        counted_at_done.append(
+                            (sum(row["counters"].get("completed", 0)
+                                 for row in rows),
+                             sum(row["in_flight"] for row in rows)))
 
-        server.daemon.live_bus.publish = publish
+        live_log.wakers.append(check_done)
         sacrificial = ServeClient(port=server.port)
         client_a = ServeClient(port=server.port, tenant="A")
         client_b = ServeClient(port=server.port, tenant="B")

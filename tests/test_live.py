@@ -1,13 +1,17 @@
-"""repro.live: operator value pins, capped storage, streaming.
+"""repro.live: operator value pins, storage order, event logs, streaming.
 
 The online operators and the series functions folded over them are one
 implementation, pinned to recorded values.  The live materializer tests
-check that its rolling state, read mid-run, equals a query over the
-stored series every epoch, so a dashboard sees the same numbers a
-post-hoc query would compute.
+record its rolling state at every epoch of a run and check it against
+the batch operators over the matching prefix of the finished session's
+``PFMaterializer.from_result`` series, so a dashboard sees the same
+numbers a post-hoc query would compute.  The serve daemon's event logs
+and ``/v1/live`` are tested over HTTP.
 """
 
+import dataclasses
 import json
+import sys
 import threading
 import time
 
@@ -15,16 +19,18 @@ import pytest
 
 from repro import RunOptions, api
 from repro.core import AppSpec, ProfileSpec
-from repro.core.materializer import PATH_SET
+from repro.core.materializer import PATH_SET, PFMaterializer
 from repro.core.profiler import PathFinder
+from repro.core.snapshot import Snapshot
 from repro.exec import cxl_node_id
 from repro.live import (
-    IngestionBus,
     LiveMaterializer,
     LiveSpec,
     coerce_live,
+    epoch_digest,
     render_live_event,
 )
+from repro.serve.jobs import DAEMON_LOG_KEEP, EventLog
 from repro.sim import Machine, spr_config
 from repro.tsdb import (
     OnlineHoltWinters,
@@ -145,49 +151,7 @@ def test_online_holt_winters_empty_forecast_before_first_point():
     assert OnlineHoltWinters(season_length=4).forecast(1) == []
 
 
-# -- retention bounds ---------------------------------------------------------
-
-
-@pytest.mark.parametrize("straggle_every,num_tags", [
-    pytest.param(0, 0, id="in-order"),
-    # Every 20th insert lands 7.5 ticks late, spread over 4 tag sets, so
-    # out-of-order inserts land under the trim.
-    pytest.param(20, 4, id="stragglers"),
-])
-def test_raw_retention_bounds_memory_and_counts_drops(straggle_every, num_tags):
-    db = TimeSeriesDB(max_points=1_000)
-    total = 20_000
-    newest = float("-inf")
-    for i in range(total):
-        ts = float(i)
-        if straggle_every and i % straggle_every == straggle_every - 1:
-            ts -= 7.5
-        tags = {"pid": str(i % num_tags)} if num_tags else None
-        db.insert("m", ts, tags=tags, fields={"v": float(i)})
-        newest = max(newest, ts)
-    raw = db.measurement("m")
-    # Amortised trim: never more than cap + slack points in memory.
-    assert len(raw) <= 1_000 + max(64, 1_000 // 8)
-    assert raw.dropped == total - len(raw)
-    # The newest points survive and stay queryable, in order.
-    timestamps = db.from_("m").timestamps()
-    assert timestamps == sorted(timestamps)
-    assert timestamps[-1] == newest
-    stats = db.stats()
-    assert stats["m"] == {"points": len(raw), "dropped": raw.dropped}
-
-
-def test_million_point_series_queryable_under_cap():
-    db = TimeSeriesDB(max_points=10_000)
-    total = 1_000_000
-    for i in range(total):
-        db.insert("m", float(i), fields={"v": float(i)})
-    raw = db.measurement("m")
-    assert len(raw) <= 10_000 + max(64, 10_000 // 8)
-    assert raw.dropped + len(raw) == total
-    # The most recent history stays queryable, oldest first.
-    assert db.from_("m").timestamps()[-1] == float(total - 1)
-    assert db.from_("m").values("v")[0] == float(raw.dropped)
+# -- storage order ------------------------------------------------------------
 
 
 def test_out_of_order_stragglers_merge_on_read():
@@ -212,41 +176,141 @@ def test_descending_inserts_end_up_sorted():
     assert db.from_("m").timestamps() == [float(i) for i in range(1, n + 1)]
 
 
-# -- ingestion bus ------------------------------------------------------------
+# -- event logs -----------------------------------------------------------------
 
 
-def test_bus_bounded_subscriber_drops_oldest():
-    bus = IngestionBus()
-    sub = bus.subscribe(maxlen=4)
-    for i in range(10):
-        bus.publish({"i": i})
-    got = sub.drain_nowait()
-    assert [e["i"] for e in got] == [6, 7, 8, 9]
-    assert sub.dropped == 6
-    assert bus.stats()["published"] == 10
+def test_event_log_reader_far_behind_skips_to_the_oldest_held_event():
+    log = EventLog(keep=DAEMON_LOG_KEEP)
+    for i in range(DAEMON_LOG_KEEP + 6):
+        log.append({"i": i})
+    # A reader at position 0 is 1,030 events behind: it skips the 6
+    # events the log no longer holds.
+    start, events = log.read(0)
+    assert start == 6
+    assert [e["i"] for e in events] == list(range(6, DAEMON_LOG_KEEP + 6))
+    # Past the bulk trim, positions stay absolute and a reader within
+    # the bound reads only what is new.
+    for i in range(DAEMON_LOG_KEEP + 6, 5 * DAEMON_LOG_KEEP):
+        log.append({"i": i})
+    assert len(log) == 5 * DAEMON_LOG_KEEP
+    start, events = log.read(len(log) - 3)
+    assert start == len(log) - 3
+    assert [e["i"] for e in events] == list(range(len(log) - 3, len(log)))
+    start, events = log.read(0)
+    assert start == len(log) - DAEMON_LOG_KEEP
+    assert len(events) == DAEMON_LOG_KEEP
+    # A job's log is unbounded: it never skips.
+    job_log = EventLog()
+    for i in range(3 * DAEMON_LOG_KEEP):
+        job_log.append({"i": i})
+    assert job_log.read(0)[0] == 0 and len(job_log.read(0)[1]) == len(job_log)
 
 
-def test_bus_close_ends_iteration():
-    bus = IngestionBus()
-    sub = bus.subscribe()
-    received = []
+def test_event_log_close_ends_every_reader():
+    log = EventLog()
+    woken = []
+    log.wakers.extend([lambda: woken.append("a"), lambda: woken.append("b")])
+    log.append({"i": 0})
+    log.append({"i": 1}, close=True)
+    assert log.closed and woken == ["a", "b"] * 2
+    # Nothing is appended after close; a reader still gets what is held.
+    log.append({"i": 2})
+    log.close()
+    assert len(log) == 2
+    assert [e["i"] for e in log.read(0)[1]] == [0, 1]
+    assert log.read(len(log)) == (2, [])
 
-    def consume():
-        for event in sub:
-            received.append(event)
 
-    thread = threading.Thread(target=consume)
-    thread.start()
-    bus.publish({"i": 0})
-    bus.publish({"i": 1})
-    bus.close()
-    thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert [e["i"] for e in received] == [0, 1]
-    # Post-close subscriptions are born with the close marker queued.
-    late = bus.subscribe()
-    assert late.drain_nowait() == []
-    assert late.closed
+def test_event_log_concurrent_appends_and_reads_lose_nothing():
+    # Executor threads and the loop append to the daemon log at once;
+    # a bulk trim racing an append would lose or repeat positions.
+    writers, per_writer, keep = 4, 3000, 64
+    log = EventLog(keep=keep)
+    done = threading.Event()
+    tallies = []
+
+    def read():
+        cursor, seen, skipped = 0, 0, 0
+        while True:
+            finished = done.is_set()
+            start, events = log.read(cursor)
+            assert start >= cursor
+            skipped += start - cursor
+            seen += len(events)
+            cursor = start + len(events)
+            if finished:
+                tallies.append((cursor, seen, skipped))
+                return
+
+    def write(w):
+        for i in range(per_writer):
+            log.append({"w": w, "i": i})
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        readers = [threading.Thread(target=read) for _ in range(2)]
+        threads = [threading.Thread(target=write, args=(w,))
+                   for w in range(writers)]
+        for thread in readers + threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        done.set()
+        for thread in readers:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in readers + threads)
+    total = writers * per_writer
+    assert len(log) == total
+    assert tallies == [(total, seen, total - seen) for _, seen, _ in tallies]
+    start, events = log.read(0)
+    assert start == total - keep and len(events) == keep
+    # Each writer's newest events are held in the order it appended them.
+    for w in range(writers):
+        mine = [e["i"] for e in events if e["w"] == w]
+        assert mine == sorted(mine)
+
+
+def test_live_reader_far_behind_skips_and_is_counted():
+    from repro.serve import BackgroundServer, ServeClient
+
+    with BackgroundServer(workers=0, queue_depth=4, cache=None) as server:
+        client = ServeClient(port=server.port)
+        stream = client.live(max_events=1, timeout=30)
+        assert next(stream)["event"] == "hello"
+        log = server.daemon.store.daemon_log
+        appended = threading.Event()
+
+        def burst():
+            # One loop callback, so the follower cannot read in between.
+            for i in range(DAEMON_LOG_KEEP + 6):
+                log.append({"event": "tick", "i": i})
+            appended.set()
+
+        server._loop.call_soon_threadsafe(burst)
+        assert appended.wait(30)
+        assert [e["i"] for e in stream] == [6]
+        assert client.metrics()["counters"]["live_events_skipped"] == 6
+
+
+def test_closing_the_daemon_log_ends_every_live_reader():
+    from repro.serve import BackgroundServer, ServeClient
+
+    with BackgroundServer(workers=0, queue_depth=4, cache=None) as server:
+        client = ServeClient(port=server.port)
+        log = server.daemon.store.daemon_log
+        streams = [client.live(timeout=30) for _ in range(2)]
+        for stream in streams:
+            assert next(stream)["event"] == "hello"
+        log.append({"event": "tick", "i": 0})
+        log.close()
+        for stream in streams:
+            assert [e["event"] for e in stream] == ["tick"]
+        # A reader that arrives after close ends at once.
+        assert [e["event"] for e in client.live(timeout=30)] == ["hello"]
+        assert len(log.wakers) == 0
 
 
 def test_coerce_live():
@@ -269,10 +333,17 @@ def test_coerce_live():
 WINDOW = 4
 
 
+def _prefix(batch, pid, dst, t_end, path="DRd"):
+    """The query over ``batch``'s hit series of one app up to ``t_end``."""
+    return (batch.db.from_(PATH_SET)
+            .where(pid=str(pid), path=path, dst=dst)
+            .range(stop=t_end))
+
+
 @pytest.fixture(scope="module")
 def live_run():
-    """One live profiling run of two co-resident apps, with per-epoch
-    batch-vs-rolling parity checked inside the epoch callback."""
+    """One live profiling run of two co-resident apps, with the rolling
+    state recorded at every epoch."""
     machine = Machine(spr_config(num_cores=2))
     node = machine.cxl_node.node_id
     apps = [
@@ -283,31 +354,23 @@ def live_run():
     ]
     spec = ProfileSpec(apps=apps, epoch_cycles=25_000.0)
     digests = []
-    mismatches = []
+    states = []
     holder = {}
 
     def on_epoch(digest):
         digests.append(digest)
         materializer = holder["pf"].materializer
-        for pid in materializer.tracked_pids():
-            for dst in ("LLC", "CXL"):
-                series = (
-                    materializer.db.from_(PATH_SET)
-                    .where(pid=str(pid), path="DRd", dst=dst)
-                    .values("hits")
-                )
-                if not series:
-                    continue
-                want = moving_average(series, WINDOW)[-1]
-                got = materializer.rolling_locality(pid, dst=dst)["mean"]
-                if got != pytest.approx(want, rel=1e-9, abs=1e-9):
-                    mismatches.append((digest["epoch"], pid, dst, got, want))
+        states.append((digest["t_end"], {
+            (pid, dst): materializer.rolling_locality(pid, dst=dst)
+            for pid in materializer.tracked_pids()
+            for dst in ("LLC", "CXL")
+        }))
 
     pf = PathFinder(machine, spec, live=LiveSpec(window=WINDOW),
                     on_epoch=on_epoch)
     holder["pf"] = pf
     result = pf.run()
-    return pf, result, digests, mismatches
+    return pf, result, digests, states
 
 
 def test_live_run_uses_live_materializer(live_run):
@@ -317,25 +380,45 @@ def test_live_run_uses_live_materializer(live_run):
 
 
 def test_live_rolling_mean_matches_batch_every_epoch(live_run):
-    _, _, _, mismatches = live_run
+    _, result, _, states = live_run
+    batch = PFMaterializer.from_result(result)
+    mismatches = []
+    checked = 0
+    for t_end, rolling in states:
+        for (pid, dst), state in rolling.items():
+            series = _prefix(batch, pid, dst, t_end).values("hits")
+            if not series:
+                continue
+            checked += 1
+            want = moving_average(series, WINDOW)[-1]
+            got = state["mean"]
+            if got != pytest.approx(want, rel=1e-9, abs=1e-9):
+                mismatches.append((t_end, pid, dst, got, want))
+    assert checked >= len(states)
     assert mismatches == []
 
 
 def test_live_forecast_matches_batch_over_stored_series(live_run):
-    pf, _, _, _ = live_run
-    materializer = pf.materializer
-    for pid in materializer.tracked_pids():
+    pf, result, _, states = live_run
+    batch = PFMaterializer.from_result(result)
+    for pid in pf.materializer.tracked_pids():
         # Both apps are CXL-bound: their DRd->LLC series are all zero,
         # so the forecast is checked on the DRd->CXL hits.
-        series = (
-            materializer.db.from_(PATH_SET)
-            .where(pid=str(pid), path="DRd", dst="CXL")
-            .values("hits")
-        )
-        assert any(series)
-        got = materializer.rolling_locality(pid, dst="CXL")["forecast"]
-        want = holt_winters(series, horizon=1)
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-7)
+        assert any(_prefix(batch, pid, "CXL", None).values("hits"))
+    checked = 0
+    for t_end, rolling in states:
+        for (pid, dst), state in rolling.items():
+            if dst != "CXL":
+                continue
+            series = _prefix(batch, pid, dst, t_end).values("hits")
+            assert state["epochs"] == len(series)
+            if not series:
+                continue
+            checked += 1
+            want = holt_winters(series, horizon=1)
+            assert state["forecast"] == pytest.approx(want, rel=1e-9,
+                                                      abs=1e-7)
+    assert checked >= len(states)
 
 
 def test_live_correlation_matches_batch():
@@ -350,24 +433,36 @@ def test_live_correlation_matches_batch():
                 core=core, membind=node)
         for core, ops in enumerate((4000, 5000))
     ]
+    rolling = []
+    holder = {}
+
+    def on_epoch(digest):
+        materializer = holder["pf"].materializer
+        pids = materializer.tracked_pids()
+        if len(pids) == 2:
+            rolling.append((digest["t_end"],
+                            materializer.rolling_correlate(*pids)))
+
     pf = PathFinder(machine, ProfileSpec(apps=apps, epoch_cycles=10_000.0),
-                    live=LiveSpec(window=WINDOW))
-    pf.run()
-    materializer = pf.materializer
-    pids = materializer.tracked_pids()
+                    live=LiveSpec(window=WINDOW), on_epoch=on_epoch)
+    holder["pf"] = pf
+    result = pf.run()
+    pids = pf.materializer.tracked_pids()
     assert len(pids) == 2
+    batch = PFMaterializer.from_result(result)
     for pid in pids:
-        series = (
-            materializer.db.from_(PATH_SET)
-            .where(pid=str(pid), path="DRd", dst="LLC")
-            .values("hits")
-        )
+        series = _prefix(batch, pid, "LLC", None).values("hits")
         assert len(set(series)) > 1 and any(series)
     a, b = pids
-    batch = materializer.correlate(a, b)
-    assert batch != 0.0
-    assert materializer.rolling_correlate(a, b) == pytest.approx(
-        batch, rel=1e-6, abs=1e-6
+    assert rolling and rolling[-1][0] == result.total_cycles
+    for t_end, got in rolling:
+        want = _prefix(batch, a, "LLC", t_end).pearsonr_with(
+            _prefix(batch, b, "LLC", t_end), "hits")
+        assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
+    final = batch.correlate(a, b)
+    assert final != 0.0
+    assert pf.materializer.rolling_correlate(a, b) == pytest.approx(
+        final, rel=1e-6, abs=1e-6
     )
 
 
@@ -392,9 +487,25 @@ def test_live_run_samples_queues(live_run):
 
 
 def test_live_batch_workflows_still_run_on_live_db(live_run):
-    pf, _, _, _ = live_run
-    report = pf.materializer.locality(pf.materializer.tracked_pids()[0])
+    pf, result, _, _ = live_run
+    batch = PFMaterializer.from_result(result)
+    report = batch.locality(pf.materializer.tracked_pids()[0])
     assert report.hits_series
+
+
+def test_top_counter_ties_do_not_depend_on_insertion_order(live_run):
+    items = [(("core1", "b"), 5.0), (("core0", "z"), -5.0),
+             (("core0", "a"), 5.0), (("cha0", "x"), 2.0),
+             (("core0", "c"), 5.0), (("core2", "a"), 1.0)]
+    digests = []
+    for order in (items, items[::-1]):
+        epoch = dataclasses.replace(live_run[1].epochs[0], snapshot=Snapshot(
+            t_start=0.0, t_end=1.0, delta=dict(order)))
+        digests.append(epoch_digest(epoch, LiveMaterializer(), queues=[]))
+    assert digests[0] == digests[1]
+    assert digests[0]["top_counters"][:4] == [
+        ["core0", "a", 5.0], ["core0", "c", 5.0], ["core0", "z", -5.0],
+        ["core1", "b", 5.0]]
 
 
 def test_api_live_run_delivers_one_digest_per_epoch():
@@ -480,7 +591,7 @@ def test_live_stream_honors_max_events(server, client):
         # Lead-in so the streamer is subscribed before the first tick.
         time.sleep(0.3)
         for i in range(20):
-            server.daemon.live_bus.publish({"event": "tick", "i": i})
+            server.daemon.store.daemon_log.append({"event": "tick", "i": i})
             time.sleep(0.05)
 
     threading.Thread(target=pump, daemon=True).start()
@@ -489,13 +600,84 @@ def test_live_stream_honors_max_events(server, client):
     assert [e["event"] for e in got[1:]] == ["tick"] * 3
 
 
+def test_live_stream_max_events_zero_sends_only_the_hello(server, client):
+    # Ticks land while each stream opens, and frequent thread switches
+    # let one land between the stream's start and its first read: a
+    # reader that wrote before it checked the cap sent it in about one
+    # stream of six.
+    stop = threading.Event()
+
+    def pump():
+        while not stop.is_set():
+            server.daemon.store.daemon_log.append({"event": "tick"})
+            time.sleep(0.001)
+
+    pumper = threading.Thread(target=pump, daemon=True)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    pumper.start()
+    try:
+        for _ in range(50):
+            got = list(client.live(max_events=0, timeout=30))
+            assert [e["event"] for e in got] == ["hello"]
+    finally:
+        sys.setswitchinterval(switch)
+        stop.set()
+        pumper.join(10)
+
+
+def test_live_stream_rejects_negative_and_non_integer_max_events(client):
+    from repro.serve import ServeError
+
+    for query in ("max_events=-1", "max_events=-5", "max_events=abc"):
+        with pytest.raises(ServeError) as excinfo:
+            list(client._stream(f"/v1/live?{query}", timeout=30))
+        assert excinfo.value.status == 400
+        assert "bad max_events" in str(excinfo.value)
+    with pytest.raises(ServeError) as excinfo:
+        list(client.live(max_events=-1, timeout=30))
+    assert excinfo.value.status == 400
+
+
+def test_cache_hit_done_and_replayed_recovered_reach_live(tmp_path):
+    from repro.core.persistence import spec_to_document
+    from repro.durable import JobJournal
+    from repro.durable import journal as wal
+    from repro.serve import BackgroundServer, ServeClient
+
+    spec = serve_spec()
+    journal_dir = tmp_path / "journal"
+    with JobJournal(journal_dir, fsync=False) as journal:
+        journal.append(wal.ADMITTED, "replayed",
+                       {"spec": spec_to_document(spec)})
+    with BackgroundServer(workers=1, queue_depth=4,
+                          cache=str(tmp_path / "cache"),
+                          journal_dir=str(journal_dir)) as server:
+        # Replay runs before the listener binds, so no /v1/live reader
+        # is open yet; the event is in the daemon log readers follow.
+        _, held = server.daemon.store.daemon_log.read(0)
+        assert [(e["job_id"], e["event"]) for e in held][0] \
+            == ("replayed", "recovered")
+        client = ServeClient(port=server.port)
+        assert client.wait("replayed", timeout=300)["state"] == "done"
+        stream = client.live(timeout=60)
+        assert next(stream)["event"] == "hello"
+        again = client.submit_run(spec)
+        assert again["cache_hit"] is True and again["state"] == "done"
+        for event in stream:
+            if event.get("job_id") == again["job_id"]:
+                break
+        assert event["event"] == "done" and event["cache_hit"] is True
+        stream.close()
+
+
 def test_fleet_merged_live_stream(server, client):
     from repro.fleet import FleetCoordinator
 
     def pump():
         time.sleep(0.3)
         for i in range(20):
-            server.daemon.live_bus.publish({"event": "tick", "i": i})
+            server.daemon.store.daemon_log.append({"event": "tick", "i": i})
             time.sleep(0.05)
 
     threading.Thread(target=pump, daemon=True).start()

@@ -265,8 +265,8 @@ def test_a_finished_stream_releases_its_wake_callback(client, server):
     job = client.submit_run(make_spec(seed=13), cacheable=False)
     assert list(client.events(job["job_id"], timeout=300))[-1]["event"] \
         == "done"
-    assert server.daemon.store.get(job["job_id"]).wakers == []
-    assert server.daemon.live_bus.stats()["subscribers"] == 0
+    assert server.daemon.store.get(job["job_id"]).events.wakers == []
+    assert len(server.daemon.store.daemon_log.wakers) == 0
 
 
 def test_hangups_and_drains_release_stream_wake_callbacks():
@@ -280,7 +280,7 @@ def test_hangups_and_drains_release_stream_wake_callbacks():
 
 def _hang_up_then_drain(server):
     client = ServeClient(port=server.port)
-    bus = server.daemon.live_bus
+    live_log = server.daemon.store.daemon_log
     job = client.submit_run(make_spec(seed=61))
     record = server.daemon.store.get(job["job_id"])
 
@@ -288,13 +288,14 @@ def _hang_up_then_drain(server):
     stream, live = client.events(job["job_id"]), client.live()
     assert next(stream)["event"] == "queued"
     assert next(live)["event"] == "hello"
-    assert len(record.wakers) == 1 and bus.stats()["subscribers"] == 1
+    assert len(record.events.wakers) == 1 and len(live_log.wakers) == 1
     stream.close()
     live.close()
-    assert eventually(lambda: not record.wakers
-                      and bus.stats()["subscribers"] == 0)
+    assert eventually(lambda: not record.events.wakers
+                      and len(live_log.wakers) == 0)
 
-    # A drain hands the job off and closes the bus: both streams end.
+    # A drain hands the job off and closes the daemon log: both
+    # streams end.
     ends = {}
 
     def follow(name, events):
@@ -307,14 +308,14 @@ def _hang_up_then_drain(server):
     ]
     for follower in followers:
         follower.start()
-    assert eventually(lambda: len(record.wakers) == 1
-                      and bus.stats()["subscribers"] == 1)
+    assert eventually(lambda: len(record.events.wakers) == 1
+                      and len(live_log.wakers) == 1)
     server.stop()
     for follower in followers:
         follower.join(30)
     assert ends == {"events": ["queued", "handed_off"],
                     "live": ["hello", "handed_off"]}
-    assert record.wakers == [] and bus.stats()["subscribers"] == 0
+    assert record.events.wakers == [] and len(live_log.wakers) == 0
 
 
 def test_concurrent_streams_see_every_event_once_in_order():
@@ -354,7 +355,7 @@ def test_concurrent_streams_see_every_event_once_in_order():
                 assert [e["seq"] for e in events] == list(range(len(log)))
                 assert events[-1]["event"] == "done"
                 assert sum(e["event"] == "epoch" for e in events) > 1
-                assert server.daemon.store.get(job_id).wakers == []
+                assert server.daemon.store.get(job_id).events.wakers == []
     finally:
         sys.setswitchinterval(switch)
 
@@ -382,7 +383,7 @@ threads = [threading.Thread(target=follow, args=item) for item in
 for thread in threads:
     thread.start()
 deadline = time.monotonic() + 30
-while not (record.wakers and server.daemon.live_bus.stats()["subscribers"]):
+while not (record.events.wakers and server.daemon.store.daemon_log.wakers):
     assert time.monotonic() < deadline, "streams never opened"
     time.sleep(0.01)
 server.stop(force=sys.argv[1] == "force")

@@ -105,7 +105,7 @@ def test_streams_close_their_connection_and_the_client_carries_on():
         for follower in followers:
             follower.start()
         assert eventually(
-            lambda: server.daemon.live_bus.stats()["subscribers"] == 2)
+            lambda: len(server.daemon.store.daemon_log.wakers) == 2)
         other = client.submit_run(make_spec(seed=422, num_ops=200))
         for follower in followers:
             follower.join(60)
